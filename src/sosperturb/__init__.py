@@ -4,8 +4,8 @@ The package certifies nonnegativity on boxes and on basic closed
 semialgebraic sets by computing, for a chosen perturbation family, the
 minimal weight at which the perturbed polynomial becomes a sum of squares
 (or a member of the truncated preordering), together with explicit square
-decompositions.  A dense primal-dual interior-point solver is embedded;
-no external SDP solver is required.
+decompositions.  A primal-dual interior-point solver with sparse
+constraint data is embedded; no external SDP solver is required.
 """
 
 from .errors import (ConvergenceFailureError, DegreeTooLowError,
@@ -27,7 +27,7 @@ from .preorder import (PreorderCertificate, PreorderTerm, SemialgebraicSystem,
 from .probe import ProbeReport, run_probe
 from .rng import SplitMix64
 from .sdp import (SdpProblem, SdpSolution, SolveStatus, SolverSettings,
-                  ConstraintRow, dump_problem, eigendecompose, min_eigenvalue,
+                  ConstraintRow, eigendecompose, min_eigenvalue,
                   solve)
 from .sos import (ApproximationResult, GramCertificate, THETA_BIG, THETA_SMALL,
                   approximate_on_box, build_gram_system, build_moment_system,

@@ -9,8 +9,8 @@ so for two variables the order starts (0,0), (1,0), (0,1), (2,0), (1,1), ...
 
 Coefficient hygiene: arithmetic results drop entries with magnitude below
 DROP_TOLERANCE (they are below the noise floor of the SDP solver).  Direct
-constructors (parsing, the perturbation families) keep every nonzero
-coefficient exactly as given.
+constructors (parsing, the perturbation families) and the box rescaling
+`scale_box` keep every nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -223,11 +223,12 @@ def scale_box(f: Polynomial, l: float) -> Polynomial:
     """g(x) = f(l*x): coefficient at alpha is scaled by l^|alpha|.
 
     Certifying f on [-l, l]^n reduces to certifying g on the unit box.
+    Rescaling cancels nothing, so every coefficient is kept however small;
+    only one that underflows to exactly zero disappears.
     """
     if l <= 0:
         raise ValueError(f"box scale must be positive, got {l}")
-    return Polynomial(
-        f.n_vars, _dropped({a: c * l ** sum(a) for a, c in f.terms.items()}))
+    return Polynomial(f.n_vars, {a: c * l ** sum(a) for a, c in f.terms.items()})
 
 
 # -- monomial bases ----------------------------------------------------------

@@ -45,7 +45,8 @@ from .polynomials import MonomialBasis, Polynomial, multidegrees_upto
 from .sdp import ConstraintRow, SdpProblem, SolveStatus, SolverSettings, solve
 from .sos import (DEFAULT_CLIP_TOL, DEFAULT_RESIDUAL_TOL, SOS_DECISION_TOL,
                   ApproximationResult, GramCertificate, PerturbationKind,
-                  THETA_BIG, THETA_SMALL, extract_certificate, gram_polynomial,
+                  THETA_BIG, THETA_SMALL, coefficient_distance,
+                  decode_gram_obj, extract_certificate, gram_polynomial,
                   perturbation_polynomial, verify_certificate)
 
 log = logging.getLogger(__name__)
@@ -179,7 +180,7 @@ def _product_blocks(
     n_vars = f.n_vars
     gammas = multidegrees_upto(n_vars, 2 * r)
     row_of = {g: i for i, g in enumerate(gammas)}
-    row_mats: List[Dict[int, np.ndarray]] = [{} for _ in gammas]
+    row_entries: List[Dict[int, Tuple[list, list, list]]] = [{} for _ in gammas]
     generators = [chebyshev.to_chebyshev(g) for g in system.generators]
 
     blocks = []
@@ -199,13 +200,12 @@ def _product_blocks(
                 for gamma, c in chebyshev.times_t(basis.entries[j], shifted[i]).items():
                     if c == 0.0:
                         continue
-                    mats = row_mats[row_of[gamma]]
-                    mat = mats.get(bi)
-                    if mat is None:
-                        mat = mats[bi] = np.zeros((n, n))
-                    mat[i, j] += c
-                    if i != j:
-                        mat[j, i] += c
+                    entries = row_entries[row_of[gamma]].get(bi)
+                    if entries is None:
+                        entries = row_entries[row_of[gamma]][bi] = ([], [], [])
+                    entries[0].append(i)
+                    entries[1].append(j)
+                    entries[2].append(c)
 
     f_t, p_t = chebyshev.to_chebyshev(f), chebyshev.to_chebyshev(p)
     sizes = [len(basis) for _, _, basis in blocks]
@@ -215,15 +215,15 @@ def _product_blocks(
         eps_index = len(blocks)
         sizes.append(1)
         objective[eps_index] = np.array([[1.0]])
-    for gamma, mats in zip(gammas, row_mats):
+    for gamma, entries in zip(gammas, row_entries):
         if eps is None:
             c = p_t.get(gamma, 0.0)
             if c != 0.0:
-                mats[eps_index] = np.array([[-c]])
+                entries[eps_index] = ([0], [0], [-c])
             rhs = f_t.get(gamma, 0.0)
         else:
             rhs = f_t.get(gamma, 0.0) + eps * p_t.get(gamma, 0.0)
-        rows.append(ConstraintRow(mats, None, rhs))
+        rows.append(ConstraintRow(entries, None, rhs))
     return blocks, SdpProblem.from_rows(sizes, 0, rows, objective)
 
 
@@ -465,11 +465,7 @@ def membership(
                 basis, sol.primal_blocks[bi] / _term_norm(e, norms), clip_tol)
             terms.append(PreorderTerm(e, products[bi][1], sigma))
         target = f + p.scale(eps)
-        reconstruction = _reconstruct(terms, f.n_vars)
-        keys = set(reconstruction.terms) | set(target.terms)
-        residual = max(
-            (abs(reconstruction.coeff(a) - target.coeff(a)) for a in keys),
-            default=0.0)
+        residual = coefficient_distance(_reconstruct(terms, f.n_vars), target)
         if residual > DEFAULT_RESIDUAL_TOL:
             warnings.append(
                 f"reconstruction residual {residual:.3e} exceeds "
@@ -498,8 +494,6 @@ def verify_preorder_obj(obj: dict, target: Polynomial) -> dict:
     and the per-term squares are each expanded against the stored products
     and compared with the target coefficient-wise.
     """
-    from .sos import coefficient_distance, decode_gram_obj
-
     total_gram = Polynomial.zero(target.n_vars)
     total_squares = Polynomial.zero(target.n_vars)
     for term in obj["terms"]:

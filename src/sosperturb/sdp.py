@@ -1,4 +1,4 @@
-"""Dense primal-dual interior-point solver for small block SDPs.
+"""Primal-dual interior-point solver for small block SDPs with sparse data.
 
 Problem form (minimization convention):
 
@@ -30,6 +30,13 @@ Schur system in (dy, du)
 solved by dense Cholesky of M plus a small solve on the free block, so free
 scalar variables never pass through a PSD reformulation.
 
+Constraint data stays sparse.  Each block's constraints are COO triples
+(row, i, j, value), and A(X) and A^T(y) are sparse products over them.
+The Schur complement exploits the sparsity on both sides, after Fujisawa,
+Kojima and Nakata (Math. Prog. 79, 1997): A_j W is a sparse product,
+T_j = W A_j W comes from one dense matrix product for many j at once, and
+M_ij = sum over the triples (p, q, v) of A_i of v * T_j[p, q].
+
 Everything is deterministic: fixed initialization (identity scaled by
 1 + max|b_i|), no randomization, and the same inputs take the same branch
 sequence.  Infeasibility is reported heuristically when the dual objective
@@ -45,6 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.sparse import csr_matrix
 
 from .errors import ConvergenceFailureError
 
@@ -76,13 +84,60 @@ class SolverSettings:
             raise ValueError("infeasibility_threshold must be positive")
 
 
+# COO storage of one block's constraints: the triple (row, i, j, v), i <= j,
+# puts v at (i, j) and (j, i) of the coefficient matrix of constraint `row`
+COO_DTYPE = np.dtype([("row", np.int32), ("i", np.int32), ("j", np.int32),
+                      ("v", np.float64)])
+
+Entries = Tuple[Sequence[int], Sequence[int], Sequence[float]]
+
+
+def _checked_symmetric(mat, nb: int) -> np.ndarray:
+    mat = np.asarray(mat, dtype=float)
+    if mat.shape != (nb, nb):
+        raise ValueError(f"coefficient matrix shape {mat.shape} != ({nb},{nb})")
+    if np.max(np.abs(mat - mat.T), initial=0.0) > _SYMMETRY_TOL * (1 + np.max(np.abs(mat), initial=0.0)):
+        raise ValueError("coefficient matrix is not symmetric")
+    return 0.5 * (mat + mat.T)
+
+
 @dataclass
 class ConstraintRow:
-    """One linear equality: sum_b <blocks[b], X_b> + free . u = rhs."""
+    """One linear equality: sum_b <A_b, X_b> + free . u = rhs.
 
-    blocks: Dict[int, np.ndarray]
+    blocks maps a block index to the entries (i, j, v) of A_b, three
+    parallel sequences: each entry puts v at (i, j) and at (j, i), so A_b
+    is symmetric by construction, and repeated positions add up.
+    """
+
+    blocks: Dict[int, Entries]
     free: Optional[np.ndarray]
     rhs: float
+
+    @staticmethod
+    def dense(blocks: Dict[int, np.ndarray], free: Optional[np.ndarray],
+              rhs: float) -> "ConstraintRow":
+        """Row from symmetric (nb, nb) matrices, kept as the nonzero entries
+        of their upper triangles."""
+        entries = {}
+        for bi, mat in blocks.items():
+            mat = _checked_symmetric(mat, len(mat))
+            i, j = np.nonzero(np.triu(mat))
+            entries[bi] = (i, j, mat[i, j])
+        return ConstraintRow(entries, free, rhs)
+
+
+def _canonical_entries(row, i, j, v, nb: int):
+    """Entries with i <= j, sorted by (row, i, j), repeats summed, zeros
+    dropped."""
+    if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= nb):
+        raise ValueError(f"entry index out of range for block size {nb}")
+    key = (row * nb + np.minimum(i, j)) * nb + np.maximum(i, j)
+    key, inverse = np.unique(key, return_inverse=True)
+    v = np.bincount(inverse, weights=v, minlength=key.size)
+    keep = v != 0.0
+    key, v = key[keep], v[keep]
+    return key // (nb * nb), key // nb % nb, key % nb, v
 
 
 class SdpProblem:
@@ -91,7 +146,7 @@ class SdpProblem:
     def __init__(self, block_sizes, n_free, A, F, b, C, d):
         self.block_sizes: Tuple[int, ...] = tuple(block_sizes)
         self.n_free = int(n_free)
-        self.A = A          # list over blocks of (m, nb, nb) arrays
+        self.A = A          # list over blocks of COO_DTYPE arrays, sorted by row
         self.F = F          # (m, n_free)
         self.b = b          # (m,)
         self.C = C          # list of (nb, nb)
@@ -109,7 +164,7 @@ class SdpProblem:
         objective_blocks: Dict[int, np.ndarray],
         objective_free: Optional[np.ndarray] = None,
     ) -> "SdpProblem":
-        """Validate, symmetrize, deduplicate and pack constraint rows.
+        """Validate, deduplicate and pack constraint rows as COO triples.
 
         Exact duplicate rows (identical coefficients and right-hand side)
         are removed; at least one row must remain.
@@ -120,52 +175,62 @@ class SdpProblem:
         if not rows:
             raise ValueError("at least one constraint row is required")
 
-        def checked(mat: np.ndarray, nb: int) -> np.ndarray:
-            mat = np.asarray(mat, dtype=float)
-            if mat.shape != (nb, nb):
-                raise ValueError(f"coefficient matrix shape {mat.shape} != ({nb},{nb})")
-            if np.max(np.abs(mat - mat.T), initial=0.0) > _SYMMETRY_TOL * (1 + np.max(np.abs(mat), initial=0.0)):
-                raise ValueError("coefficient matrix is not symmetric")
-            return 0.5 * (mat + mat.T)
-
-        packed = []
-        seen = set()
-        for row in rows:
-            mats = []
-            for bi, nb in enumerate(block_sizes):
-                mat = row.blocks.get(bi)
-                mats.append(checked(mat, nb) if mat is not None else np.zeros((nb, nb)))
-            fr = np.zeros(n_free)
+        parts: List[List[List[np.ndarray]]] = [[[], [], [], []] for _ in block_sizes]
+        F = np.zeros((len(rows), n_free))
+        b = np.zeros(len(rows))
+        for r, row in enumerate(rows):
+            for bi, (i, j, v) in row.blocks.items():
+                if not 0 <= bi < len(block_sizes):
+                    raise ValueError(f"block index {bi} out of range")
+                i = np.asarray(i, dtype=np.int64).reshape(-1)
+                fields = parts[bi]
+                fields[0].append(np.full(i.size, r, dtype=np.int64))
+                fields[1].append(i)
+                fields[2].append(np.asarray(j, dtype=np.int64).reshape(i.size))
+                fields[3].append(np.asarray(v, dtype=float).reshape(i.size))
             if row.free is not None:
-                fr = np.asarray(row.free, dtype=float).reshape(n_free)
-            key = (
-                tuple(m.tobytes() for m in mats),
-                fr.tobytes(),
-                float(row.rhs).hex(),
-            )
-            if key in seen:
-                continue
-            seen.add(key)
-            packed.append((mats, fr, float(row.rhs)))
+                F[r] = np.asarray(row.free, dtype=float).reshape(n_free)
+            b[r] = float(row.rhs)
 
-        m = len(packed)
-        A = [np.zeros((m, nb, nb)) for nb in block_sizes]
-        F = np.zeros((m, n_free))
-        b = np.zeros(m)
-        for i, (mats, fr, rhs) in enumerate(packed):
-            for bi in range(len(block_sizes)):
-                A[bi][i] = mats[bi]
-            F[i] = fr
-            b[i] = rhs
+        entries = []
+        for fields, nb in zip(parts, block_sizes):
+            arrays = [np.concatenate(f) if f else np.zeros(0, dtype=dt)
+                      for f, dt in zip(fields, (np.int64, np.int64, np.int64, float))]
+            entries.append(_canonical_entries(*arrays, nb))
+
+        # exact duplicates: same entries in every block, free part and rhs
+        bounds = [np.searchsorted(e[0], np.arange(len(rows) + 1)) for e in entries]
+        kept: List[int] = []
+        seen = set()
+        for r in range(len(rows)):
+            key = (
+                tuple(e[k][lo[r]:lo[r + 1]].tobytes()
+                      for e, lo in zip(entries, bounds) for k in (1, 2, 3)),
+                F[r].tobytes(),
+                float(b[r]).hex(),
+            )
+            if key not in seen:
+                seen.add(key)
+                kept.append(r)
+        renumber = np.full(len(rows), -1, dtype=np.int64)
+        renumber[kept] = np.arange(len(kept))
+
+        A = []
+        for row, lo, hi, v in entries:
+            keep = renumber[row] >= 0
+            coo = np.empty(int(keep.sum()), dtype=COO_DTYPE)
+            coo["row"], coo["i"], coo["j"], coo["v"] = (
+                renumber[row[keep]], lo[keep], hi[keep], v[keep])
+            A.append(coo)
 
         C = []
         for bi, nb in enumerate(block_sizes):
             mat = objective_blocks.get(bi)
-            C.append(checked(mat, nb) if mat is not None else np.zeros((nb, nb)))
+            C.append(_checked_symmetric(mat, nb) if mat is not None else np.zeros((nb, nb)))
         d = np.zeros(n_free)
         if objective_free is not None:
             d = np.asarray(objective_free, dtype=float).reshape(n_free)
-        return SdpProblem(block_sizes, n_free, A, F, b, C, d)
+        return SdpProblem(block_sizes, n_free, A, F[kept], b[kept], C, d)
 
 
 @dataclass
@@ -185,16 +250,68 @@ def _sym(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def _apply_A(A: List[np.ndarray], X: List[np.ndarray]) -> np.ndarray:
+# elements of the largest temporary of one Schur chunk (16 MB in double)
+_SCHUR_CHUNK = 1 << 21
+
+
+class _BlockOperator:
+    """Sparse maps of one block's constraint triples, built once per solve.
+
+    The stored triples hold each off-diagonal entry once; here they are
+    mirrored into S, the (m, n*n) matrix whose row i is vec(A_i), so no map
+    needs a symmetry weight.  Every product is a scipy.sparse product, which
+    runs in the dtype of its dense operand, double or longdouble alike.
+    """
+
+    def __init__(self, coo: np.ndarray, m: int, n: int):
+        off = coo["i"] != coo["j"]
+        row = np.concatenate([coo["row"], coo["row"][off]]).astype(np.intp)
+        p = np.concatenate([coo["i"], coo["j"][off]]).astype(np.intp)
+        q = np.concatenate([coo["j"], coo["i"][off]]).astype(np.intp)
+        v = np.concatenate([coo["v"], coo["v"][off]])
+        self.n = n
+        self.S = csr_matrix((v, (row, p * n + q)), shape=(m, n * n))
+        # Schur chunks over columns j0 <= j < j1: P stacks A_j by rows
+        # p*c + (j - j0), so that P @ W holds A_j W in the layout (p, j, s)
+        width = max(1, _SCHUR_CHUNK // (n * n))
+        self.chunks = []
+        for j0 in range(0, m, width):
+            j1 = min(m, j0 + width)
+            sel = (row >= j0) & (row < j1)
+            P = csr_matrix((v[sel], (p[sel] * (j1 - j0) + row[sel] - j0, q[sel])),
+                           shape=(n * (j1 - j0), n))
+            self.chunks.append((j0, j1, P))
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """A(X): <A_i, X> for every constraint i."""
+        return self.S @ X.ravel()
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """A^T(y) = sum_i y_i A_i."""
+        return (self.S.T @ y).reshape(self.n, self.n)
+
+    def add_schur(self, M: np.ndarray, W: np.ndarray) -> None:
+        """M_ij += <A_i, W A_j W>."""
+        n = self.n
+        for j0, j1, P in self.chunks:
+            if P.nnz == 0:
+                continue
+            c = j1 - j0
+            # T[p, j, s] = (W A_j W)[p, s]: one product over the whole chunk
+            T = (W @ (P @ W).reshape(n, c * n)).reshape(n, c, n)
+            M[:, j0:j1] += self.S @ T.transpose(0, 2, 1).reshape(n * n, c)
+
+
+def _apply_A(ops: List[_BlockOperator], X: List[np.ndarray]) -> np.ndarray:
     out = None
-    for Ab, Xb in zip(A, X):
-        v = np.einsum("ijk,jk->i", Ab, Xb)
+    for op, Xb in zip(ops, X):
+        v = op.apply(Xb)
         out = v if out is None else out + v
     return out
 
 
-def _apply_At(A: List[np.ndarray], y: np.ndarray) -> List[np.ndarray]:
-    return [np.einsum("i,ijk->jk", y, Ab) for Ab in A]
+def _apply_At(ops: List[_BlockOperator], y: np.ndarray) -> List[np.ndarray]:
+    return [op.adjoint(y) for op in ops]
 
 
 def _chol_lower(M: np.ndarray):
@@ -253,10 +370,11 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
         raise ValueError(
             f"largest block {max(problem.block_sizes)} exceeds cap {settings.max_block_size}")
 
-    A, F, b, C, d = problem.A, problem.F, problem.b, problem.C, problem.d
+    F, b, C, d = problem.F, problem.b, problem.C, problem.d
     m = problem.n_constraints
     k = problem.n_free
     sizes = problem.block_sizes
+    ops = [_BlockOperator(Ab, m, nb) for Ab, nb in zip(problem.A, sizes)]
     nu = float(sum(sizes))
 
     b_scale = 1.0 + np.max(np.abs(b), initial=0.0)
@@ -273,7 +391,6 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
     # stay in double where LAPACK-backed routines dominate the cost
     use_extended = m <= 96 and max(sizes) <= 28
     work_dtype = np.longdouble if use_extended else np.float64
-    A_w = [Ab.astype(work_dtype) for Ab in A]
 
     trace: Optional[List[Tuple[float, float]]] = [] if settings.collect_trace else None
     status = SolveStatus.ITERATION_LIMIT
@@ -288,8 +405,8 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
         return abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
 
     for iterations in range(1, settings.max_iterations + 1):
-        rp = b - _apply_A(A, X) - F @ u
-        Aty = _apply_At(A, y)
+        rp = b - _apply_A(ops, X) - F @ u
+        Aty = _apply_At(ops, y)
         Rd = [Cb - At - Sb for Cb, At, Sb in zip(C, Aty, S)]
         rf = d - F.T @ y
 
@@ -347,9 +464,8 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
         # double stops short of tight tolerances on ill-conditioned bases.
         W_w = [Wb.astype(work_dtype) for Wb in W]
         Mmat = np.zeros((m, m), dtype=work_dtype)
-        for Ab, Wb in zip(A_w, W_w):
-            T = np.einsum("pq,jqr,rs->jps", Wb, Ab, Wb, optimize=True)
-            Mmat += np.einsum("ipq,jpq->ij", Ab, T, optimize=True)
+        for op, Wb in zip(ops, W_w):
+            op.add_schur(Mmat, Wb)
 
         # Jacobi-scaled Cholesky with a ridge escalation fallback
         dg = np.diag(Mmat).copy()
@@ -400,13 +516,13 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
             h1 = rp.astype(work_dtype)
             Rc_w = [Rcb.astype(work_dtype) for Rcb in Rc]
             Rd_w = [Rdb.astype(work_dtype) for Rdb in Rd]
-            for Ab, Rcb, Rdb, Wb in zip(A_w, Rc_w, Rd_w, W_w):
-                h1 -= np.einsum("ijk,jk->i", Ab, Rcb)
-                h1 += np.einsum("ijk,jk->i", Ab, _sym(Wb @ Rdb @ Wb))
+            for op, Rcb, Rdb, Wb in zip(ops, Rc_w, Rd_w, W_w):
+                h1 -= op.apply(Rcb)
+                h1 += op.apply(_sym(Wb @ Rdb @ Wb))
             dy, du = solve_kkt(h1, rf.astype(work_dtype))
             dS_w = [
-                _sym(Rdb - np.einsum("i,ijk->jk", dy, Ab))
-                for Rdb, Ab in zip(Rd_w, A_w)
+                _sym(Rdb - Atdy)
+                for Rdb, Atdy in zip(Rd_w, _apply_At(ops, dy))
             ]
             dX_w = [
                 _sym(Rcb - Wb @ dSb @ Wb)
@@ -525,36 +641,3 @@ def eigendecompose(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(str(exc)) from exc
     return w, Q
-
-
-# -- debug dump ----------------------------------------------------------------
-
-
-def dump_problem(problem: SdpProblem) -> str:
-    """Sparse text rendering for cross-checks against external solvers.
-
-    Line 1: `blocks n1 n2 ...`; line 2: `free k`.  Then one line per nonzero
-    upper-triangle coefficient, `i b row col value`, where i = 0 denotes the
-    objective and i = 1..m the constraints, and b = 0 addresses free-variable
-    coefficients (col fixed to 0).  Right-hand sides follow as `rhs i value`.
-    Not a stable interchange format.
-    """
-    lines = ["blocks " + " ".join(str(s) for s in problem.block_sizes),
-             f"free {problem.n_free}"]
-
-    def emit(i: int, mats: List[np.ndarray], fr: Optional[np.ndarray]) -> None:
-        if fr is not None:
-            for j, v in enumerate(fr):
-                if v != 0.0:
-                    lines.append(f"{i} 0 {j} 0 {float(v)!r}")
-        for bi, mat in enumerate(mats):
-            rows, cols = np.nonzero(np.triu(mat))
-            for r, c in zip(rows, cols):
-                lines.append(f"{i} {bi + 1} {int(r)} {int(c)} {float(mat[r, c])!r}")
-
-    emit(0, problem.C, problem.d)
-    for i in range(problem.n_constraints):
-        emit(i + 1, [Ab[i] for Ab in problem.A], problem.F[i])
-    for i in range(problem.n_constraints):
-        lines.append(f"rhs {i + 1} {float(problem.b[i])!r}")
-    return "\n".join(lines) + "\n"

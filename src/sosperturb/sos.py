@@ -27,7 +27,6 @@ strictly interior sums of squares.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -42,7 +41,6 @@ from .polynomials import (MonomialBasis, Multidegree, Polynomial,
 from .sdp import (ConstraintRow, SdpProblem, SdpSolution, SolveStatus,
                   SolverSettings, eigendecompose, solve)
 
-log = logging.getLogger(__name__)
 
 # min_eps at or below this counts as "already a sum of squares"
 SOS_DECISION_TOL = 1e-7
@@ -154,19 +152,51 @@ def extract_certificate(
     return squares
 
 
+def _residual(target: Polynomial, exponents: np.ndarray, values: np.ndarray) -> float:
+    """Max coefficient deviation of sum_k values[k] * x^exponents[k] from
+    the target, with the values summed per exponent tuple.
+
+    The one residual routine behind every certificate check: exponents
+    holds one exponent tuple per entry of values, in any shape.
+    """
+    n = target.n_vars
+    exponents = np.concatenate([
+        np.asarray(exponents, dtype=np.int64).reshape(-1, n),
+        np.array(list(target.terms), dtype=np.int64).reshape(-1, n)])
+    values = np.concatenate([
+        np.asarray(values, dtype=float).ravel(),
+        -np.fromiter(target.terms.values(), dtype=float, count=len(target.terms))])
+    if values.size == 0:
+        return 0.0
+    _, inverse = np.unique(exponents, axis=0, return_inverse=True)
+    return float(np.max(np.abs(np.bincount(inverse.ravel(), weights=values))))
+
+
+def _gram_residual(target: Polynomial, exponents: np.ndarray, gram: np.ndarray) -> float:
+    """Residual of z^T Q z, z the monomials x^exponents[a]: entry Q[a, b]
+    lands on the exponent exponents[a] + exponents[b]."""
+    exponents = np.asarray(exponents, dtype=np.int64).reshape(-1, target.n_vars)
+    return _residual(target, exponents[:, None, :] + exponents[None, :, :], gram)
+
+
 def verify_certificate(target: Polynomial, squares: Sequence[Polynomial]) -> float:
     """Max coefficient deviation of sum(h_i^2) from the target.
 
-    Pure polynomial arithmetic: independent of any solver output.
+    With C the coefficient matrix of the squares over their joint support
+    z, sum(h_i^2) = z^T (C^T C) z, summed over index pairs by `_residual`.
+    Independent of any solver output.
     """
-    total = Polynomial.zero(target.n_vars)
     for h in squares:
         if h.n_vars != target.n_vars:
             raise DimensionMismatchError(
                 f"square has {h.n_vars} variables, target has {target.n_vars}")
-        total = total + h * h
-    keys = set(total.terms) | set(target.terms)
-    return max((abs(total.coeff(a) - target.coeff(a)) for a in keys), default=0.0)
+    support = list(dict.fromkeys(a for h in squares for a in h.terms))
+    index = {a: k for k, a in enumerate(support)}
+    coeffs = np.zeros((len(squares), len(support)))
+    for row, h in enumerate(squares):
+        for a, c in h.terms.items():
+            coeffs[row, index[a]] = c
+    return _gram_residual(target, np.array(support), coeffs.T @ coeffs)
 
 
 # -- SDP assembly --------------------------------------------------------------
@@ -187,25 +217,15 @@ def build_gram_system(f: Polynomial, p: Polynomial, r: int) -> SdpProblem:
         raise DegreeTooLowError(f"degree {p.degree()} perturbation needs 2r >= {p.degree()}")
     basis = MonomialBasis.build(f.n_vars, r)
     n = len(basis)
-
-    pair_mats: Dict[Multidegree, np.ndarray] = {}
-    for i, a in enumerate(basis.entries):
-        for j in range(i, n):
-            gamma = tuple(x + y for x, y in zip(a, basis.entries[j]))
-            mat = pair_mats.get(gamma)
-            if mat is None:
-                mat = np.zeros((n, n))
-                pair_mats[gamma] = mat
-            mat[i, j] += 1.0
-            if i != j:
-                mat[j, i] += 1.0
+    pairs = _pair_map(basis)
 
     rows = []
     for gamma in multidegrees_upto(f.n_vars, 2 * r):
-        blocks = {0: pair_mats[gamma]}
+        i, j = zip(*pairs[gamma])
+        blocks = {0: (i, j, [1.0] * len(i))}
         p_coeff = p.coeff(gamma)
         if p_coeff != 0.0:
-            blocks[1] = np.array([[-p_coeff]])
+            blocks[1] = ([0], [0], [-p_coeff])
         rows.append(ConstraintRow(blocks, None, f.coeff(gamma)))
     return SdpProblem.from_rows(
         [n, 1], 0, rows, objective_blocks={1: np.array([[1.0]])})
@@ -271,25 +291,20 @@ class _ReducedGram:
         rows = []
         kept_gammas = []
         for gamma in multidegrees_upto(f.n_vars, 2 * r):
-            mat = np.zeros((n, n))
-            nonzero = False
-            for i, j in pairs[gamma]:
-                if i in forced or j in forced:
-                    continue
-                a, bb = pos[i], pos[j]
-                mat[a, bb] += 1.0
-                if a != bb:
-                    mat[bb, a] += 1.0
-                nonzero = True
+            kept = [(pos[i], pos[j]) for i, j in pairs[gamma]
+                    if i not in forced and j not in forced]
             p_coeff = p.coeff(gamma)
             f_coeff = f.coeff(gamma)
-            if not nonzero and p_coeff == 0.0:
+            if not kept and p_coeff == 0.0:
                 if f_coeff != 0.0:
                     self.infeasible_gamma = gamma
                 continue
-            blocks = {0: mat}
+            blocks = {}
+            if kept:
+                i, j = zip(*kept)
+                blocks[0] = (i, j, [1.0] * len(i))
             if p_coeff != 0.0:
-                blocks[1] = np.array([[-p_coeff]])
+                blocks[1] = ([0], [0], [-p_coeff])
             rows.append(ConstraintRow(blocks, None, f_coeff))
             kept_gammas.append(gamma)
         self.kept_gammas = kept_gammas
@@ -335,18 +350,14 @@ def build_moment_system(f: Polynomial, p: Polynomial, r: int) -> SdpProblem:
     for i in range(n):
         for j in range(i, n):
             gamma = tuple(x + y for x, y in zip(basis.entries[i], basis.entries[j]))
-            mat = np.zeros((n, n))
-            if i == j:
-                mat[i, i] = 1.0
-            else:
-                mat[i, j] = mat[j, i] = 0.5
             free = np.zeros(k)
             free[gamma_index[gamma]] = -1.0
-            rows.append(ConstraintRow({0: mat}, free, 0.0))
+            entry = ([i], [j], [1.0 if i == j else 0.5])
+            rows.append(ConstraintRow({0: entry}, free, 0.0))
     free = np.zeros(k)
     for gamma, c in p.terms.items():
         free[gamma_index[gamma]] = c
-    rows.append(ConstraintRow({1: np.array([[1.0]])}, free, 1.0))
+    rows.append(ConstraintRow({1: ([0], [0], [1.0])}, free, 1.0))
 
     objective_free = np.zeros(k)
     for gamma, c in f.terms.items():
@@ -461,7 +472,10 @@ def is_sos(
 
     Odd degree can never be a sum of squares and returns False immediately.
     True requires an optimal solver status and an independently recomputed
-    certificate residual within residual_tol.
+    certificate residual within residual_tol.  False means a definite
+    "no": the program is infeasible, or the certificate fails to verify.
+    A solve that ends undecided (numerical trouble, iteration limit)
+    raises SolverFailureError.
     """
     if f.is_zero:
         basis = MonomialBasis.build(f.n_vars, 0)
@@ -473,9 +487,12 @@ def is_sos(
     if reduced.infeasible_gamma is not None or reduced.problem is None:
         return False, None
     sol = solve(reduced.problem, settings)
-    if sol.status is not SolveStatus.OPTIMAL:
-        log.debug("feasibility solve ended with %s", sol.status.value)
+    if sol.status is SolveStatus.PRIMAL_LIKELY_INFEASIBLE:
         return False, None
+    if sol.status is not SolveStatus.OPTIMAL:
+        raise SolverFailureError(
+            f"feasibility solve ended with {sol.status.value}: membership undecided",
+            sol)
     try:
         certificate = GramCertificate.from_gram(
             reduced.full_basis, reduced.expand_gram(sol.primal_blocks[0]), f, clip_tol)
@@ -524,7 +541,10 @@ def _lift_certificate(
             idx = basis.index_of(half)
             gram[idx, idx] += extra * c
         return GramCertificate.from_gram(basis, gram, target, clip_tol)
-    ok, cert = is_sos(target, settings, clip_tol=clip_tol)
+    try:
+        ok, cert = is_sos(target, settings, clip_tol=clip_tol)
+    except SolverFailureError:
+        ok = False
     if ok:
         return cert
     # fall back to the minimal-weight gram; the residual stays honest
@@ -662,20 +682,22 @@ def decode_gram_obj(
 
 
 def coefficient_distance(a: Polynomial, b: Polynomial) -> float:
-    keys = set(a.terms) | set(b.terms)
-    return max((abs(a.coeff(k) - b.coeff(k)) for k in keys), default=0.0)
+    if a.n_vars != b.n_vars:
+        raise DimensionMismatchError(
+            f"operands have {a.n_vars} and {b.n_vars} variables")
+    return _residual(b, list(a.terms), list(a.terms.values()))
 
 
 def verify_certificate_obj(obj: dict, target: Polynomial) -> dict:
     """Re-check a serialized certificate against a target polynomial.
 
-    Recomputes both routes with polynomial arithmetic only: the Gram form
+    Recomputes both routes from the stored data only: the Gram form
     z^T Q z must match the target, and the stored squares must as well.
     Returns the two residuals and their max; raises DimensionMismatchError
     on an incompatible basis.
     """
     basis, gram, squares = decode_gram_obj(obj, target.n_vars)
-    residual_gram = coefficient_distance(gram_polynomial(basis, gram), target)
+    residual_gram = _gram_residual(target, np.array(basis.entries), gram)
     residual_squares = verify_certificate(target, squares)
     return {
         "residual_gram": residual_gram,

@@ -124,6 +124,16 @@ class TestScaleBox:
         with pytest.raises(ValueError):
             scale_box(Polynomial.constant(1, 1.0), 0.0)
 
+    def test_roundtrip_keeps_tiny_coefficient(self):
+        # falsifying case drawn once by test_roundtrip: 8.1e-12 * l^3 is
+        # about 8.5e-15, below the arithmetic drop tolerance
+        f = Polynomial.monomial(2, (0, 3), 8.077601302395623e-12)
+        l = 0.1015625
+        scaled = scale_box(f, l)
+        assert scaled.coeff((0, 3)) == pytest.approx(8.077601302395623e-12 * l ** 3, rel=1e-15)
+        back = scale_box(scaled, 1.0 / l)
+        assert back.coeff((0, 3)) == pytest.approx(8.077601302395623e-12, rel=1e-12)
+
     @given(poly_strategy(2), st.floats(min_value=0.1, max_value=8))
     @settings(max_examples=60, deadline=None)
     def test_roundtrip(self, f, l):

@@ -5,15 +5,16 @@ from scipy.optimize import minimize_scalar
 from sosperturb.parsing import parse
 from sosperturb.polynomials import Polynomial, theta_big
 from sosperturb.sdp import (ConstraintRow, SdpProblem, SolveStatus,
-                            SolverSettings, dump_problem, eigendecompose,
-                            min_eigenvalue, solve)
+                            SolverSettings, _apply_A, _apply_At,
+                            _BlockOperator, eigendecompose, min_eigenvalue,
+                            solve)
 from sosperturb.sos import build_gram_system, build_moment_system
 
 
 def scalar_problem(rhs=3.0):
     return SdpProblem.from_rows(
         [1], 0,
-        [ConstraintRow({0: np.array([[1.0]])}, None, rhs)],
+        [ConstraintRow.dense({0: np.array([[1.0]])}, None, rhs)],
         {0: np.array([[1.0]])})
 
 
@@ -21,12 +22,13 @@ def completion_problem():
     # min trace(X) over 2x2 PSD X with X_12 = 1
     off = np.array([[0.0, 0.5], [0.5, 0.0]])
     return SdpProblem.from_rows(
-        [2], 0, [ConstraintRow({0: off}, None, 1.0)], {0: np.eye(2)})
+        [2], 0, [ConstraintRow.dense({0: off}, None, 1.0)], {0: np.eye(2)})
 
 
-def random_feasible_problem(seed, sizes=(3, 2), m=4, n_free=0):
-    """Problem with a known strictly feasible primal-dual pair, so the
-    solver must report Optimal."""
+def random_feasible_rows(seed, sizes=(3, 2), m=4, n_free=0):
+    """Rows of a problem with a known strictly feasible primal-dual pair:
+    (mats, F, rows, objective, d), with mats[i][b] the dense coefficient
+    matrix of row i in block b."""
     rng = np.random.default_rng(seed)
     mats = []
     for _ in range(m):
@@ -49,7 +51,7 @@ def random_feasible_problem(seed, sizes=(3, 2), m=4, n_free=0):
     for i in range(m):
         rhs = sum(float(np.tensordot(mats[i][b], X0[b])) for b in range(len(sizes)))
         rhs += float(F[i] @ u0)
-        rows.append(ConstraintRow(
+        rows.append(ConstraintRow.dense(
             {b: mats[i][b] for b in range(len(sizes))},
             F[i] if n_free else None, rhs))
     objective = {
@@ -57,6 +59,13 @@ def random_feasible_problem(seed, sizes=(3, 2), m=4, n_free=0):
         for b in range(len(sizes))
     }
     d = F.T @ y0 if n_free else None
+    return mats, F, rows, objective, d
+
+
+def random_feasible_problem(seed, sizes=(3, 2), m=4, n_free=0):
+    """Problem with a known strictly feasible primal-dual pair, so the
+    solver must report Optimal."""
+    _, _, rows, objective, d = random_feasible_rows(seed, sizes, m, n_free)
     return SdpProblem.from_rows(sizes, n_free, rows, objective, d)
 
 
@@ -84,8 +93,8 @@ class TestSolve:
 
     def test_free_variables_native(self):
         rows = [
-            ConstraintRow({0: np.array([[1.0]])}, np.array([1.0]), 3.0),
-            ConstraintRow({}, np.array([1.0]), 1.0),
+            ConstraintRow.dense({0: np.array([[1.0]])}, np.array([1.0]), 3.0),
+            ConstraintRow.dense({}, np.array([1.0]), 1.0),
         ]
         problem = SdpProblem.from_rows([1], 1, rows, {0: np.array([[1.0]])})
         sol = solve(problem)
@@ -95,13 +104,14 @@ class TestSolve:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_feasible_always_optimal(self, seed):
-        problem = random_feasible_problem(seed)
-        sol = solve(problem)
+        mats, _, rows, _, _ = random_feasible_rows(seed)
+        rhs = np.array([row.rhs for row in rows])
+        sol = solve(random_feasible_problem(seed))
         assert sol.status is SolveStatus.OPTIMAL
-        residual = problem.b - sum(
-            np.einsum("ijk,jk->i", Ab, Xb)
-            for Ab, Xb in zip(problem.A, sol.primal_blocks))
-        assert np.max(np.abs(residual)) <= 1e-8 * (1 + np.max(np.abs(problem.b)))
+        residual = rhs - np.array([
+            sum(float(np.tensordot(Ab, Xb)) for Ab, Xb in zip(row, sol.primal_blocks))
+            for row in mats])
+        assert np.max(np.abs(residual)) <= 1e-8 * (1 + np.max(np.abs(rhs)))
         for block in sol.primal_blocks:
             assert min_eigenvalue(block) >= -1e-8
 
@@ -153,15 +163,15 @@ class TestSettings:
 
 class TestProblemConstruction:
     def test_duplicate_rows_removed(self):
-        row = ConstraintRow({0: np.array([[1.0]])}, None, 3.0)
-        dup = ConstraintRow({0: np.array([[1.0]])}, None, 3.0)
+        row = ConstraintRow.dense({0: np.array([[1.0]])}, None, 3.0)
+        dup = ConstraintRow.dense({0: np.array([[1.0]])}, None, 3.0)
         problem = SdpProblem.from_rows([1], 0, [row, dup], {0: np.array([[1.0]])})
         assert problem.n_constraints == 1
 
     def test_contradictory_rows_kept(self):
         rows = [
-            ConstraintRow({0: np.array([[1.0]])}, None, 3.0),
-            ConstraintRow({0: np.array([[1.0]])}, None, 4.0),
+            ConstraintRow.dense({0: np.array([[1.0]])}, None, 3.0),
+            ConstraintRow.dense({0: np.array([[1.0]])}, None, 4.0),
         ]
         problem = SdpProblem.from_rows([1], 0, rows, {0: np.array([[1.0]])})
         assert problem.n_constraints == 2
@@ -171,12 +181,82 @@ class TestProblemConstruction:
         with pytest.raises(ValueError):
             SdpProblem.from_rows(
                 [2], 0,
-                [ConstraintRow({0: np.array([[0.0, 1.0], [0.0, 0.0]])}, None, 1.0)],
+                [ConstraintRow.dense({0: np.array([[0.0, 1.0], [0.0, 0.0]])}, None, 1.0)],
                 {})
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):
             SdpProblem.from_rows([1], 0, [], {})
+
+
+class TestSparseOperators:
+    """A(X), A^T(y) and the Schur matrix from the COO triples against dense
+    einsum references built from the test's own rows."""
+
+    SIZES = (4, 3, 1)
+
+    def fixture(self, seed):
+        mats, F, rows, objective, d = random_feasible_rows(
+            seed, self.SIZES, m=6, n_free=2)
+        # duplicates of rows 0 and 2 are dropped by from_rows
+        problem = SdpProblem.from_rows(
+            self.SIZES, 2, rows + [rows[0], rows[2]], objective, d)
+        dense = [np.array([row[b] for row in mats]) for b in range(len(self.SIZES))]
+        ops = [_BlockOperator(Ab, problem.n_constraints, nb)
+               for Ab, nb in zip(problem.A, self.SIZES)]
+        rng = np.random.default_rng(100 + seed)
+        sym = []
+        for nb in self.SIZES:
+            raw = rng.standard_normal((nb, nb))
+            sym.append(raw @ raw.T + np.eye(nb))
+        return problem, F, dense, ops, sym, rng.standard_normal(6)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_apply_and_adjoint_match_dense(self, seed):
+        problem, F, dense, ops, X, y = self.fixture(seed)
+        assert problem.n_constraints == 6
+        assert np.array_equal(problem.F, F)
+        expected = sum(np.einsum("ijk,jk->i", Ab, Xb) for Ab, Xb in zip(dense, X))
+        assert np.allclose(_apply_A(ops, X), expected, rtol=1e-13, atol=1e-13)
+        for got, Ab in zip(_apply_At(ops, y), dense):
+            assert np.allclose(got, np.einsum("i,ijk->jk", y, Ab), rtol=1e-13, atol=1e-13)
+            assert np.array_equal(got, got.T)
+
+    @pytest.mark.parametrize("chunk", [1 << 21, 16])
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_schur_matches_dense(self, monkeypatch, chunk, dtype):
+        import sosperturb.sdp as sdp
+        monkeypatch.setattr(sdp, "_SCHUR_CHUNK", chunk)
+        problem, _, dense, _, W, _ = self.fixture(4)
+        m = problem.n_constraints
+        ops = [_BlockOperator(Ab, m, nb) for Ab, nb in zip(problem.A, self.SIZES)]
+        if chunk == 16:
+            assert len(ops[0].chunks) == m
+        M = np.zeros((m, m), dtype=dtype)
+        for op, Wb in zip(ops, W):
+            op.add_schur(M, Wb.astype(dtype))
+        assert M.dtype == dtype
+        expected = sum(
+            np.einsum("ipq,pr,jrs,sq->ij", Ab, Wb, Ab, Wb) for Ab, Wb in zip(dense, W))
+        assert np.allclose(np.asarray(M, dtype=float), expected, rtol=1e-12, atol=1e-12)
+
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="longdouble is double on this platform")
+    def test_longdouble_operands_stay_extended(self):
+        # 1 + 2^-56 rounds to 1 in double and is exact in longdouble
+        problem, _, dense, ops, _, _ = self.fixture(5)
+        tiny = np.longdouble(2) ** -56
+        eye = [np.eye(nb, dtype=np.longdouble) for nb in self.SIZES]
+        diff = (_apply_A(ops, [(1 + tiny) * E for E in eye]) - _apply_A(ops, eye)) / tiny
+        expected = sum(np.einsum("ijj->i", Ab) for Ab in dense)
+        assert np.allclose(np.asarray(diff, dtype=float), expected,
+                           rtol=0.05, atol=0.05 * np.max(np.abs(expected)))
+        ones = np.ones(problem.n_constraints, dtype=np.longdouble)
+        shifted = (_apply_At(ops, (1 + tiny) * ones)[0] - _apply_At(ops, ones)[0]) / tiny
+        expected = dense[0].sum(axis=0)
+        assert np.allclose(np.asarray(shifted, dtype=float), expected,
+                           rtol=0.05, atol=0.05 * np.max(np.abs(expected)))
 
 
 class TestEigen:
@@ -208,24 +288,3 @@ class TestEigen:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestDump:
-    def test_format_lines(self):
-        problem = build_gram_system(parse("1 - x1^2", 1),
-                                    Polynomial.monomial(1, (4,)), 2)
-        text = dump_problem(problem)
-        lines = text.splitlines()
-        assert lines[0] == "blocks 3 1"
-        assert lines[1] == "free 0"
-        body = [ln for ln in lines[2:] if not ln.startswith("rhs")]
-        for ln in body:
-            parts = ln.split()
-            assert len(parts) == 5
-            float(parts[4])
-        rhs = [ln for ln in lines if ln.startswith("rhs")]
-        assert len(rhs) == problem.n_constraints
-
-    def test_deterministic(self):
-        problem = random_feasible_problem(2)
-        assert dump_problem(problem) == dump_problem(problem)

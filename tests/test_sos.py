@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from sosperturb.errors import (DegreeTooLowError, DimensionMismatchError,
-                               NotFoundWithinRMaxError, NotPsdError)
+                               NotFoundWithinRMaxError, NotPsdError,
+                               SolverFailureError)
 from sosperturb.moments import check_lemma3, moment_matrix, psd_check
 from sosperturb.parsing import parse
 from sosperturb.polynomials import MonomialBasis, Polynomial, theta_big
-from sosperturb.sdp import SolveStatus, solve
-from sosperturb.sos import (THETA_BIG, THETA_SMALL, approximate_on_box,
-                            build_gram_system, build_moment_system,
-                            epsilon_star, extract_certificate, is_sos,
-                            minimal_r, verify_certificate,
-                            verify_certificate_obj)
+from sosperturb.sdp import SolverSettings, SolveStatus, solve
+from sosperturb.sos import (DEFAULT_CLIP_TOL, THETA_BIG, THETA_SMALL,
+                            _lift_certificate, _ReducedGram,
+                            approximate_on_box, build_gram_system,
+                            build_moment_system, epsilon_star,
+                            extract_certificate, is_sos, minimal_r,
+                            verify_certificate, verify_certificate_obj)
 
 ONE_MINUS_SQ = parse("1 - x1^2", 1)
 MOTZKIN = parse("1 + x1^2*x2^2*(x1^2 + x2^2 - 3)", 2)
@@ -74,6 +76,15 @@ class TestBuildGramSystem:
     def test_nvars_guard(self):
         with pytest.raises(DimensionMismatchError):
             build_gram_system(ONE_MINUS_SQ, Polynomial.zero(2), 2)
+
+    def test_quartic_constraint_data_below_one_megabyte(self):
+        # 4-variable quartic at r = 4: m = 495 rows over a 70 x 70 Gram
+        # block, which held 19 MB as dense (m, n, n) rows
+        f = parse("x1^2*x2^2 + x1^2*x3^2 + x2^2*x3^2 + x4^4 - 4*x1*x2*x3*x4", 4)
+        problem = _ReducedGram(f, theta_big(4, 4), 4).problem
+        assert problem.n_constraints == 495
+        assert problem.block_sizes == (70, 1)
+        assert sum(a.nbytes for a in problem.A) + problem.F.nbytes < 2 ** 20
 
 
 class TestEpsilonStar:
@@ -165,6 +176,24 @@ class TestIsSos:
         above, _ = is_sos(ONE_MINUS_SQ + p.scale(res.min_eps * 1.01))
         below, _ = is_sos(ONE_MINUS_SQ + p.scale(res.min_eps * 0.9))
         assert above and not below
+
+    def test_undecided_solve_raises(self):
+        # an iteration cap of 2 ends the solve undecided, which is not "no"
+        with pytest.raises(SolverFailureError) as info:
+            is_sos(parse("1 - x1^2 + 1/4*x1^4", 1), SolverSettings(max_iterations=2))
+        assert info.value.solution.status is SolveStatus.ITERATION_LIMIT
+
+    def test_lift_treats_undecided_as_not_ok(self):
+        # an odd monomial in p rules out the diagonal lift, so the lift
+        # re-solves, ends undecided and falls back to the minimal-weight Gram
+        p = parse("2 + x1 + x1^4", 1)
+        base = epsilon_star(ONE_MINUS_SQ, 2, p)
+        eps = base.min_eps + 0.5
+        cert = _lift_certificate(base, ONE_MINUS_SQ, p, eps,
+                                 SolverSettings(max_iterations=2), DEFAULT_CLIP_TOL)
+        assert np.array_equal(cert.gram, base.certificate.gram)
+        # the residual honestly shows the extra 0.5 * p, largest at its constant 2
+        assert cert.residual_linf == pytest.approx(0.5 * 2.0, rel=1e-6)
 
 
 class TestExtraction:
@@ -329,6 +358,20 @@ class TestSerializedCertificates:
 
 
 class TestConvergenceTrend:
+    # min_eps of 1 - x^2 with theta_big; r = 12, 15 and 16 are left out:
+    # plain SOS matches monomial coefficients, and these degrees fail or
+    # pass depending on the rounding of the solver's sums
+    THETA_BIG_MIN_EPS = {
+        9: 0.0333171722, 10: 0.0297559439, 11: 0.0268826575,
+        13: 0.0225315365, 14: 0.0208446850, 17: 0.0170217499,
+        18: 0.0160411212, 19: 0.0151673340, 20: 0.0143838281,
+    }
+
+    @pytest.mark.parametrize("r", sorted(THETA_BIG_MIN_EPS))
+    def test_theta_big_reach(self, r):
+        res = epsilon_star(ONE_MINUS_SQ, r, theta_big(1, r))
+        assert res.min_eps == pytest.approx(self.THETA_BIG_MIN_EPS[r], abs=1e-7)
+
     def test_box_weights_shrink(self):
         values = []
         for r in range(2, 11):

@@ -14,17 +14,21 @@ The program is stated in the tensor Chebyshev basis T_alpha of the box
 matching constraint per Chebyshev coefficient T_gamma with |gamma| <= 2r,
 linked through T_a * T_b = (T_{a+b} + T_{|a-b|}) / 2 in each coordinate.
 Matching monomial coefficients instead gives Hankel-type localizing blocks
-whose conditioning grows exponentially with r and stalls the solver.
+whose conditioning grows exponentially with r and stalls the solver.  Each
+Gram matrix is further split into sign-symmetry blocks (see `symmetry`),
+and the T_gamma constraints that the split leaves empty are dropped.
 
 The weight-minimizing variant adds the same 1x1 eps block as the plain
 squares engine; its dual vector, negated, is the optimal functional on the
 T_gamma subject to the localizing PSD conditions, one per admissible e.
 Results leave this module in grlex monomials through exact changes of
-basis: a Gram matrix Q over the T_alpha becomes P^T Q P, with row alpha of
-P the monomial coefficients of T_alpha, and moments become L(x^beta) =
-sum_gamma C_beta,gamma L(T_gamma), with x^beta = sum_gamma C_beta,gamma
-T_gamma.  Certificates, their verification and the file formats are the
-monomial ones of the plain engine.
+basis: the blocks of a product are put back into one Gram matrix Q over
+the T_alpha, which becomes P^T Q P, with row alpha of P the monomial
+coefficients of T_alpha, and moments become L(x^beta) = sum_gamma
+C_beta,gamma L(T_gamma), with x^beta = sum_gamma C_beta,gamma T_gamma and
+L(T_gamma) = 0 for every dropped T_gamma.  Certificates, their
+verification and the file formats are the monomial ones of the plain
+engine.
 """
 
 from __future__ import annotations
@@ -41,13 +45,15 @@ from .errors import (DegreeTooLowError, DimensionMismatchError,
                      TooManyGeneratorsError)
 from .moments import MomentVector
 from .parsing import parse, unparse
-from .polynomials import MonomialBasis, Polynomial, multidegrees_upto
+from .polynomials import (MonomialBasis, Multidegree, Polynomial,
+                          multidegrees_upto)
 from .sdp import ConstraintRow, SdpProblem, SolveStatus, SolverSettings, solve
 from .sos import (DEFAULT_CLIP_TOL, DEFAULT_RESIDUAL_TOL, SOS_DECISION_TOL,
                   ApproximationResult, GramCertificate, PerturbationKind,
                   THETA_BIG, THETA_SMALL, coefficient_distance,
                   decode_gram_obj, extract_certificate, gram_polynomial,
                   perturbation_polynomial, verify_certificate)
+from .symmetry import ParitySpan, scatter
 
 log = logging.getLogger(__name__)
 
@@ -149,22 +155,31 @@ def enumerate_products(
     return out
 
 
+ProductBlock = Tuple[Tuple[int, ...], Polynomial, MonomialBasis,
+                     List[Tuple[int, List[int]]]]
+
+
 def _product_blocks(
     f: Polynomial,
     p: Polynomial,
     system: SemialgebraicSystem,
     r: int,
     eps: Optional[float],
-) -> Tuple[List[Tuple[Tuple[int, ...], Polynomial, MonomialBasis]], SdpProblem]:
+) -> Tuple[List[ProductBlock], List[Multidegree], SdpProblem]:
     """Shared assembly of the preorder programs in the tensor Chebyshev basis.
 
-    Each admissible product g^e gets a Gram block indexed by the T_alpha
+    Each admissible product g^e gets a Gram matrix indexed by the T_alpha
     with |alpha| <= (2r - deg g^e) // 2, in the graded-lex order of the
     returned MonomialBasis, whose entries double as the Chebyshev indices.
-    There is one equality per T_gamma with |gamma| <= 2r, in graded-lex
-    order, matching Chebyshev coefficients of sum_e (T^T Q_e T) g^e against
-    the target.  Targets, perturbation and generator products are expanded
-    in the basis directly (see `chebyshev`), never by monomial arithmetic.
+    That matrix is split by sign symmetry (see `symmetry`, with the span of
+    f, p and the generators) into one SDP block per coset, and each product
+    is returned as (e, product, basis, parts), parts listing the SDP block
+    index and the basis indices of every coset in order.  There is one
+    equality per T_gamma with |gamma| <= 2r whose parity lies in the span,
+    in graded-lex order; those gammas are returned as well.  The equalities
+    match Chebyshev coefficients of sum_e (T^T Q_e T) g^e against the
+    target.  Targets, perturbation and generator products are expanded in
+    the basis directly (see `chebyshev`), never by monomial arithmetic.
 
     With eps None this is the weight program: a 1x1 eps block carrying -p,
     objective eps, right-hand side f.  With a number it is the feasibility
@@ -178,41 +193,46 @@ def _product_blocks(
         raise DimensionMismatchError(
             f"target has {f.n_vars} variables, system has {system.n_vars}")
     n_vars = f.n_vars
-    gammas = multidegrees_upto(n_vars, 2 * r)
+    span = ParitySpan([f, p, *system.generators])
+    gammas = [g for g in multidegrees_upto(n_vars, 2 * r) if span.contains(g)]
     row_of = {g: i for i, g in enumerate(gammas)}
     row_entries: List[Dict[int, Tuple[list, list, list]]] = [{} for _ in gammas]
     generators = [chebyshev.to_chebyshev(g) for g in system.generators]
 
-    blocks = []
-    for bi, (e, product) in enumerate(enumerate_products(system, 2 * r)):
+    blocks: List[ProductBlock] = []
+    sizes: List[int] = []
+    for e, product in enumerate_products(system, 2 * r):
         # leading forms never cancel in a product, so degrees add
         deg = sum(g.degree() for g, ei in zip(system.generators, e) if ei)
         basis = MonomialBasis.build(n_vars, (2 * r - deg) // 2)
-        blocks.append((e, product, basis))
+        parts = [(len(sizes) + k, idx)
+                 for k, idx in enumerate(span.split(basis.entries))]
+        blocks.append((e, product, basis, parts))
         series = {(0,) * n_vars: 1.0}
         for g, ei in zip(generators, e):
             if ei:
                 series = chebyshev.multiply(series, g)
-        n = len(basis)
-        shifted = [chebyshev.times_t(alpha, series) for alpha in basis.entries]
-        for i in range(n):
-            for j in range(i, n):
-                for gamma, c in chebyshev.times_t(basis.entries[j], shifted[i]).items():
-                    if c == 0.0:
-                        continue
-                    entries = row_entries[row_of[gamma]].get(bi)
-                    if entries is None:
-                        entries = row_entries[row_of[gamma]][bi] = ([], [], [])
-                    entries[0].append(i)
-                    entries[1].append(j)
-                    entries[2].append(c)
+        for bi, idx in parts:
+            sizes.append(len(idx))
+            alphas = [basis.entries[a] for a in idx]
+            shifted = [chebyshev.times_t(alpha, series) for alpha in alphas]
+            for i in range(len(idx)):
+                for j in range(i, len(idx)):
+                    for gamma, c in chebyshev.times_t(alphas[j], shifted[i]).items():
+                        if c == 0.0:
+                            continue
+                        entries = row_entries[row_of[gamma]].get(bi)
+                        if entries is None:
+                            entries = row_entries[row_of[gamma]][bi] = ([], [], [])
+                        entries[0].append(i)
+                        entries[1].append(j)
+                        entries[2].append(c)
 
     f_t, p_t = chebyshev.to_chebyshev(f), chebyshev.to_chebyshev(p)
-    sizes = [len(basis) for _, _, basis in blocks]
     objective: Dict[int, np.ndarray] = {}
     rows = []
     if eps is None:
-        eps_index = len(blocks)
+        eps_index = len(sizes)
         sizes.append(1)
         objective[eps_index] = np.array([[1.0]])
     for gamma, entries in zip(gammas, row_entries):
@@ -224,7 +244,7 @@ def _product_blocks(
         else:
             rhs = f_t.get(gamma, 0.0) + eps * p_t.get(gamma, 0.0)
         rows.append(ConstraintRow(entries, None, rhs))
-    return blocks, SdpProblem.from_rows(sizes, 0, rows, objective)
+    return blocks, gammas, SdpProblem.from_rows(sizes, 0, rows, objective)
 
 
 def build_preorder_sdp(
@@ -239,7 +259,7 @@ def build_preorder_sdp(
     Zero objective; one Gram block per admissible product, all in the
     tensor Chebyshev basis of `_product_blocks`.
     """
-    return _product_blocks(f, p, system, r, eps)[1]
+    return _product_blocks(f, p, system, r, eps)[2]
 
 
 def epsilon_star_preorder(
@@ -261,7 +281,7 @@ def epsilon_star_preorder(
     membership() builds one for a concrete weight.
     """
     system_n, _ = _normalized_system(system)
-    _, problem = _product_blocks(f, p, system_n, r, None)
+    _, kept, problem = _product_blocks(f, p, system_n, r, None)
     sol = solve(problem, settings)
     if sol.status is not SolveStatus.OPTIMAL:
         raise SolverFailureError(
@@ -272,8 +292,10 @@ def epsilon_star_preorder(
     if gap > 1e-6:
         raise SolverFailureError(
             f"preorder primal and moment optima disagree by {gap:.3e}", sol)
+    # T_gamma outside the parity span carry no constraint: L(T_gamma) = 0
     gammas = multidegrees_upto(f.n_vars, 2 * r)
-    on_t = {g: -float(v) for g, v in zip(gammas, sol.dual_vector)}
+    on_t = dict.fromkeys(gammas, 0.0)
+    on_t.update((g, -float(v)) for g, v in zip(kept, sol.dual_vector))
     moments = MomentVector(
         f.n_vars, 2 * r, chebyshev.moments_to_monomials(on_t, gammas))
     return ApproximationResult(
@@ -452,7 +474,7 @@ def membership(
             continue
 
         system_n, norms = _normalized_system(system)
-        blocks, problem = _product_blocks(f, p, system_n, r, eps)
+        blocks, _, problem = _product_blocks(f, p, system_n, r, eps)
         sol = solve(problem, settings)
         if sol.status is not SolveStatus.OPTIMAL:
             trajectory[-1]["status"] = "weight-ok-decomposition-failed"
@@ -460,9 +482,10 @@ def membership(
 
         products = enumerate_products(system, 2 * r)
         terms = []
-        for bi, (e, _normalized_product, basis) in enumerate(blocks):
-            sigma = _sigma_certificate(
-                basis, sol.primal_blocks[bi] / _term_norm(e, norms), clip_tol)
+        for bi, (e, _normalized_product, basis, parts) in enumerate(blocks):
+            gram_t = scatter(
+                len(basis), ((idx, sol.primal_blocks[k]) for k, idx in parts))
+            sigma = _sigma_certificate(basis, gram_t / _term_norm(e, norms), clip_tol)
             terms.append(PreorderTerm(e, products[bi][1], sigma))
         target = f + p.scale(eps)
         residual = coefficient_distance(_reconstruct(terms, f.n_vars), target)

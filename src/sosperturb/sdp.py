@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse import csr_matrix
 
 from .errors import ConvergenceFailureError
@@ -354,10 +354,10 @@ def _backsolve(factor, rhs):
     return cho_solve(factor, rhs)
 
 
-def _max_step(chol_lower: np.ndarray, direction: np.ndarray) -> float:
-    """Largest t with M + t*D still positive definite, M = L L^T."""
-    t1 = solve_triangular(chol_lower, direction, lower=True)
-    B = solve_triangular(chol_lower, t1.T, lower=True).T
+def _max_step(chol_inverse: np.ndarray, direction: np.ndarray) -> float:
+    """Largest t with M + t*D still positive definite, M = L L^T, given
+    Li = L^-1: the least eigenvalue of Li D Li^T bounds t."""
+    B = chol_inverse @ direction @ chol_inverse.T
     lam = float(np.linalg.eigvalsh(_sym(B))[0])
     if lam >= -1e-14:
         return np.inf
@@ -441,6 +441,9 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
         except np.linalg.LinAlgError:
             status = SolveStatus.NUMERICAL_TROUBLE
             break
+        # inverse factors, once per iteration, for step lengths and S^-1
+        Lxi = [np.linalg.inv(Lb) for Lb in Lx]
+        Lsi = [np.linalg.inv(Lb) for Lb in Ls]
         W = []
         ok = True
         for Lxb, Lsb in zip(Lx, Ls):
@@ -537,14 +540,14 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
         try:
             # predictor (affine scaling)
             dXa, dSa, _, _ = direction([-Xb for Xb in X])
-            ap_aff = min(1.0, min(_max_step(L, D) for L, D in zip(Lx, dXa)))
-            ad_aff = min(1.0, min(_max_step(L, D) for L, D in zip(Ls, dSa)))
+            ap_aff = min(1.0, min(_max_step(Li, D) for Li, D in zip(Lxi, dXa)))
+            ad_aff = min(1.0, min(_max_step(Li, D) for Li, D in zip(Lsi, dSa)))
             mu_aff = sum(
                 float(np.tensordot(Xb + ap_aff * dXb, Sb + ad_aff * dSb))
                 for Xb, dXb, Sb, dSb in zip(X, dXa, S, dSa)) / nu
             sigma = min(1.0, max(0.0, mu_aff / mu) ** 3)
 
-            Sinv = [cho_solve((Lsb, True), np.eye(Lsb.shape[0])) for Lsb in Ls]
+            Sinv = [Li.T @ Li for Li in Lsi]
 
             # corrector with Mehrotra second-order term
             Rc = [
@@ -552,8 +555,8 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
                 for Xb, Sib, dXb, dSb in zip(X, Sinv, dXa, dSa)
             ]
             dX, dS, dy, du = direction(Rc)
-            ap_raw = min(_max_step(L, D) for L, D in zip(Lx, dX))
-            ad_raw = min(_max_step(L, D) for L, D in zip(Ls, dS))
+            ap_raw = min(_max_step(Li, D) for Li, D in zip(Lxi, dX))
+            ad_raw = min(_max_step(Li, D) for Li, D in zip(Lsi, dS))
 
             # corrector rejection: when the second-order term shortens the
             # step badly, fall back to a centered first-order direction
@@ -561,8 +564,8 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
                 sigma = max(sigma, 0.5)
                 Rc = [sigma * mu * Sib - Xb for Xb, Sib in zip(X, Sinv)]
                 dX, dS, dy, du = direction(Rc)
-                ap_raw = min(_max_step(L, D) for L, D in zip(Lx, dX))
-                ad_raw = min(_max_step(L, D) for L, D in zip(Ls, dS))
+                ap_raw = min(_max_step(Li, D) for Li, D in zip(Lxi, dX))
+                ad_raw = min(_max_step(Li, D) for Li, D in zip(Lsi, dS))
         except _KktFailure:
             status = SolveStatus.NUMERICAL_TROUBLE
             break

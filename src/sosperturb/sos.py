@@ -4,8 +4,11 @@ For a target f and perturbation p of degree <= 2r, the squares-side program
 
     minimize eps   s.t.   f + eps*p  =  z^T Q z,   Q PSD,  eps >= 0
 
-is assembled as one SDP: a Gram block over the degree-r monomial basis, a
+is assembled as one SDP: Gram blocks over the degree-r monomial basis, a
 1x1 block for eps, and one equality per monomial of degree <= 2r.  The
+weight and feasibility solves split the Gram matrix into sign-symmetry
+blocks and drop the equalities the split leaves empty (see `symmetry`);
+`build_gram_system` keeps the single block and every equality.  The
 interior-point solver returns primal and dual solutions together; the dual
 vector, negated, is exactly the optimal moment functional of the companion
 moment-side program
@@ -40,6 +43,7 @@ from .polynomials import (MonomialBasis, Multidegree, Polynomial,
                           multidegrees_upto, scale_box, theta_big, theta_small)
 from .sdp import (ConstraintRow, SdpProblem, SdpSolution, SolveStatus,
                   SolverSettings, eigendecompose, solve)
+from .symmetry import ParitySpan, scatter
 
 
 # min_eps at or below this counts as "already a sum of squares"
@@ -269,56 +273,67 @@ def _forced_zero_rows(basis: MonomialBasis, f: Polynomial, p: Polynomial) -> set
 
 
 class _ReducedGram:
-    """Gram system over the basis with forced-zero rows removed.
+    """Gram system with forced-zero rows removed, split by sign symmetry.
 
-    Records which monomial constraints were dropped as trivially satisfied
-    (no surviving entries and no coefficient to match) so the dual vector
-    can be expanded back to the full monomial list, with zeros at dropped
-    positions, and the Gram block back to full basis size.
+    After forced-zero pruning the kept basis splits into the cosets of the
+    parity span of f and p (see `symmetry`), one Gram block each, ordered
+    by first basis index, followed by the 1x1 eps block.  A monomial
+    constraint is dropped when its parity lies outside the span, or when
+    nothing is left to match (no surviving entries and no coefficient).
+    The kept monomials are recorded so the dual vector can be expanded
+    back to the full monomial list, with zeros at dropped positions, and
+    the Gram blocks back to one matrix over the full basis.
     """
 
     def __init__(self, f: Polynomial, p: Polynomial, r: int):
         full = MonomialBasis.build(f.n_vars, r)
         forced = _forced_zero_rows(full, f, p)
         keep = [i for i in range(len(full)) if i not in forced]
+        span = ParitySpan([f, p])
         self.full_basis = full
-        self.keep = keep
+        self.cosets = [[keep[k] for k in part]
+                       for part in span.split([full.entries[i] for i in keep])]
         self.infeasible_gamma: Optional[Multidegree] = None
 
-        n = len(keep)
-        pos = {old: new for new, old in enumerate(keep)}
+        # full basis index -> (block, position in the block)
+        place = {i: (bi, pos) for bi, part in enumerate(self.cosets)
+                 for pos, i in enumerate(part)}
+        eps_block = len(self.cosets)
         pairs = _pair_map(full)
         rows = []
         kept_gammas = []
         for gamma in multidegrees_upto(f.n_vars, 2 * r):
-            kept = [(pos[i], pos[j]) for i, j in pairs[gamma]
-                    if i not in forced and j not in forced]
+            if not span.contains(gamma):
+                continue
+            entries: Dict[int, Tuple[list, list, list]] = {}
+            for i, j in pairs[gamma]:
+                if i in forced or j in forced:
+                    continue
+                bi, a = place[i]
+                block = entries.setdefault(bi, ([], [], []))
+                block[0].append(a)
+                block[1].append(place[j][1])
+                block[2].append(1.0)
             p_coeff = p.coeff(gamma)
             f_coeff = f.coeff(gamma)
-            if not kept and p_coeff == 0.0:
+            if not entries and p_coeff == 0.0:
                 if f_coeff != 0.0:
                     self.infeasible_gamma = gamma
                 continue
-            blocks = {}
-            if kept:
-                i, j = zip(*kept)
-                blocks[0] = (i, j, [1.0] * len(i))
             if p_coeff != 0.0:
-                blocks[1] = ([0], [0], [-p_coeff])
-            rows.append(ConstraintRow(blocks, None, f_coeff))
+                entries[eps_block] = ([0], [0], [-p_coeff])
+            rows.append(ConstraintRow(entries, None, f_coeff))
             kept_gammas.append(gamma)
         self.kept_gammas = kept_gammas
+        sizes = [len(part) for part in self.cosets] + [1]
         self.problem = (
-            SdpProblem.from_rows([n, 1], 0, rows, {1: np.array([[1.0]])})
+            SdpProblem.from_rows(sizes, 0, rows, {eps_block: np.array([[1.0]])})
             if rows and self.infeasible_gamma is None else None)
 
-    def expand_gram(self, reduced: np.ndarray) -> np.ndarray:
-        n_full = len(self.full_basis)
-        gram = np.zeros((n_full, n_full))
-        for a, i in enumerate(self.keep):
-            for bbb, j in enumerate(self.keep):
-                gram[i, j] = reduced[a, bbb]
-        return gram
+    def expand_gram(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        """Gram matrix over the full basis from the solved coset blocks;
+        a trailing eps block is ignored."""
+        return scatter(len(self.full_basis), zip(self.cosets, blocks))
 
     def expand_dual(self, dual: np.ndarray, order: int, n_vars: int) -> MomentVector:
         values = {g: 0.0 for g in multidegrees_upto(n_vars, order)}
@@ -448,7 +463,7 @@ def epsilon_star(
         raise SolverFailureError(
             f"squares-side and moment-side optima disagree by {gap:.3e}", sol)
     target = f + p.scale(min_eps)
-    gram = reduced.expand_gram(sol.primal_blocks[0])
+    gram = reduced.expand_gram(sol.primal_blocks)
     moments = reduced.expand_dual(sol.dual_vector, 2 * r, f.n_vars)
     certificate = GramCertificate.from_gram(
         reduced.full_basis, gram, target, clip_tol)
@@ -495,7 +510,7 @@ def is_sos(
             sol)
     try:
         certificate = GramCertificate.from_gram(
-            reduced.full_basis, reduced.expand_gram(sol.primal_blocks[0]), f, clip_tol)
+            reduced.full_basis, reduced.expand_gram(sol.primal_blocks), f, clip_tol)
     except NotPsdError:
         return False, None
     if certificate.residual_linf > residual_tol:

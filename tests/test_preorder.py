@@ -152,6 +152,20 @@ class TestEpsilonStarPreorder:
             res = epsilon_star_preorder(f, r, theta_small(2, r), system)
             assert res.min_eps == pytest.approx(want, abs=1e-7)
 
+    def test_two_variable_cusp_reaches_degree_seven(self):
+        # as one Gram block per product these programs ended in
+        # IterationLimit; split by sign symmetry they solve
+        system = SemialgebraicSystem([parse("(1 - x1^2 - x2^2)^3", 2)], True)
+        f = parse("1 - x1^2 - x2^2", 2)
+        values = {}
+        for r in (6, 7):
+            res = epsilon_star_preorder(f, r, theta_small(2, r), system)
+            assert res.gap <= 1e-6
+            assert psd_check(moment_matrix(res.dual_moments, r))
+            values[r] = res.min_eps
+        assert values[6] == pytest.approx(0.0123633, abs=1e-6)
+        assert 0.0 < values[7] < values[6]
+
     def test_cusp_moments_transformed_back(self):
         r = 7
         p = theta_small(1, r)

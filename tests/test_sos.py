@@ -19,6 +19,7 @@ from sosperturb.sos import (DEFAULT_CLIP_TOL, THETA_BIG, THETA_SMALL,
 
 ONE_MINUS_SQ = parse("1 - x1^2", 1)
 MOTZKIN = parse("1 + x1^2*x2^2*(x1^2 + x2^2 - 3)", 2)
+CHOI_LAM = parse("x1^2*x2^2 + x1^2*x3^2 + x2^2*x3^2 + x4^4 - 4*x1*x2*x3*x4", 4)
 
 
 def monomial_weight(r):
@@ -78,13 +79,24 @@ class TestBuildGramSystem:
             build_gram_system(ONE_MINUS_SQ, Polynomial.zero(2), 2)
 
     def test_quartic_constraint_data_below_one_megabyte(self):
-        # 4-variable quartic at r = 4: m = 495 rows over a 70 x 70 Gram
-        # block, which held 19 MB as dense (m, n, n) rows
-        f = parse("x1^2*x2^2 + x1^2*x3^2 + x2^2*x3^2 + x4^4 - 4*x1*x2*x3*x4", 4)
-        problem = _ReducedGram(f, theta_big(4, 4), 4).problem
-        assert problem.n_constraints == 495
-        assert problem.block_sizes == (70, 1)
+        # 4-variable quartic at r = 4: the 70 monomials of degree <= 4 fall
+        # into 8 sign-symmetry cosets, and 85 of the 495 monomial
+        # constraints keep entries; as one block with dense (m, n, n) rows
+        # the program held 19 MB
+        problem = _ReducedGram(CHOI_LAM, theta_big(4, 4), 4).problem
+        assert problem.n_constraints == 85
+        assert problem.block_sizes == (16, 6, 6, 6, 6, 10, 10, 10, 1)
         assert sum(a.nbytes for a in problem.A) + problem.F.nbytes < 2 ** 20
+
+    def test_split_program_matches_full_program(self):
+        p = theta_big(4, 4)
+        full = build_gram_system(CHOI_LAM, p, 4)
+        assert full.n_constraints == 495 and full.block_sizes == (70, 1)
+        sol = solve(full)
+        assert sol.status is SolveStatus.OPTIMAL
+        res = epsilon_star(CHOI_LAM, 4, p)
+        assert res.min_eps == pytest.approx(sol.dual_objective, abs=1e-7)
+        assert res.certificate.residual_linf <= 1e-6
 
 
 class TestEpsilonStar:
@@ -358,12 +370,13 @@ class TestSerializedCertificates:
 
 
 class TestConvergenceTrend:
-    # min_eps of 1 - x^2 with theta_big; r = 12, 15 and 16 are left out:
-    # plain SOS matches monomial coefficients, and these degrees fail or
-    # pass depending on the rounding of the solver's sums
+    # min_eps of 1 - x^2 with theta_big; split into even and odd
+    # monomials, every degree up to 20 reaches Optimal (r = 12, 15 and 16
+    # ended in IterationLimit as one Gram block)
     THETA_BIG_MIN_EPS = {
         9: 0.0333171722, 10: 0.0297559439, 11: 0.0268826575,
-        13: 0.0225315365, 14: 0.0208446850, 17: 0.0170217499,
+        12: 0.0245154982, 13: 0.0225315365, 14: 0.0208446850,
+        15: 0.0193928433, 16: 0.0181300936, 17: 0.0170217499,
         18: 0.0160411212, 19: 0.0151673340, 20: 0.0143838281,
     }
 

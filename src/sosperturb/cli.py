@@ -27,9 +27,9 @@ from .polynomials import Polynomial
 from .preorder import load_system, membership, verify_preorder_obj
 from .probe import run_probe
 from .sdp import SolverSettings
-from .sos import (THETA_BIG, THETA_SMALL, approximate_on_box, epsilon_star,
-                  is_sos, minimal_r, perturbation_polynomial,
-                  verify_certificate_obj)
+from .sos import (DEFAULT_RESIDUAL_TOL, THETA_BIG, THETA_SMALL,
+                  approximate_on_box, epsilon_star, is_sos, minimal_r,
+                  perturbation_polynomial, verify_certificate_obj)
 
 _USAGE_ERRORS = (
     ParseError, DimensionMismatchError, DegreeTooLowError,
@@ -338,6 +338,28 @@ def cmd_preorder_membership(nvars, poly_text, poly_file, eps, perturbation,
         sys.exit(1)
     except _USAGE_ERRORS as exc:
         _fail(exc)
+    if cert.residual_linf > DEFAULT_RESIDUAL_TOL:
+        # a decomposition that does not re-verify is no membership: the
+        # verdict is numerically undecided
+        report = {
+            "command": "preorder-membership",
+            "nvars": system.n_vars,
+            "poly": unparse(f),
+            "perturbation": {"kind": perturbation},
+            "eps": eps,
+            "found": False,
+            "status": "certificate-does-not-verify",
+            "r": cert.r,
+            "min_eps": cert.min_eps,
+            "residual_linf": cert.residual_linf,
+        }
+        human = [
+            f"polynomial: {report['poly']}",
+            f"certificate at r={cert.r} does not re-verify: reconstruction "
+            f"residual {cert.residual_linf:.3e} exceeds {DEFAULT_RESIDUAL_TOL:g}",
+        ]
+        _emit(report, human, as_json, output)
+        sys.exit(2)
     report = {
         "command": "preorder-membership",
         "nvars": system.n_vars,

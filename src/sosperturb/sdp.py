@@ -30,12 +30,23 @@ Schur system in (dy, du)
 solved by dense Cholesky of M plus a small solve on the free block, so free
 scalar variables never pass through a PSD reformulation.
 
+The iterates live in one flat vector in which blocks of equal size sit
+next to each other, so each size group is a (k, n, n) view.  Cholesky
+factors, inverse factors, the SVD of the scaling, the step-length
+eigenvalues and every blockwise product run once per size group through
+numpy's stacked routines (one LAPACK call per matrix, no Python loop over
+blocks), as in the block-diagonal handling of SDPA and SDPT3.  Sums over
+blocks (mu and the objectives) keep one partial sum per block, added in
+the caller's block order.
+
 Constraint data stays sparse.  Each block's constraints are COO triples
-(row, i, j, value), and A(X) and A^T(y) are sparse products over them.
-The Schur complement exploits the sparsity on both sides, after Fujisawa,
-Kojima and Nakata (Math. Prog. 79, 1997): A_j W is a sparse product,
-T_j = W A_j W comes from one dense matrix product for many j at once, and
-M_ij = sum over the triples (p, q, v) of A_i of v * T_j[p, q].
+(row, i, j, value), mirrored once per solve into one sparse (m, N) matrix
+S over the flat layout, so A(X) = S x and A^T(y) = S^T y are one sparse
+product each.  The Schur complement exploits the sparsity on both sides,
+after Fujisawa, Kojima and Nakata (Math. Prog. 79, 1997): per block, A_j W
+is a sparse product, T_j = W A_j W comes from one dense matrix product for
+many j at once, and M_ij = sum over the triples (p, q, v) of A_i of
+v * T_j[p, q].
 
 Everything is deterministic: fixed initialization (identity scaled by
 1 + max|b_i|), no randomization, and the same inputs take the same branch
@@ -247,71 +258,141 @@ class SdpSolution:
 
 
 def _sym(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
+    return 0.5 * (mat + np.swapaxes(mat, -1, -2))
 
 
 # elements of the largest temporary of one Schur chunk (16 MB in double)
 _SCHUR_CHUNK = 1 << 21
 
 
-class _BlockOperator:
-    """Sparse maps of one block's constraint triples, built once per solve.
+class _Layout:
+    """One flat vector holds every block, grouped by size.
 
-    The stored triples hold each off-diagonal entry once; here they are
-    mirrored into S, the (m, n*n) matrix whose row i is vec(A_i), so no map
-    needs a symmetry weight.  Every product is a scipy.sparse product, which
-    runs in the dtype of its dense operand, double or longdouble alike.
+    Blocks of equal size sit next to each other, so each size group is a
+    (k, n, n) view of the flat vector and one stacked numpy call per group
+    does the work of k per-block calls.  Groups come in order of first
+    appearance, blocks within a group in the caller's order.
     """
 
-    def __init__(self, coo: np.ndarray, m: int, n: int):
-        off = coo["i"] != coo["j"]
-        row = np.concatenate([coo["row"], coo["row"][off]]).astype(np.intp)
-        p = np.concatenate([coo["i"], coo["j"][off]]).astype(np.intp)
-        q = np.concatenate([coo["j"], coo["i"][off]]).astype(np.intp)
-        v = np.concatenate([coo["v"], coo["v"][off]])
-        self.n = n
-        self.S = csr_matrix((v, (row, p * n + q)), shape=(m, n * n))
-        # Schur chunks over columns j0 <= j < j1: P stacks A_j by rows
-        # p*c + (j - j0), so that P @ W holds A_j W in the layout (p, j, s)
-        width = max(1, _SCHUR_CHUNK // (n * n))
-        self.chunks = []
-        for j0 in range(0, m, width):
-            j1 = min(m, j0 + width)
-            sel = (row >= j0) & (row < j1)
-            P = csr_matrix((v[sel], (p[sel] * (j1 - j0) + row[sel] - j0, q[sel])),
-                           shape=(n * (j1 - j0), n))
-            self.chunks.append((j0, j1, P))
+    def __init__(self, sizes: Sequence[int]):
+        members: Dict[int, List[int]] = {}
+        for bi, n in enumerate(sizes):
+            members.setdefault(n, []).append(bi)
+        self.sizes = tuple(sizes)
+        self.groups: List[Tuple[int, int, int]] = []     # (n, k, start)
+        self.offset = np.zeros(len(sizes), dtype=np.intp)
+        start = 0
+        for n, blocks in members.items():
+            self.groups.append((n, len(blocks), start))
+            for bi in blocks:
+                self.offset[bi] = start
+                start += n * n
+        self.size = start
+        # position of each caller block in the flat order
+        self._rank = np.argsort(np.argsort(self.offset))
+        # flat index of the transposed entry, and the identity
+        self._transpose = np.concatenate([
+            s + np.arange(k * n * n).reshape(k, n, n).transpose(0, 2, 1).ravel()
+            for n, k, s in self.groups])
+        self.eye = self.flatten([np.eye(n) for n in sizes])
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
+    def views(self, flat: np.ndarray) -> List[np.ndarray]:
+        return [flat[s:s + k * n * n].reshape(k, n, n) for n, k, s in self.groups]
+
+    def join(self, parts: Sequence[np.ndarray]) -> np.ndarray:
+        return np.concatenate([p.reshape(-1) for p in parts])
+
+    def flatten(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        flat = np.empty(self.size, dtype=np.result_type(*blocks))
+        for off, n, mat in zip(self.offset, self.sizes, blocks):
+            flat[off:off + n * n] = np.asarray(mat).ravel()
+        return flat
+
+    def blocks(self, flat: np.ndarray) -> List[np.ndarray]:
+        """The blocks in the caller's order, each owning its data."""
+        return [flat[off:off + n * n].reshape(n, n).copy()
+                for off, n in zip(self.offset, self.sizes)]
+
+    def sym(self, flat: np.ndarray) -> np.ndarray:
+        return 0.5 * (flat + flat[self._transpose])
+
+    def product(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Blockwise a_b @ b_b @ c_b."""
+        return self.join([x @ y @ z for x, y, z in
+                          zip(self.views(a), self.views(b), self.views(c))])
+
+    def dot(self, a: np.ndarray, b: np.ndarray) -> float:
+        """sum_b <a_b, b_b>: one partial sum per block, added in the caller's
+        block order."""
+        partial = np.concatenate([
+            (x.reshape(len(x), 1, -1) @ z.reshape(len(z), -1, 1)).ravel()
+            for x, z in zip(self.views(a), self.views(b))])
+        return sum(partial[self._rank].tolist())
+
+
+class _Constraints:
+    """The constraint map over the flat layout, built once per solve.
+
+    The stored triples hold each off-diagonal entry once; here they are
+    mirrored into S, the (m, N) matrix whose row i is A_i laid out like
+    the flat state, so A(X) = S x and A^T(y) = S^T y are one sparse product
+    each and no map needs a symmetry weight.  Every product is a
+    scipy.sparse product, which runs in the dtype of its dense operand,
+    double or longdouble alike.
+    """
+
+    def __init__(self, problem: SdpProblem, layout: _Layout):
+        m = problem.n_constraints
+        self.m = m
+        rows, cols, vals = [], [], []
+        self.blocks = []
+        for coo, n, off in zip(problem.A, layout.sizes, layout.offset):
+            mirror = coo["i"] != coo["j"]
+            row = np.concatenate([coo["row"], coo["row"][mirror]]).astype(np.intp)
+            p = np.concatenate([coo["i"], coo["j"][mirror]]).astype(np.intp)
+            q = np.concatenate([coo["j"], coo["i"][mirror]]).astype(np.intp)
+            v = np.concatenate([coo["v"], coo["v"][mirror]])
+            rows.append(row)
+            cols.append(off + p * n + q)
+            vals.append(v)
+            # Schur chunks over columns j0 <= j < j1: P stacks A_j by rows
+            # p*c + (j - j0), so that P @ W holds A_j W in the layout (p, j, s)
+            width = max(1, _SCHUR_CHUNK // (n * n))
+            chunks = []
+            for j0 in range(0, m, width):
+                j1 = min(m, j0 + width)
+                sel = (row >= j0) & (row < j1)
+                if sel.any():
+                    chunks.append((j0, j1, csr_matrix(
+                        (v[sel], (p[sel] * (j1 - j0) + row[sel] - j0, q[sel])),
+                        shape=(n * (j1 - j0), n))))
+            Sb = csr_matrix((v, (row, p * n + q)), shape=(m, n * n))
+            self.blocks.append((off, n, Sb, chunks))
+        self.S = csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(m, layout.size))
+        self.St = self.S.T.tocsr()
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
         """A(X): <A_i, X> for every constraint i."""
-        return self.S @ X.ravel()
+        return self.S @ x
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """A^T(y) = sum_i y_i A_i."""
-        return (self.S.T @ y).reshape(self.n, self.n)
+        """A^T(y) = sum_i y_i A_i, flat."""
+        return self.St @ y
 
-    def add_schur(self, M: np.ndarray, W: np.ndarray) -> None:
-        """M_ij += <A_i, W A_j W>."""
-        n = self.n
-        for j0, j1, P in self.chunks:
-            if P.nnz == 0:
-                continue
-            c = j1 - j0
-            # T[p, j, s] = (W A_j W)[p, s]: one product over the whole chunk
-            T = (W @ (P @ W).reshape(n, c * n)).reshape(n, c, n)
-            M[:, j0:j1] += self.S @ T.transpose(0, 2, 1).reshape(n * n, c)
-
-
-def _apply_A(ops: List[_BlockOperator], X: List[np.ndarray]) -> np.ndarray:
-    out = None
-    for op, Xb in zip(ops, X):
-        v = op.apply(Xb)
-        out = v if out is None else out + v
-    return out
-
-
-def _apply_At(ops: List[_BlockOperator], y: np.ndarray) -> List[np.ndarray]:
-    return [op.adjoint(y) for op in ops]
+    def schur(self, W: np.ndarray) -> np.ndarray:
+        """M_ij = sum_b <A_i, W_b A_j W_b>, in the dtype of the flat W,
+        added up block by block."""
+        M = np.zeros((self.m, self.m), dtype=W.dtype)
+        for off, n, Sb, chunks in self.blocks:
+            Wb = W[off:off + n * n].reshape(n, n)
+            for j0, j1, P in chunks:
+                c = j1 - j0
+                # T[p, j, s] = (W A_j W)[p, s]: one product over the whole chunk
+                T = (Wb @ (P @ Wb).reshape(n, c * n)).reshape(n, c, n)
+                M[:, j0:j1] += Sb @ T.transpose(0, 2, 1).reshape(n * n, c)
+        return M
 
 
 def _chol_lower(M: np.ndarray):
@@ -354,36 +435,28 @@ def _backsolve(factor, rhs):
     return cho_solve(factor, rhs)
 
 
-def _max_step(chol_inverse: np.ndarray, direction: np.ndarray) -> float:
-    """Largest t with M + t*D still positive definite, M = L L^T, given
-    Li = L^-1: the least eigenvalue of Li D Li^T bounds t."""
-    B = chol_inverse @ direction @ chol_inverse.T
-    lam = float(np.linalg.eigvalsh(_sym(B))[0])
-    if lam >= -1e-14:
-        return np.inf
-    return -1.0 / lam
-
-
 def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> SdpSolution:
     """Run the interior-point iteration on a standard-form problem."""
     if max(problem.block_sizes) > settings.max_block_size:
         raise ValueError(
             f"largest block {max(problem.block_sizes)} exceeds cap {settings.max_block_size}")
 
-    F, b, C, d = problem.F, problem.b, problem.C, problem.d
+    F, b, d = problem.F, problem.b, problem.d
     m = problem.n_constraints
     k = problem.n_free
     sizes = problem.block_sizes
-    ops = [_BlockOperator(Ab, m, nb) for Ab, nb in zip(problem.A, sizes)]
+    layout = _Layout(sizes)
+    op = _Constraints(problem, layout)
+    C = layout.flatten(problem.C)
     nu = float(sum(sizes))
 
     b_scale = 1.0 + np.max(np.abs(b), initial=0.0)
-    c_scale = 1.0 + max(np.max(np.abs(Cb), initial=0.0) for Cb in C)
+    c_scale = 1.0 + np.max(np.abs(C), initial=0.0)
     d_scale = 1.0 + np.max(np.abs(d), initial=0.0)
 
     eta = b_scale
-    X = [eta * np.eye(nb) for nb in sizes]
-    S = [eta * np.eye(nb) for nb in sizes]
+    X = eta * layout.eye
+    S = eta * layout.eye
     y = np.zeros(m)
     u = np.zeros(k)
 
@@ -391,23 +464,39 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
     # stay in double where LAPACK-backed routines dominate the cost
     use_extended = m <= 96 and max(sizes) <= 28
     work_dtype = np.longdouble if use_extended else np.float64
+    F_w = F.astype(work_dtype)
 
     trace: Optional[List[Tuple[float, float]]] = [] if settings.collect_trace else None
     status = SolveStatus.ITERATION_LIMIT
     iterations = 0
+    # Cholesky factors of X and S per size group, carried over from the
+    # backtracking check of the previous iteration
+    factors = None
 
     def objectives() -> Tuple[float, float]:
-        pobj = sum(float(np.tensordot(Cb, Xb)) for Cb, Xb in zip(C, X)) + float(d @ u)
+        pobj = layout.dot(C, X) + float(d @ u)
         dobj = float(b @ y)
         return pobj, dobj
 
     def rel_gap(pobj: float, dobj: float) -> float:
         return abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
 
+    def cholesky(flat: np.ndarray) -> List[np.ndarray]:
+        return [np.linalg.cholesky(V) for V in layout.views(flat)]
+
+    def max_step(Li: List[np.ndarray], D: np.ndarray) -> float:
+        """Largest t with M + t*D still positive definite in every block,
+        M = L L^T, given Li = L^-1: the least eigenvalue of Li D Li^T
+        bounds t."""
+        lam = min(float(np.linalg.eigvalsh(_sym(Lg @ Dg @ Lg.mT))[:, 0].min())
+                  for Lg, Dg in zip(Li, layout.views(D)))
+        if lam >= -1e-14:
+            return np.inf
+        return -1.0 / lam
+
     for iterations in range(1, settings.max_iterations + 1):
-        rp = b - _apply_A(ops, X) - F @ u
-        Aty = _apply_At(ops, y)
-        Rd = [Cb - At - Sb for Cb, At, Sb in zip(C, Aty, S)]
+        rp = b - op.apply(X) - F @ u
+        Rd = C - op.adjoint(y) - S
         rf = d - F.T @ y
 
         pobj, dobj = objectives()
@@ -415,7 +504,7 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
             trace.append((pobj, dobj))
 
         prim_res = np.max(np.abs(rp)) / b_scale
-        dual_res = max(np.max(np.abs(Rb), initial=0.0) for Rb in Rd) / c_scale
+        dual_res = np.max(np.abs(Rd), initial=0.0) / c_scale
         free_res = np.max(np.abs(rf), initial=0.0) / d_scale
         gap = rel_gap(pobj, dobj)
 
@@ -436,28 +525,18 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
         # Ls^T Lx = U Sig V^T one has W = Lx V Sig^{-1} V^T Lx^T, computed
         # without squaring the conditioning of either factor.
         try:
-            Lx = [np.linalg.cholesky(Xb) for Xb in X]
-            Ls = [np.linalg.cholesky(Sb) for Sb in S]
+            Lx, Ls = factors if factors is not None else (cholesky(X), cholesky(S))
+            # inverse factors, once per iteration, for step lengths and S^-1
+            Lxi = [np.linalg.inv(Lg) for Lg in Lx]
+            Lsi = [np.linalg.inv(Lg) for Lg in Ls]
+            W = []
+            for Lxg, Lsg in zip(Lx, Ls):
+                _, sig, Vt = np.linalg.svd(Lsg.mT @ Lxg)
+                if np.any(sig[:, -1] <= 0):
+                    raise np.linalg.LinAlgError("singular scaling")
+                G = Lxg @ (Vt.mT * (1.0 / np.sqrt(sig))[:, None, :])
+                W.append(_sym(G @ G.mT))
         except np.linalg.LinAlgError:
-            status = SolveStatus.NUMERICAL_TROUBLE
-            break
-        # inverse factors, once per iteration, for step lengths and S^-1
-        Lxi = [np.linalg.inv(Lb) for Lb in Lx]
-        Lsi = [np.linalg.inv(Lb) for Lb in Ls]
-        W = []
-        ok = True
-        for Lxb, Lsb in zip(Lx, Ls):
-            try:
-                _, sig, Vt = np.linalg.svd(Lsb.T @ Lxb)
-            except np.linalg.LinAlgError:
-                ok = False
-                break
-            if sig[-1] <= 0:
-                ok = False
-                break
-            G = Lxb @ (Vt.T * (1.0 / np.sqrt(sig)))
-            W.append(_sym(G @ G.T))
-        if not ok:
             status = SolveStatus.NUMERICAL_TROUBLE
             break
 
@@ -465,10 +544,8 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
         # the whole direction algebra in extended precision: the Schur
         # conditioning grows with the inverse barrier parameter and plain
         # double stops short of tight tolerances on ill-conditioned bases.
-        W_w = [Wb.astype(work_dtype) for Wb in W]
-        Mmat = np.zeros((m, m), dtype=work_dtype)
-        for op, Wb in zip(ops, W_w):
-            op.add_schur(Mmat, Wb)
+        W_w = layout.join(W).astype(work_dtype)
+        Mmat = op.schur(W_w)
 
         # Jacobi-scaled Cholesky with a ridge escalation fallback
         dg = np.diag(Mmat).copy()
@@ -487,8 +564,6 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
         def m_solve(rhs):
             scale = D if rhs.ndim == 1 else D[:, None]
             return _backsolve(factor, rhs / scale) / scale
-
-        F_w = F.astype(work_dtype)
 
         def solve_kkt(h1, h2) -> Tuple[np.ndarray, np.ndarray]:
             def once(r1, r2):
@@ -515,57 +590,49 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
                 du = du + ddu
             return dy, du
 
-        def direction(Rc: List[np.ndarray]) -> Tuple:
-            h1 = rp.astype(work_dtype)
-            Rc_w = [Rcb.astype(work_dtype) for Rcb in Rc]
-            Rd_w = [Rdb.astype(work_dtype) for Rdb in Rd]
-            for op, Rcb, Rdb, Wb in zip(ops, Rc_w, Rd_w, W_w):
-                h1 -= op.apply(Rcb)
-                h1 += op.apply(_sym(Wb @ Rdb @ Wb))
-            dy, du = solve_kkt(h1, rf.astype(work_dtype))
-            dS_w = [
-                _sym(Rdb - Atdy)
-                for Rdb, Atdy in zip(Rd_w, _apply_At(ops, dy))
-            ]
-            dX_w = [
-                _sym(Rcb - Wb @ dSb @ Wb)
-                for Rcb, dSb, Wb in zip(Rc_w, dS_w, W_w)
-            ]
-            dX = [np.asarray(Db, dtype=float) for Db in dX_w]
-            dS = [np.asarray(Db, dtype=float) for Db in dS_w]
-            return dX, dS, np.asarray(dy, dtype=float), np.asarray(du, dtype=float)
+        # W Rd W is shared by the predictor and the corrector
+        rp_w = rp.astype(work_dtype)
+        rf_w = rf.astype(work_dtype)
+        Rd_w = Rd.astype(work_dtype)
+        WRdW = layout.sym(layout.product(W_w, Rd_w, W_w))
 
-        mu = sum(float(np.tensordot(Xb, Sb)) for Xb, Sb in zip(X, S)) / nu
+        def direction(Rc: np.ndarray) -> Tuple:
+            Rc_w = Rc.astype(work_dtype)
+            # two products, not A(WRdW - Rc): near the edge of what the
+            # iteration resolves (scripts/knife_edge.py) the rounding of
+            # these sums, like the blockwise order of mu and the Schur
+            # sums, decides whether a program reaches Optimal
+            dy, du = solve_kkt(rp_w - op.apply(Rc_w) + op.apply(WRdW), rf_w)
+            dS_w = layout.sym(Rd_w - op.adjoint(dy))
+            dX_w = layout.sym(Rc_w - layout.product(W_w, dS_w, W_w))
+            return (np.asarray(dX_w, dtype=float), np.asarray(dS_w, dtype=float),
+                    np.asarray(dy, dtype=float), np.asarray(du, dtype=float))
+
+        mu = layout.dot(X, S) / nu
 
         try:
             # predictor (affine scaling)
-            dXa, dSa, _, _ = direction([-Xb for Xb in X])
-            ap_aff = min(1.0, min(_max_step(Li, D) for Li, D in zip(Lxi, dXa)))
-            ad_aff = min(1.0, min(_max_step(Li, D) for Li, D in zip(Lsi, dSa)))
-            mu_aff = sum(
-                float(np.tensordot(Xb + ap_aff * dXb, Sb + ad_aff * dSb))
-                for Xb, dXb, Sb, dSb in zip(X, dXa, S, dSa)) / nu
+            dXa, dSa, _, _ = direction(-X)
+            ap_aff = min(1.0, max_step(Lxi, dXa))
+            ad_aff = min(1.0, max_step(Lsi, dSa))
+            mu_aff = layout.dot(X + ap_aff * dXa, S + ad_aff * dSa) / nu
             sigma = min(1.0, max(0.0, mu_aff / mu) ** 3)
 
-            Sinv = [Li.T @ Li for Li in Lsi]
+            Sinv = layout.join([Lg.mT @ Lg for Lg in Lsi])
 
             # corrector with Mehrotra second-order term
-            Rc = [
-                sigma * mu * Sib - Xb - _sym(dXb @ dSb @ Sib)
-                for Xb, Sib, dXb, dSb in zip(X, Sinv, dXa, dSa)
-            ]
+            Rc = sigma * mu * Sinv - X - layout.sym(layout.product(dXa, dSa, Sinv))
             dX, dS, dy, du = direction(Rc)
-            ap_raw = min(_max_step(Li, D) for Li, D in zip(Lxi, dX))
-            ad_raw = min(_max_step(Li, D) for Li, D in zip(Lsi, dS))
+            ap_raw = max_step(Lxi, dX)
+            ad_raw = max_step(Lsi, dS)
 
             # corrector rejection: when the second-order term shortens the
             # step badly, fall back to a centered first-order direction
             if min(ap_raw, ad_raw) < 0.2 * min(ap_aff, ad_aff):
                 sigma = max(sigma, 0.5)
-                Rc = [sigma * mu * Sib - Xb for Xb, Sib in zip(X, Sinv)]
-                dX, dS, dy, du = direction(Rc)
-                ap_raw = min(_max_step(Li, D) for Li, D in zip(Lxi, dX))
-                ad_raw = min(_max_step(Li, D) for Li, D in zip(Lsi, dS))
+                dX, dS, dy, du = direction(sigma * mu * Sinv - X)
+                ap_raw = max_step(Lxi, dX)
+                ad_raw = max_step(Lsi, dS)
         except _KktFailure:
             status = SolveStatus.NUMERICAL_TROUBLE
             break
@@ -580,13 +647,13 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
             status = SolveStatus.NUMERICAL_TROUBLE
             break
 
-        # backtrack if rounding pushed an iterate off the PD cone
+        # backtrack if rounding pushed an iterate off the PD cone; the
+        # factors of the accepted iterate serve the next iteration
         for _ in range(60):
-            Xn = [_sym(Xb + ap * dXb) for Xb, dXb in zip(X, dX)]
-            Sn = [_sym(Sb + ad * dSb) for Sb, dSb in zip(S, dS)]
+            Xn = layout.sym(X + ap * dX)
+            Sn = layout.sym(S + ad * dS)
             try:
-                for Mb in (*Xn, *Sn):
-                    np.linalg.cholesky(Mb)
+                factors = (cholesky(Xn), cholesky(Sn))
                 break
             except np.linalg.LinAlgError:
                 ap *= 0.5
@@ -603,7 +670,7 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
     pobj, dobj = objectives()
     return SdpSolution(
         status=status,
-        primal_blocks=X,
+        primal_blocks=layout.blocks(X),
         free_values=u,
         dual_vector=y,
         primal_objective=pobj,

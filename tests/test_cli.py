@@ -157,6 +157,23 @@ class TestPreorderMembership:
         assert res.exit_code == 1
         assert json.loads(res.output)["found"] is False
 
+    def test_certificate_that_does_not_verify_exit_two(self, runner, tmp_path):
+        # the weight program covers eps at r = 15, but the certificate mapped
+        # back to monomials misses the target by far more than 1e-6
+        system = tmp_path / "system.txt"
+        system.write_text("nvars 1\nmoment_problem asserted\n(1 - x1^2)^3\n")
+        res = invoke(runner, [
+            "preorder-membership", "-f", "1 - x1^2", "--eps", "0.0019",
+            "--perturbation", "theta-small", "--system", str(system),
+            "--r-max", "15", "--json"])
+        assert res.exit_code == 2
+        report = json.loads(res.output)
+        assert report["found"] is False
+        assert report["status"] == "certificate-does-not-verify"
+        assert report["r"] == 15
+        assert report["residual_linf"] > 1e-6
+        assert "terms" not in report
+
 
 class TestDegreeProbe:
     def test_table_and_max(self, runner):

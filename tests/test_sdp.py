@@ -5,9 +5,8 @@ from scipy.optimize import minimize_scalar
 from sosperturb.parsing import parse
 from sosperturb.polynomials import Polynomial, theta_big
 from sosperturb.sdp import (ConstraintRow, SdpProblem, SolveStatus,
-                            SolverSettings, _apply_A, _apply_At,
-                            _BlockOperator, eigendecompose, min_eigenvalue,
-                            solve)
+                            SolverSettings, _Constraints, _Layout,
+                            eigendecompose, min_eigenvalue, solve)
 from sosperturb.sos import build_gram_system, build_moment_system
 
 
@@ -190,10 +189,11 @@ class TestProblemConstruction:
 
 
 class TestSparseOperators:
-    """A(X), A^T(y) and the Schur matrix from the COO triples against dense
-    einsum references built from the test's own rows."""
+    """A(X), A^T(y) and the Schur matrix of the flat operator against dense
+    einsum references built from the test's own rows.  The sizes interleave,
+    so the size grouping of the flat layout reorders the blocks."""
 
-    SIZES = (4, 3, 1)
+    SIZES = (4, 3, 4, 1, 3)
 
     def fixture(self, seed):
         mats, F, rows, objective, d = random_feasible_rows(
@@ -202,23 +202,39 @@ class TestSparseOperators:
         problem = SdpProblem.from_rows(
             self.SIZES, 2, rows + [rows[0], rows[2]], objective, d)
         dense = [np.array([row[b] for row in mats]) for b in range(len(self.SIZES))]
-        ops = [_BlockOperator(Ab, problem.n_constraints, nb)
-               for Ab, nb in zip(problem.A, self.SIZES)]
+        layout = _Layout(self.SIZES)
+        op = _Constraints(problem, layout)
         rng = np.random.default_rng(100 + seed)
         sym = []
         for nb in self.SIZES:
             raw = rng.standard_normal((nb, nb))
             sym.append(raw @ raw.T + np.eye(nb))
-        return problem, F, dense, ops, sym, rng.standard_normal(6)
+        return problem, F, dense, layout, op, sym, rng.standard_normal(6)
+
+    def test_layout_groups_equal_sizes(self):
+        layout = _Layout(self.SIZES)
+        # (size, count, flat start): both 4x4 blocks, then both 3x3, then 1x1
+        assert layout.groups == [(4, 2, 0), (3, 2, 32), (1, 1, 50)]
+        assert list(layout.offset) == [0, 32, 16, 50, 41]
+        blocks = [np.arange(n * n, dtype=float).reshape(n, n) + 100 * b
+                  for b, n in enumerate(self.SIZES)]
+        flat = layout.flatten(blocks)
+        views = layout.views(flat)
+        assert np.array_equal(views[0][1], blocks[2])
+        assert np.array_equal(views[1][1], blocks[4])
+        assert np.array_equal(layout.sym(flat), layout.flatten([0.5 * (B + B.T) for B in blocks]))
+        for got, B in zip(layout.blocks(flat), blocks):
+            assert np.array_equal(got, B)
+        assert layout.dot(flat, layout.eye) == sum(float(np.trace(B)) for B in blocks)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_apply_and_adjoint_match_dense(self, seed):
-        problem, F, dense, ops, X, y = self.fixture(seed)
+        problem, F, dense, layout, op, X, y = self.fixture(seed)
         assert problem.n_constraints == 6
         assert np.array_equal(problem.F, F)
         expected = sum(np.einsum("ijk,jk->i", Ab, Xb) for Ab, Xb in zip(dense, X))
-        assert np.allclose(_apply_A(ops, X), expected, rtol=1e-13, atol=1e-13)
-        for got, Ab in zip(_apply_At(ops, y), dense):
+        assert np.allclose(op.apply(layout.flatten(X)), expected, rtol=1e-13, atol=1e-13)
+        for got, Ab in zip(layout.blocks(op.adjoint(y)), dense):
             assert np.allclose(got, np.einsum("i,ijk->jk", y, Ab), rtol=1e-13, atol=1e-13)
             assert np.array_equal(got, got.T)
 
@@ -227,36 +243,72 @@ class TestSparseOperators:
     def test_schur_matches_dense(self, monkeypatch, chunk, dtype):
         import sosperturb.sdp as sdp
         monkeypatch.setattr(sdp, "_SCHUR_CHUNK", chunk)
-        problem, _, dense, _, W, _ = self.fixture(4)
+        problem, _, dense, layout, _, W, _ = self.fixture(4)
         m = problem.n_constraints
-        ops = [_BlockOperator(Ab, m, nb) for Ab, nb in zip(problem.A, self.SIZES)]
+        op = _Constraints(problem, layout)
         if chunk == 16:
-            assert len(ops[0].chunks) == m
-        M = np.zeros((m, m), dtype=dtype)
-        for op, Wb in zip(ops, W):
-            op.add_schur(M, Wb.astype(dtype))
+            assert len(op.blocks[0][3]) == m
+        M = op.schur(layout.flatten(W).astype(dtype))
         assert M.dtype == dtype
         expected = sum(
             np.einsum("ipq,pr,jrs,sq->ij", Ab, Wb, Ab, Wb) for Ab, Wb in zip(dense, W))
         assert np.allclose(np.asarray(M, dtype=float), expected, rtol=1e-12, atol=1e-12)
 
-
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="longdouble is double on this platform")
     def test_longdouble_operands_stay_extended(self):
         # 1 + 2^-56 rounds to 1 in double and is exact in longdouble
-        problem, _, dense, ops, _, _ = self.fixture(5)
+        problem, _, dense, layout, op, _, _ = self.fixture(5)
         tiny = np.longdouble(2) ** -56
-        eye = [np.eye(nb, dtype=np.longdouble) for nb in self.SIZES]
-        diff = (_apply_A(ops, [(1 + tiny) * E for E in eye]) - _apply_A(ops, eye)) / tiny
+        eye = layout.eye.astype(np.longdouble)
+        diff = (op.apply((1 + tiny) * eye) - op.apply(eye)) / tiny
         expected = sum(np.einsum("ijj->i", Ab) for Ab in dense)
         assert np.allclose(np.asarray(diff, dtype=float), expected,
                            rtol=0.05, atol=0.05 * np.max(np.abs(expected)))
         ones = np.ones(problem.n_constraints, dtype=np.longdouble)
-        shifted = (_apply_At(ops, (1 + tiny) * ones)[0] - _apply_At(ops, ones)[0]) / tiny
-        expected = dense[0].sum(axis=0)
-        assert np.allclose(np.asarray(shifted, dtype=float), expected,
-                           rtol=0.05, atol=0.05 * np.max(np.abs(expected)))
+        shifted = layout.blocks((op.adjoint((1 + tiny) * ones) - op.adjoint(ones)) / tiny)
+        for got, Ab in zip(shifted, dense):
+            expected = Ab.sum(axis=0)
+            assert np.allclose(np.asarray(got, dtype=float), expected,
+                               rtol=0.05, atol=0.05 * np.max(np.abs(expected)))
+
+
+class TestFlatLayoutSolve:
+    SIZES = TestSparseOperators.SIZES
+
+    def test_primal_blocks_in_caller_order(self):
+        mats, _, rows, _, _ = random_feasible_rows(7, self.SIZES, m=6)
+        sol = solve(random_feasible_problem(7, self.SIZES, m=6))
+        assert sol.status is SolveStatus.OPTIMAL
+        assert [B.shape for B in sol.primal_blocks] == [(n, n) for n in self.SIZES]
+        rhs = np.array([row.rhs for row in rows])
+        residual = rhs - np.array([
+            sum(float(np.tensordot(Ab, Xb)) for Ab, Xb in zip(row, sol.primal_blocks))
+            for row in mats])
+        assert np.max(np.abs(residual)) <= 1e-8 * (1 + np.max(np.abs(rhs)))
+
+    def test_primal_blocks_own_their_data(self):
+        sol = solve(random_feasible_problem(7, self.SIZES, m=6))
+        blocks = sol.primal_blocks
+        for i, B in enumerate(blocks):
+            assert B.flags.owndata and B.base is None
+            assert not any(np.shares_memory(B, other) for other in blocks[i + 1:])
+        before = [B.copy() for B in blocks]
+        blocks[0][:] = 0.0
+        assert all(np.array_equal(B, A) for B, A in zip(blocks[1:], before[1:]))
+
+    def test_repeat_solves_bitwise_equal(self):
+        problem = random_feasible_problem(8, self.SIZES, m=6, n_free=1)
+        settings = SolverSettings(collect_trace=True)
+        a = solve(problem, settings)
+        b = solve(problem, settings)
+        assert a.status is b.status and a.iterations == b.iterations
+        for Xa, Xb in zip(a.primal_blocks, b.primal_blocks):
+            assert Xa.tobytes() == Xb.tobytes()
+        assert a.dual_vector.tobytes() == b.dual_vector.tobytes()
+        assert a.free_values.tobytes() == b.free_values.tobytes()
+        assert (a.primal_objective, a.dual_objective) == (b.primal_objective, b.dual_objective)
+        assert a.trace == b.trace
 
 
 class TestEigen:

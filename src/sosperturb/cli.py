@@ -320,39 +320,25 @@ def cmd_preorder_membership(nvars, poly_text, poly_file, eps, perturbation,
             raise DimensionMismatchError(
                 f"-n {nvars} disagrees with the system's nvars {system.n_vars}")
         f = _load_poly(system.n_vars, poly_text, poly_file)
+        fields = {"command": "preorder-membership", "nvars": system.n_vars,
+                  "poly": unparse(f), "perturbation": {"kind": perturbation},
+                  "eps": eps}
         kind = THETA_BIG if perturbation == "theta-big" else THETA_SMALL
         cert = membership(f, eps, kind, system, r_max, _settings(gap_tol, feas_tol))
     except NotFoundWithinRMaxError as exc:
-        report = {
-            "command": "preorder-membership",
-            "nvars": system.n_vars,
-            "poly": unparse(f),
-            "perturbation": {"kind": perturbation},
-            "eps": eps,
-            "found": False,
-            "trajectory": exc.trajectory,
-        }
+        report = {**fields, "found": False, "trajectory": exc.trajectory}
         human = [f"no degree r <= {r_max} admits eps={eps:.9g}; trajectory:"]
         human.extend(_trajectory_lines(exc.trajectory))
         _emit(report, human, as_json, output)
         sys.exit(1)
     except _USAGE_ERRORS as exc:
         _fail(exc)
-    if cert.residual_linf > DEFAULT_RESIDUAL_TOL:
+    if not cert.verifies:
         # a decomposition that does not re-verify is no membership: the
         # verdict is numerically undecided
-        report = {
-            "command": "preorder-membership",
-            "nvars": system.n_vars,
-            "poly": unparse(f),
-            "perturbation": {"kind": perturbation},
-            "eps": eps,
-            "found": False,
-            "status": "certificate-does-not-verify",
-            "r": cert.r,
-            "min_eps": cert.min_eps,
-            "residual_linf": cert.residual_linf,
-        }
+        report = {**fields, "found": False, "status": "certificate-does-not-verify",
+                  "r": cert.r, "min_eps": cert.min_eps,
+                  "residual_linf": cert.residual_linf}
         human = [
             f"polynomial: {report['poly']}",
             f"certificate at r={cert.r} does not re-verify: reconstruction "
@@ -360,14 +346,7 @@ def cmd_preorder_membership(nvars, poly_text, poly_file, eps, perturbation,
         ]
         _emit(report, human, as_json, output)
         sys.exit(2)
-    report = {
-        "command": "preorder-membership",
-        "nvars": system.n_vars,
-        "poly": unparse(f),
-        "eps": eps,
-        "found": True,
-        **cert.to_obj(),
-    }
+    report = {**fields, "found": True, **cert.to_obj()}
     human = [
         f"polynomial: {report['poly']}",
         f"found r: {cert.r}",

@@ -360,6 +360,7 @@ class PreorderCertificate:
     terms: List[PreorderTerm]
     residual_linf: float
     warnings: List[str]
+    verifies: bool                  # residual_linf within DEFAULT_RESIDUAL_TOL
     target: Polynomial = field(repr=False)
 
     def to_obj(self) -> dict:
@@ -489,7 +490,8 @@ def membership(
             terms.append(PreorderTerm(e, products[bi][1], sigma))
         target = f + p.scale(eps)
         residual = coefficient_distance(_reconstruct(terms, f.n_vars), target)
-        if residual > DEFAULT_RESIDUAL_TOL:
+        verifies = residual <= DEFAULT_RESIDUAL_TOL
+        if not verifies:
             warnings.append(
                 f"reconstruction residual {residual:.3e} exceeds "
                 f"{DEFAULT_RESIDUAL_TOL:g}: the monomial certificate does not "
@@ -504,6 +506,7 @@ def membership(
             terms=terms,
             residual_linf=residual,
             warnings=warnings,
+            verifies=verifies,
             target=target,
         )
     raise NotFoundWithinRMaxError(

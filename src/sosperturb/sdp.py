@@ -257,8 +257,13 @@ class SdpSolution:
     trace: Optional[List[Tuple[float, float]]] = field(default=None)
 
 
+def _t(mat: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix in a stack (ndarray.mT needs numpy 2.0)."""
+    return np.swapaxes(mat, -1, -2)
+
+
 def _sym(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + np.swapaxes(mat, -1, -2))
+    return 0.5 * (mat + _t(mat))
 
 
 # elements of the largest temporary of one Schur chunk (16 MB in double)
@@ -488,7 +493,7 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
         """Largest t with M + t*D still positive definite in every block,
         M = L L^T, given Li = L^-1: the least eigenvalue of Li D Li^T
         bounds t."""
-        lam = min(float(np.linalg.eigvalsh(_sym(Lg @ Dg @ Lg.mT))[:, 0].min())
+        lam = min(float(np.linalg.eigvalsh(_sym(Lg @ Dg @ _t(Lg)))[:, 0].min())
                   for Lg, Dg in zip(Li, layout.views(D)))
         if lam >= -1e-14:
             return np.inf
@@ -531,11 +536,11 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
             Lsi = [np.linalg.inv(Lg) for Lg in Ls]
             W = []
             for Lxg, Lsg in zip(Lx, Ls):
-                _, sig, Vt = np.linalg.svd(Lsg.mT @ Lxg)
+                _, sig, Vt = np.linalg.svd(_t(Lsg) @ Lxg)
                 if np.any(sig[:, -1] <= 0):
                     raise np.linalg.LinAlgError("singular scaling")
-                G = Lxg @ (Vt.mT * (1.0 / np.sqrt(sig))[:, None, :])
-                W.append(_sym(G @ G.mT))
+                G = Lxg @ (_t(Vt) * (1.0 / np.sqrt(sig))[:, None, :])
+                W.append(_sym(G @ _t(G)))
         except np.linalg.LinAlgError:
             status = SolveStatus.NUMERICAL_TROUBLE
             break
@@ -618,7 +623,7 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
             mu_aff = layout.dot(X + ap_aff * dXa, S + ad_aff * dSa) / nu
             sigma = min(1.0, max(0.0, mu_aff / mu) ** 3)
 
-            Sinv = layout.join([Lg.mT @ Lg for Lg in Lsi])
+            Sinv = layout.join([_t(Lg) @ Lg for Lg in Lsi])
 
             # corrector with Mehrotra second-order term
             Rc = sigma * mu * Sinv - X - layout.sym(layout.product(dXa, dSa, Sinv))

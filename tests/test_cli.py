@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import sosperturb
 from sosperturb.cli import main
 
 MOTZKIN = "1 + x1^2*x2^2*(x1^2 + x2^2 - 3)"
@@ -273,3 +277,18 @@ class TestDeterminism:
         res = runner.invoke(main, [
             "check-sos", "-n", "1", "-f", "x1", "--poly-file", str(path)])
         assert res.exit_code == 2
+
+
+class TestColdStart:
+    def test_import_loads_no_scipy(self):
+        # the package runs on numpy alone; scipy's import also brings in
+        # numpy.f2py and a second OpenBLAS, about 0.3 s of every command
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sosperturb.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, sosperturb.cli; print(' '.join(sorted(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=60, check=True)
+        modules = proc.stdout.split()
+        assert "sosperturb.cli" in modules
+        assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []
+        assert "numpy.f2py" not in modules

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
+from scipy.sparse import csr_matrix
 
 from sosperturb.parsing import parse
 from sosperturb.polynomials import Polynomial, theta_big
 from sosperturb.sdp import (ConstraintRow, SdpProblem, SolveStatus,
-                            SolverSettings, _Constraints, _Layout,
-                            eigendecompose, min_eigenvalue, solve)
-from sosperturb.sos import build_gram_system, build_moment_system
+                            SolverSettings, _Constraints, _factorize, _Layout,
+                            _schur_solver, eigendecompose, min_eigenvalue,
+                            solve)
+from sosperturb.sos import _ReducedGram, build_gram_system, build_moment_system
+
+CHOI_LAM = parse("x1^2*x2^2 + x1^2*x3^2 + x2^2*x3^2 + x4^4 - 4*x1*x2*x3*x4", 4)
 
 
 def scalar_problem(rhs=3.0):
@@ -188,6 +192,57 @@ class TestProblemConstruction:
             SdpProblem.from_rows([1], 0, [], {})
 
 
+def same_bits(a, b):
+    """Bitwise equality of the values.  A longdouble holds its 80 bits in
+    16 bytes, and the 6 padding bytes carry whatever a buffer held, so
+    there equal values with equal signs of zero stand for equal bits."""
+    if a.dtype == np.longdouble:
+        return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+    return a.tobytes() == b.tobytes()
+
+
+def scipy_products(problem, layout, chunk):
+    """A(X), A^T(y) and the Schur matrix as scipy.sparse CSR products, the
+    way the solver formed them when it ran on scipy: (apply, adjoint,
+    schur)."""
+    m = problem.n_constraints
+    rows, cols, vals, blocks = [], [], [], []
+    for coo, n, off in zip(problem.A, layout.sizes, layout.offset):
+        mirror = coo["i"] != coo["j"]
+        row = np.concatenate([coo["row"], coo["row"][mirror]])
+        p = np.concatenate([coo["i"], coo["j"][mirror]])
+        q = np.concatenate([coo["j"], coo["i"][mirror]])
+        v = np.concatenate([coo["v"], coo["v"][mirror]])
+        rows.append(row)
+        cols.append(off + p * n + q)
+        vals.append(v)
+        width = max(1, chunk // (n * n))
+        chunks = []
+        for j0 in range(0, m, width):
+            j1 = min(m, j0 + width)
+            sel = (row >= j0) & (row < j1)
+            if sel.any():
+                chunks.append((j0, j1, csr_matrix(
+                    (v[sel], (p[sel] * (j1 - j0) + row[sel] - j0, q[sel])),
+                    shape=(n * (j1 - j0), n))))
+        blocks.append((off, n, csr_matrix((v, (row, p * n + q)), shape=(m, n * n)), chunks))
+    S = csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                   shape=(m, layout.size))
+    St = S.T.tocsr()
+
+    def schur(W):
+        M = np.zeros((m, m), dtype=W.dtype)
+        for off, n, Sb, chunks in blocks:
+            Wb = W[off:off + n * n].reshape(n, n)
+            for j0, j1, P in chunks:
+                c = j1 - j0
+                T = (Wb @ (P @ Wb).reshape(n, c * n)).reshape(n, c, n)
+                M[:, j0:j1] += Sb @ T.transpose(0, 2, 1).reshape(n * n, c)
+        return M
+
+    return (lambda x: S @ x), (lambda y: St @ y), schur
+
+
 class TestSparseOperators:
     """A(X), A^T(y) and the Schur matrix of the flat operator against dense
     einsum references built from the test's own rows.  The sizes interleave,
@@ -254,6 +309,33 @@ class TestSparseOperators:
             np.einsum("ipq,pr,jrs,sq->ij", Ab, Wb, Ab, Wb) for Ab, Wb in zip(dense, W))
         assert np.allclose(np.asarray(M, dtype=float), expected, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("chunk", [1 << 21, 16])
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_bitwise_equal_to_csr_products(self, monkeypatch, chunk, dtype, split):
+        # the numpy products add in the order of scipy's CSR kernels, so
+        # they carry the same bits in double and in longdouble; in the split
+        # Choi-Lam program each block touches only some of the constraints
+        import sosperturb.sdp as sdp
+        monkeypatch.setattr(sdp, "_SCHUR_CHUNK", chunk)
+        problem, _, _, layout, _, W, y = self.fixture(6)
+        if split:
+            problem = _ReducedGram(CHOI_LAM, theta_big(4, 4), 4).problem
+            layout = _Layout(problem.block_sizes)
+            rng = np.random.default_rng(6)
+            W = [B @ B.T + np.eye(n) for n in problem.block_sizes
+                 for B in [rng.standard_normal((n, n))]]
+            y = rng.standard_normal(problem.n_constraints)
+        op = _Constraints(problem, layout)
+        apply, adjoint, schur = scipy_products(problem, layout, chunk)
+        # dividing in the working dtype fills the extended mantissa
+        W = layout.flatten(W).astype(dtype) / 3
+        y = y.astype(dtype) / 3
+        for got, want in ((op.apply(W), apply(W)), (op.adjoint(y), adjoint(y)),
+                          (op.schur(W), schur(W))):
+            assert got.dtype == want.dtype == dtype
+            assert same_bits(got, want)
+
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="longdouble is double on this platform")
     def test_longdouble_operands_stay_extended(self):
@@ -271,6 +353,36 @@ class TestSparseOperators:
             expected = Ab.sum(axis=0)
             assert np.allclose(np.asarray(got, dtype=float), expected,
                                rtol=0.05, atol=0.05 * np.max(np.abs(expected)))
+
+
+class TestSchurFactor:
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_semidefinite_matrix_factors_at_a_ridge(self, dtype):
+        # a constraint that touches no block leaves a zero row and column
+        # in the Schur matrix: positive semidefinite, not definite
+        rng = np.random.default_rng(3)
+        B = rng.standard_normal((5, 5))
+        M = np.zeros((6, 6))
+        keep = [0, 1, 2, 4, 5]
+        M[np.ix_(keep, keep)] = B @ B.T + np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+        M = M.astype(dtype)
+        assert _factorize(M) is None
+        ridge, solve_m = _schur_solver(M)
+        assert ridge > 0.0
+        D = np.sqrt(np.where(np.diag(M) > 0, np.diag(M), 1.0)).astype(float)
+        ridged = np.asarray(M, dtype=float) + ridge * np.diag(D ** 2)
+        rhs = rng.standard_normal(6)
+        want = np.linalg.solve(ridged, rhs)
+        got = np.asarray(solve_m(rhs.astype(dtype)), dtype=float)
+        assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+        # two right-hand sides at once, as for the free variables
+        got = np.asarray(solve_m(np.stack([rhs, 2 * rhs], axis=1).astype(dtype)), dtype=float)
+        assert np.allclose(got, np.stack([want, 2 * want], axis=1), rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_indefinite_matrix_not_factored(self, dtype):
+        assert _factorize(np.array([[1.0, 2.0], [2.0, 1.0]], dtype=dtype)) is None
+        assert _schur_solver(np.diag([1.0, -1.0]).astype(dtype)) is None
 
 
 class TestFlatLayoutSolve:

@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Fingerprint of every solve on the ladder of reference programs.
+
+Each program of the ladder is run through the public API while `sdp.solve`
+is wrapped, in every module that bound it, to record the solutions it
+returns.  For each solve one line is printed: the program, the status, the
+iteration count, the repr of both objectives and a sha256 over the primal
+blocks and the dual vector.  Two checkouts whose outputs are identical
+solved the same programs bit for bit, so a refactor can be checked by a
+diff:
+
+    PYTHONPATH=src python3 scripts/ladder.py > ladder.txt
+
+The ladder: 1 - x1^2 with theta_big at r = 2..20 and with x1^(2r) at
+r = 2..15; the Motzkin polynomial with theta_big at r = 3..8; the Choi-Lam
+quartic at r = 4 and sextic at r = 6 with theta_big; the preorder weight
+programs of 1 - x1^2 on the cusp (1 - x1^2)^3 >= 0 at r = 2..29 step 3, of
+1 - x1^2 - x2^2 on the disk cusp at r = 2..7 and of the Motzkin polynomial
+on the box at r = 4..7, all with theta_small; and is_sos(Motzkin).
+"""
+
+import hashlib
+import sys
+
+import numpy as np
+
+from sosperturb import (Polynomial, SemialgebraicSystem, epsilon_star,
+                        epsilon_star_preorder, is_sos, parse, sdp, theta_big,
+                        theta_small)
+from sosperturb.errors import SolverFailureError
+
+ONE_MINUS_SQ = parse("1 - x1^2", 1)
+MOTZKIN = parse("1 + x1^2*x2^2*(x1^2 + x2^2 - 3)", 2)
+CHOI_LAM_QUARTIC = parse(
+    "x1^2*x2^2 + x1^2*x3^2 + x2^2*x3^2 + x4^4 - 4*x1*x2*x3*x4", 4)
+CHOI_LAM_SEXTIC = parse("x1^4*x2^2 + x2^4*x3^2 + x3^4*x1^2 - 3*x1^2*x2^2*x3^2", 3)
+DISK = parse("1 - x1^2 - x2^2", 2)
+CUSP = SemialgebraicSystem([parse("(1 - x1^2)^3", 1)], True)
+DISK_CUSP = SemialgebraicSystem([parse("(1 - x1^2 - x2^2)^3", 2)], True)
+BOX = SemialgebraicSystem([parse("1 - x1^2", 2), parse("1 - x2^2", 2)], True)
+
+
+def ladder():
+    """(label, call) for every program, in a fixed order."""
+    for r in range(2, 21):
+        yield f"theta-big r={r}", lambda r=r: epsilon_star(ONE_MINUS_SQ, r, theta_big(1, r))
+    for r in range(2, 16):
+        yield f"x1^2r r={r}", lambda r=r: epsilon_star(
+            ONE_MINUS_SQ, r, Polynomial.monomial(1, (2 * r,)))
+    for r in range(3, 9):
+        yield f"motzkin r={r}", lambda r=r: epsilon_star(MOTZKIN, r, theta_big(2, r))
+    yield "choi-lam quartic r=4", lambda: epsilon_star(CHOI_LAM_QUARTIC, 4, theta_big(4, 4))
+    yield "choi-lam sextic r=6", lambda: epsilon_star(CHOI_LAM_SEXTIC, 6, theta_big(3, 6))
+    for r in range(2, 30, 3):
+        yield f"cusp r={r}", lambda r=r: epsilon_star_preorder(
+            ONE_MINUS_SQ, r, theta_small(1, r), CUSP)
+    for r in range(2, 8):
+        yield f"disk cusp r={r}", lambda r=r: epsilon_star_preorder(
+            DISK, r, theta_small(2, r), DISK_CUSP)
+    for r in range(4, 8):
+        yield f"motzkin box r={r}", lambda r=r: epsilon_star_preorder(
+            MOTZKIN, r, theta_small(2, r), BOX)
+    yield "is_sos motzkin", lambda: is_sos(MOTZKIN)
+
+
+def fingerprint(sol) -> str:
+    digest = hashlib.sha256()
+    for block in sol.primal_blocks:
+        digest.update(np.ascontiguousarray(block).tobytes())
+    digest.update(np.ascontiguousarray(sol.dual_vector).tobytes())
+    return digest.hexdigest()
+
+
+def install(record) -> None:
+    """Route every module binding of `sdp.solve` through `record`."""
+    original = sdp.solve
+
+    def traced(*args, **kwargs):
+        sol = original(*args, **kwargs)
+        record.append(sol)
+        return sol
+
+    for name, module in list(sys.modules.items()):
+        if name == "sosperturb" or name.startswith("sosperturb."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    setattr(module, key, traced)
+
+
+def main() -> None:
+    solutions = []
+    install(solutions)
+    for label, call in ladder():
+        solutions.clear()
+        try:
+            call()
+            outcome = "ok"
+        except SolverFailureError as exc:
+            outcome = type(exc).__name__
+        for sol in solutions:
+            print(f"{label}: {outcome} {sol.status.value} it={sol.iterations} "
+                  f"pobj={sol.primal_objective!r} dobj={sol.dual_objective!r} "
+                  f"sha256={fingerprint(sol)}", flush=True)
+        if not solutions:
+            print(f"{label}: {outcome} no solve", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -30,8 +30,7 @@ from .sdp import (SdpProblem, SdpSolution, SolveStatus, SolverSettings,
                   ConstraintRow, eigendecompose, min_eigenvalue,
                   solve)
 from .sos import (ApproximationResult, GramCertificate, THETA_BIG, THETA_SMALL,
-                  approximate_on_box, build_gram_system, build_moment_system,
-                  epsilon_star, extract_certificate, gram_polynomial, is_sos,
+                  approximate_on_box, epsilon_star, extract_certificate, is_sos,
                   minimal_r, perturbation_polynomial, verify_certificate,
                   verify_certificate_obj)
 

@@ -127,20 +127,6 @@ def _fail(exc: Exception) -> None:
     sys.exit(2)
 
 
-def _certificate_report(res) -> dict:
-    obj = {
-        "r": res.r,
-        "eps_star": res.eps_star,
-        "min_eps": res.min_eps,
-        "gap": res.gap,
-    }
-    if res.certificate is not None:
-        obj.update(res.certificate.to_obj())
-    if res.trajectory is not None:
-        obj["trajectory"] = res.trajectory
-    return obj
-
-
 def _trajectory_lines(trajectory) -> List[str]:
     lines = []
     for entry in trajectory:
@@ -200,7 +186,7 @@ def cmd_epsilon_star(nvars, poly_text, poly_file, relaxation_r, perturbation,
         "nvars": f.n_vars,
         "poly": unparse(f),
         "perturbation": desc,
-        **_certificate_report(res),
+        **res.to_obj(),
         "dual_moments": res.dual_moments.to_obj(),
     }
     human = [
@@ -215,50 +201,56 @@ def cmd_epsilon_star(nvars, poly_text, poly_file, relaxation_r, perturbation,
     sys.exit(0)
 
 
-def _sweep_command(f, eps, kind, desc, r_max, box_scale, settings,
-                   as_json, output, command):
+def _sweep_command(fields, r_max, sweep, details, as_json, output, tail=None):
+    """Run a degree sweep and report it, the same way for every sweep.
+
+    sweep() returns the result; details(result) gives its certificate
+    residual and the human lines after the weight.  Nothing found within
+    r_max exits 1 with the trajectory.  A certificate whose residual
+    exceeds DEFAULT_RESIDUAL_TOL is no membership: `verify` would reject
+    it, so the verdict is numerically undecided and the command exits 2.
+    Otherwise the result follows the fields, then tail, and exits 0.
+    """
     try:
-        if command == "approximate":
-            res = approximate_on_box(f, eps, box_scale, r_max, settings)
-        else:
-            res = minimal_r(f, eps, kind, r_max, settings)
+        res = sweep()
     except NotFoundWithinRMaxError as exc:
-        report = {
-            "command": command,
-            "nvars": f.n_vars,
-            "poly": unparse(f),
-            "perturbation": desc,
-            "eps": eps,
-            "found": False,
-            "trajectory": exc.trajectory,
-        }
-        human = [f"no degree r <= {r_max} admits eps={eps:.9g}; trajectory:"]
+        report = {**fields, "found": False, "trajectory": exc.trajectory}
+        human = [f"no degree r <= {r_max} admits eps={fields['eps']:.9g}; trajectory:"]
         human.extend(_trajectory_lines(exc.trajectory))
         _emit(report, human, as_json, output)
         sys.exit(1)
     except _USAGE_ERRORS as exc:
         _fail(exc)
-    report = {
-        "command": command,
-        "nvars": f.n_vars,
-        "poly": unparse(f),
-        "perturbation": desc,
-        "eps": eps,
-        "found": True,
-        **_certificate_report(res),
-    }
-    if command == "approximate":
-        report["box_scale"] = box_scale
-    human = [
-        f"polynomial: {report['poly']}",
-        f"found r: {res.r}",
-        f"min_eps at r: {res.min_eps:.9g}",
-        f"certificate residual: {res.certificate.residual_linf:.3e}",
-        "trajectory:",
-    ]
-    human.extend(_trajectory_lines(res.trajectory or []))
+    residual, lines = details(res)
+    if residual > DEFAULT_RESIDUAL_TOL:
+        report = {**fields, "found": False, "status": "certificate-does-not-verify",
+                  "r": res.r, "min_eps": res.min_eps, "residual_linf": residual}
+        human = [
+            f"polynomial: {fields['poly']}",
+            f"certificate at r={res.r} does not re-verify: reconstruction "
+            f"residual {residual:.3e} exceeds {DEFAULT_RESIDUAL_TOL:g}",
+        ]
+        _emit(report, human, as_json, output)
+        sys.exit(2)
+    report = {**fields, "found": True, **res.to_obj(), **(tail or {})}
+    human = [f"polynomial: {fields['poly']}",
+             f"found r: {res.r}",
+             f"min_eps at r: {res.min_eps:.9g}",
+             *lines]
     _emit(report, human, as_json, output)
     sys.exit(0)
+
+
+def _plain_sweep_command(f, eps, desc, r_max, as_json, output, command, sweep,
+                         tail=None):
+    def details(res):
+        residual = res.certificate.residual_linf
+        return residual, [f"certificate residual: {residual:.3e}", "trajectory:",
+                          *_trajectory_lines(res.trajectory or [])]
+
+    fields = {"command": command, "nvars": f.n_vars, "poly": unparse(f),
+              "perturbation": desc, "eps": eps}
+    _sweep_command(fields, r_max, sweep, details, as_json, output, tail)
 
 
 @main.command("minimal-r")
@@ -276,8 +268,9 @@ def cmd_minimal_r(nvars, poly_text, poly_file, eps, perturbation, r_max,
         kind, desc = _perturbation(perturbation)
     except _USAGE_ERRORS as exc:
         _fail(exc)
-    _sweep_command(f, eps, kind, desc, r_max, 1.0,
-                   _settings(gap_tol, feas_tol), as_json, output, "minimal-r")
+    _plain_sweep_command(
+        f, eps, desc, r_max, as_json, output, "minimal-r",
+        lambda: minimal_r(f, eps, kind, r_max, _settings(gap_tol, feas_tol)))
 
 
 @main.command("approximate")
@@ -295,8 +288,10 @@ def cmd_approximate(nvars, poly_text, poly_file, eps, box_scale, r_max,
         f = _load_poly(nvars, poly_text, poly_file)
     except _USAGE_ERRORS as exc:
         _fail(exc)
-    _sweep_command(f, eps, THETA_BIG, {"kind": "theta-big"}, r_max, box_scale,
-                   _settings(gap_tol, feas_tol), as_json, output, "approximate")
+    _plain_sweep_command(
+        f, eps, {"kind": "theta-big"}, r_max, as_json, output, "approximate",
+        lambda: approximate_on_box(f, eps, box_scale, r_max, _settings(gap_tol, feas_tol)),
+        {"box_scale": box_scale})
 
 
 @main.command("preorder-membership")
@@ -324,40 +319,20 @@ def cmd_preorder_membership(nvars, poly_text, poly_file, eps, perturbation,
                   "poly": unparse(f), "perturbation": {"kind": perturbation},
                   "eps": eps}
         kind = THETA_BIG if perturbation == "theta-big" else THETA_SMALL
-        cert = membership(f, eps, kind, system, r_max, _settings(gap_tol, feas_tol))
-    except NotFoundWithinRMaxError as exc:
-        report = {**fields, "found": False, "trajectory": exc.trajectory}
-        human = [f"no degree r <= {r_max} admits eps={eps:.9g}; trajectory:"]
-        human.extend(_trajectory_lines(exc.trajectory))
-        _emit(report, human, as_json, output)
-        sys.exit(1)
     except _USAGE_ERRORS as exc:
         _fail(exc)
-    if not cert.verifies:
-        # a decomposition that does not re-verify is no membership: the
-        # verdict is numerically undecided
-        report = {**fields, "found": False, "status": "certificate-does-not-verify",
-                  "r": cert.r, "min_eps": cert.min_eps,
-                  "residual_linf": cert.residual_linf}
-        human = [
-            f"polynomial: {report['poly']}",
-            f"certificate at r={cert.r} does not re-verify: reconstruction "
-            f"residual {cert.residual_linf:.3e} exceeds {DEFAULT_RESIDUAL_TOL:g}",
-        ]
-        _emit(report, human, as_json, output)
-        sys.exit(2)
-    report = {**fields, "found": True, **cert.to_obj()}
-    human = [
-        f"polynomial: {report['poly']}",
-        f"found r: {cert.r}",
-        f"min_eps at r: {cert.min_eps:.9g}",
-        f"terms: {len(cert.terms)}",
-        f"reconstruction residual: {cert.residual_linf:.3e}",
-        f"note: {cert.annotation}",
-    ]
-    human.extend(f"warning: {w}" for w in cert.warnings)
-    _emit(report, human, as_json, output)
-    sys.exit(0)
+
+    def details(cert):
+        return cert.residual_linf, [
+            f"terms: {len(cert.terms)}",
+            f"reconstruction residual: {cert.residual_linf:.3e}",
+            f"note: {cert.annotation}",
+            *(f"warning: {w}" for w in cert.warnings)]
+
+    _sweep_command(
+        fields, r_max,
+        lambda: membership(f, eps, kind, system, r_max, _settings(gap_tol, feas_tol)),
+        details, as_json, output)
 
 
 @main.command("degree-probe")

@@ -33,29 +33,24 @@ engine.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import chebyshev
-from .errors import (DegreeTooLowError, DimensionMismatchError,
-                     NotFoundWithinRMaxError, SolverFailureError,
-                     TooManyGeneratorsError)
+from .errors import DimensionMismatchError, TooManyGeneratorsError
 from .moments import MomentVector
 from .parsing import parse, unparse
 from .polynomials import (MonomialBasis, Multidegree, Polynomial,
                           multidegrees_upto)
 from .sdp import ConstraintRow, SdpProblem, SolveStatus, SolverSettings, solve
-from .sos import (DEFAULT_CLIP_TOL, DEFAULT_RESIDUAL_TOL, SOS_DECISION_TOL,
-                  ApproximationResult, GramCertificate, PerturbationKind,
-                  THETA_BIG, THETA_SMALL, coefficient_distance,
-                  decode_gram_obj, extract_certificate, gram_polynomial,
-                  perturbation_polynomial, verify_certificate)
+from .sos import (DEFAULT_CLIP_TOL, DEFAULT_RESIDUAL_TOL, ApproximationResult,
+                  GramCertificate, PerturbationKind, THETA_BIG, THETA_SMALL,
+                  _check_degrees, _gram_form, _residual, _squares_form, _sweep,
+                  _verify_terms, _weight_gap, extract_certificate)
 from .symmetry import ParitySpan, scatter
-
-log = logging.getLogger(__name__)
 
 MAX_GENERATORS = 10
 
@@ -185,10 +180,7 @@ def _product_blocks(
     objective eps, right-hand side f.  With a number it is the feasibility
     program for f + eps*p, zero objective.
     """
-    if f.degree() > 2 * r:
-        raise DegreeTooLowError(f"degree {f.degree()} target needs 2r >= {f.degree()}")
-    if p.degree() > 2 * r:
-        raise DegreeTooLowError(f"degree {p.degree()} perturbation needs 2r >= {p.degree()}")
+    _check_degrees(f, p, r)
     if f.n_vars != system.n_vars:
         raise DimensionMismatchError(
             f"target has {f.n_vars} variables, system has {system.n_vars}")
@@ -283,15 +275,8 @@ def epsilon_star_preorder(
     system_n, _ = _normalized_system(system)
     _, kept, problem = _product_blocks(f, p, system_n, r, None)
     sol = solve(problem, settings)
-    if sol.status is not SolveStatus.OPTIMAL:
-        raise SolverFailureError(
-            f"solver returned {sol.status.value} for the preorder weight program at r={r}",
-            sol)
+    gap = _weight_gap(sol, "preorder weight program", r)
     min_eps = sol.dual_objective
-    gap = abs(sol.primal_objective - sol.dual_objective)
-    if gap > 1e-6:
-        raise SolverFailureError(
-            f"preorder primal and moment optima disagree by {gap:.3e}", sol)
     # T_gamma outside the parity span carry no constraint: L(T_gamma) = 0
     gammas = multidegrees_upto(f.n_vars, 2 * r)
     on_t = dict.fromkeys(gammas, 0.0)
@@ -327,14 +312,6 @@ def _normalized_system(
         gens, system.assert_moment_problem, system.note), norms
 
 
-def _term_norm(e: Tuple[int, ...], norms: List[float]) -> float:
-    out = 1.0
-    for ei, c in zip(e, norms):
-        if ei:
-            out *= c
-    return out
-
-
 @dataclass
 class PreorderTerm:
     exponents: Tuple[int, ...]
@@ -346,9 +323,9 @@ class PreorderTerm:
 class PreorderCertificate:
     """Explicit decomposition f + eps*p = sum_e sigma_e * g^e.
 
-    residual_linf compares the reconstruction, assembled from the extracted
-    squares of every sigma_e by plain polynomial arithmetic, against the
-    target; nothing is taken from the solver on trust.
+    residual_linf compares the reconstruction from the extracted squares
+    of every sigma_e times its product with the target (`sos._residual`);
+    nothing is taken from the solver on trust.
     """
 
     r: int
@@ -360,8 +337,6 @@ class PreorderCertificate:
     terms: List[PreorderTerm]
     residual_linf: float
     warnings: List[str]
-    verifies: bool                  # residual_linf within DEFAULT_RESIDUAL_TOL
-    target: Polynomial = field(repr=False)
 
     def to_obj(self) -> dict:
         return {
@@ -384,16 +359,6 @@ class PreorderCertificate:
         }
 
 
-def _reconstruct(terms: Sequence[PreorderTerm], n_vars: int) -> Polynomial:
-    total = Polynomial.zero(n_vars)
-    for t in terms:
-        sigma = Polynomial.zero(n_vars)
-        for h in t.sigma.squares:
-            sigma = sigma + h * h
-        total = total + sigma * t.product
-    return total
-
-
 def _sigma_certificate(
     basis: MonomialBasis, gram_t: np.ndarray, clip_tol: float
 ) -> GramCertificate:
@@ -407,13 +372,16 @@ def _sigma_certificate(
     """
     P = chebyshev.monomial_matrix(basis)
     gram = P.T @ gram_t @ P
-    target = gram_polynomial(basis, gram)
     squares = []
     for h in extract_certificate(gram_t, basis, clip_tol):
         coeffs = P.T @ np.array([h.coeff(a) for a in basis.entries])
         squares.append(Polynomial(basis.n_vars, dict(zip(basis.entries, coeffs))))
-    return GramCertificate(
-        basis, gram, squares, verify_certificate(target, squares), target)
+    # the squares against the Gram form they were extracted from
+    one = Polynomial.constant(basis.n_vars, 1.0)
+    exponents, values = _gram_form(one, basis.entries, gram)
+    residual = _residual(Polynomial.zero(basis.n_vars),
+                         [_squares_form(one, squares), (exponents, -values)])
+    return GramCertificate(basis, gram, squares, residual)
 
 
 def _kind_annotation(kind: PerturbationKind, n_vars: int) -> str:
@@ -437,61 +405,36 @@ def membership(
 ) -> PreorderCertificate:
     """Search the smallest degree at which f + eps*p_r decomposes.
 
-    Runs the weight program at each degree; at the first degree whose
-    minimal weight is covered by eps, re-solves the feasibility program for
-    the requested weight and extracts per-product square decompositions.
+    The degree sweep of `sos._sweep` over `epsilon_star_preorder`; at the
+    first degree whose minimal weight is covered by eps, the feasibility
+    program for the requested weight is re-solved and per-product square
+    decompositions are extracted.  A re-solve that does not end Optimal
+    marks the degree "weight-ok-decomposition-failed" and the sweep goes on.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     warnings: List[str] = []
     if not system.assert_moment_problem:
         warnings.append(
             "moment problem hypothesis not asserted: the degree sweep is a "
             "best effort and may miss memberships that hold at every degree")
+    system_n, norms = _normalized_system(system)
 
-    r_start = max((f.degree() + 1) // 2, 0)
-    if kind == THETA_BIG:
-        r_start = max(r_start, 1)
-    if r_max < r_start:
-        raise ValueError(f"r_max={r_max} is below the starting degree {r_start}")
-
-    trajectory: List[dict] = []
-    for r in range(r_start, r_max + 1):
-        p = perturbation_polynomial(kind, f.n_vars, r)
-        if p.degree() > 2 * r:
-            trajectory.append({"r": r, "min_eps": None, "status": "degree-too-low"})
-            continue
-        try:
-            base = epsilon_star_preorder(f, r, p, system, settings)
-        except SolverFailureError as exc:
-            sol = exc.solution
-            status = ("infeasible"
-                      if sol is not None and sol.status is SolveStatus.PRIMAL_LIKELY_INFEASIBLE
-                      else "solver-failed")
-            trajectory.append({"r": r, "min_eps": None, "status": status})
-            continue
-        trajectory.append({"r": r, "min_eps": base.min_eps, "status": "ok"})
-        if eps < base.min_eps - SOS_DECISION_TOL:
-            continue
-
-        system_n, norms = _normalized_system(system)
+    def decompose(base: ApproximationResult, p: Polynomial) -> Optional[PreorderCertificate]:
+        r = base.r
         blocks, _, problem = _product_blocks(f, p, system_n, r, eps)
         sol = solve(problem, settings)
         if sol.status is not SolveStatus.OPTIMAL:
-            trajectory[-1]["status"] = "weight-ok-decomposition-failed"
-            continue
-
+            return None
         products = enumerate_products(system, 2 * r)
         terms = []
         for bi, (e, _normalized_product, basis, parts) in enumerate(blocks):
             gram_t = scatter(
                 len(basis), ((idx, sol.primal_blocks[k]) for k, idx in parts))
-            sigma = _sigma_certificate(basis, gram_t / _term_norm(e, norms), clip_tol)
+            norm = math.prod(c for ei, c in zip(e, norms) if ei)
+            sigma = _sigma_certificate(basis, gram_t / norm, clip_tol)
             terms.append(PreorderTerm(e, products[bi][1], sigma))
-        target = f + p.scale(eps)
-        residual = coefficient_distance(_reconstruct(terms, f.n_vars), target)
-        verifies = residual <= DEFAULT_RESIDUAL_TOL
-        if not verifies:
+        residual = _residual(f + p.scale(eps),
+                             [_squares_form(t.product, t.sigma.squares) for t in terms])
+        if residual > DEFAULT_RESIDUAL_TOL:
             warnings.append(
                 f"reconstruction residual {residual:.3e} exceeds "
                 f"{DEFAULT_RESIDUAL_TOL:g}: the monomial certificate does not "
@@ -506,34 +449,17 @@ def membership(
             terms=terms,
             residual_linf=residual,
             warnings=warnings,
-            verifies=verifies,
-            target=target,
         )
-    raise NotFoundWithinRMaxError(
-        f"no degree r <= {r_max} admits the requested weight", trajectory)
+
+    return _sweep(
+        f, eps, kind, r_max,
+        lambda r, p: epsilon_star_preorder(f, r, p, system, settings), decompose)[0]
 
 
 def verify_preorder_obj(obj: dict, target: Polynomial) -> dict:
-    """Re-check a serialized decomposition without the solver.
-
-    Both routes run on polynomial arithmetic alone: the per-term Gram forms
-    and the per-term squares are each expanded against the stored products
-    and compared with the target coefficient-wise.
-    """
-    total_gram = Polynomial.zero(target.n_vars)
-    total_squares = Polynomial.zero(target.n_vars)
-    for term in obj["terms"]:
-        product = Polynomial.from_obj(term["product"], target.n_vars)
-        basis, gram, squares = decode_gram_obj(term["sigma"], target.n_vars)
-        total_gram = total_gram + gram_polynomial(basis, gram) * product
-        sq = Polynomial.zero(target.n_vars)
-        for h in squares:
-            sq = sq + h * h
-        total_squares = total_squares + sq * product
-    residual_gram = coefficient_distance(total_gram, target)
-    residual_squares = coefficient_distance(total_squares, target)
-    return {
-        "residual_gram": residual_gram,
-        "residual_squares": residual_squares,
-        "residual_linf": max(residual_gram, residual_squares),
-    }
+    """Re-check a serialized decomposition without the solver: every term's
+    Gram form and squares, times its stored product, through the residual
+    of `sos._verify_terms`."""
+    return _verify_terms(target, [
+        (Polynomial.from_obj(term["product"], target.n_vars), term["sigma"])
+        for term in obj["terms"]])

@@ -6,19 +6,20 @@ For a target f and perturbation p of degree <= 2r, the squares-side program
 
 is assembled as one SDP: Gram blocks over the degree-r monomial basis, a
 1x1 block for eps, and one equality per monomial of degree <= 2r.  The
-weight and feasibility solves split the Gram matrix into sign-symmetry
-blocks and drop the equalities the split leaves empty (see `symmetry`);
-`build_gram_system` keeps the single block and every equality.  The
-interior-point solver returns primal and dual solutions together; the dual
-vector, negated, is exactly the optimal moment functional of the companion
+Gram matrix is split into sign-symmetry blocks and the equalities the
+split leaves empty are dropped (see `symmetry`).  The interior-point
+solver returns primal and dual solutions together; the dual vector,
+negated, is exactly the optimal moment functional of the companion
 moment-side program
 
     minimize L(f)   s.t.   L(p) <= 1,   moment matrix of L PSD,
 
 whose value is the negative of the minimal weight.  Both numbers are
 reported and their agreement (the duality gap) is checked, never assumed.
-An explicit moment-side assembly is also provided so the two programs can
-be solved independently in tests.
+
+Plain sums of squares are the preordering with the one product 1, so the
+degree sweep (`_sweep`), the check of a weight solve (`_weight_gap`) and
+the certificate residual (`_residual`) here are also those of `preorder`.
 
 eps is modeled as a 1x1 PSD block rather than a sign-free scalar: the
 moment side keeps L(p) <= 1 as an inequality (the zero form stays feasible,
@@ -31,8 +32,9 @@ strictly interior sums of squares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple, TypeVar,
+                    Union)
 
 import numpy as np
 
@@ -56,6 +58,7 @@ DEFAULT_CLIP_TOL = 1e-9
 DUALITY_GAP_TOL = 1e-6
 
 PerturbationKind = Union[str, Callable[[int, int], Polynomial]]
+T = TypeVar("T")
 
 THETA_BIG = "theta-big"
 THETA_SMALL = "theta-small"
@@ -86,7 +89,6 @@ class GramCertificate:
     gram: np.ndarray
     squares: List[Polynomial]
     residual_linf: float
-    target: Polynomial = field(repr=False)
 
     @staticmethod
     def from_gram(
@@ -102,7 +104,7 @@ class GramCertificate:
             raise NotPsdError(f"gram matrix has eigenvalue {eigmin:.3e}")
         squares = extract_certificate(gram, basis, clip_tol)
         residual = verify_certificate(target, squares)
-        return GramCertificate(basis, gram, squares, residual, target)
+        return GramCertificate(basis, gram, squares, residual)
 
     def to_obj(self) -> dict:
         n = len(self.basis)
@@ -113,19 +115,6 @@ class GramCertificate:
             "squares": [h.to_obj() for h in self.squares],
             "residual_linf": self.residual_linf,
         }
-
-
-def gram_polynomial(basis: MonomialBasis, gram: np.ndarray) -> Polynomial:
-    """Expand z^T Q z over the basis monomials z."""
-    n = len(basis)
-    terms: Dict[Multidegree, float] = {}
-    for i, a in enumerate(basis.entries):
-        for j in range(i, n):
-            b = basis.entries[j]
-            gamma = tuple(x + y for x, y in zip(a, b))
-            c = gram[i, j] if i == j else 2.0 * gram[i, j]
-            terms[gamma] = terms.get(gamma, 0.0) + float(c)
-    return Polynomial(basis.n_vars, {a: c for a, c in terms.items() if c != 0.0})
 
 
 def extract_certificate(
@@ -156,83 +145,70 @@ def extract_certificate(
     return squares
 
 
-def _residual(target: Polynomial, exponents: np.ndarray, values: np.ndarray) -> float:
-    """Max coefficient deviation of sum_k values[k] * x^exponents[k] from
-    the target, with the values summed per exponent tuple.
+# sum_k values[k] * x^exponents[k]: exponents of shape (..., n), values (...)
+Form = Tuple[np.ndarray, np.ndarray]
 
-    The one residual routine behind every certificate check: exponents
-    holds one exponent tuple per entry of values, in any shape.
+
+def _residual(target: Polynomial, forms: Sequence[Form]) -> float:
+    """Max coefficient deviation of the sum of the forms from the target,
+    with the values summed per exponent tuple.
+
+    The one residual routine behind every certificate check, plain or
+    preorder, Gram route or squares route.
     """
     n = target.n_vars
-    exponents = np.concatenate([
-        np.asarray(exponents, dtype=np.int64).reshape(-1, n),
-        np.array(list(target.terms), dtype=np.int64).reshape(-1, n)])
-    values = np.concatenate([
-        np.asarray(values, dtype=float).ravel(),
-        -np.fromiter(target.terms.values(), dtype=float, count=len(target.terms))])
+    exponents = np.concatenate(
+        [np.asarray(e, dtype=np.int64).reshape(-1, n) for e, _ in forms]
+        + [np.array(list(target.terms), dtype=np.int64).reshape(-1, n)])
+    values = np.concatenate(
+        [np.asarray(v, dtype=float).ravel() for _, v in forms]
+        + [-np.fromiter(target.terms.values(), dtype=float, count=len(target.terms))])
     if values.size == 0:
         return 0.0
     _, inverse = np.unique(exponents, axis=0, return_inverse=True)
     return float(np.max(np.abs(np.bincount(inverse.ravel(), weights=values))))
 
 
-def _gram_residual(target: Polynomial, exponents: np.ndarray, gram: np.ndarray) -> float:
-    """Residual of z^T Q z, z the monomials x^exponents[a]: entry Q[a, b]
-    lands on the exponent exponents[a] + exponents[b]."""
-    exponents = np.asarray(exponents, dtype=np.int64).reshape(-1, target.n_vars)
-    return _residual(target, exponents[:, None, :] + exponents[None, :, :], gram)
+def _gram_form(product: Polynomial, exponents: Sequence[Multidegree],
+               gram: np.ndarray) -> Form:
+    """product * z^T Q z, z the monomials x^exponents[a]: Q[a, b] times the
+    coefficient of x^k in the product lands on exponents[a] + exponents[b] + k.
+    A plain certificate is the one-term case whose product is 1."""
+    n = product.n_vars
+    exponents = np.asarray(exponents, dtype=np.int64).reshape(-1, n)
+    shifts = np.array(list(product.terms), dtype=np.int64).reshape(-1, n)
+    weights = np.fromiter(product.terms.values(), dtype=float, count=len(product.terms))
+    pairs = exponents[:, None, :] + exponents[None, :, :]
+    return (shifts[:, None, None, :] + pairs[None],
+            weights[:, None, None] * np.asarray(gram, dtype=float)[None])
 
 
-def verify_certificate(target: Polynomial, squares: Sequence[Polynomial]) -> float:
-    """Max coefficient deviation of sum(h_i^2) from the target.
-
-    With C the coefficient matrix of the squares over their joint support
-    z, sum(h_i^2) = z^T (C^T C) z, summed over index pairs by `_residual`.
-    Independent of any solver output.
-    """
+def _squares_form(product: Polynomial, squares: Sequence[Polynomial]) -> Form:
+    """product * sum(h_i^2): with C the coefficient matrix of the squares
+    over their joint support z, sum(h_i^2) = z^T (C^T C) z."""
     for h in squares:
-        if h.n_vars != target.n_vars:
+        if h.n_vars != product.n_vars:
             raise DimensionMismatchError(
-                f"square has {h.n_vars} variables, target has {target.n_vars}")
+                f"square has {h.n_vars} variables, target has {product.n_vars}")
     support = list(dict.fromkeys(a for h in squares for a in h.terms))
     index = {a: k for k, a in enumerate(support)}
     coeffs = np.zeros((len(squares), len(support)))
     for row, h in enumerate(squares):
         for a, c in h.terms.items():
             coeffs[row, index[a]] = c
-    return _gram_residual(target, np.array(support), coeffs.T @ coeffs)
+    return _gram_form(product, support, coeffs.T @ coeffs)
+
+
+def verify_certificate(target: Polynomial, squares: Sequence[Polynomial]) -> float:
+    """Max coefficient deviation of sum(h_i^2) from the target.
+
+    Independent of any solver output.
+    """
+    one = Polynomial.constant(target.n_vars, 1.0)
+    return _residual(target, [_squares_form(one, squares)])
 
 
 # -- SDP assembly --------------------------------------------------------------
-
-
-def build_gram_system(f: Polynomial, p: Polynomial, r: int) -> SdpProblem:
-    """Squares-side SDP for f + eps*p at basis degree r.
-
-    Block 0 is the Gram matrix over the degree-r basis, block 1 the 1x1 eps
-    block; one equality per monomial of degree <= 2r, ordered graded lex.
-    """
-    if p.n_vars != f.n_vars:
-        raise DimensionMismatchError(
-            f"target has {f.n_vars} variables, perturbation has {p.n_vars}")
-    if f.degree() > 2 * r:
-        raise DegreeTooLowError(f"degree {f.degree()} target needs 2r >= {f.degree()}")
-    if p.degree() > 2 * r:
-        raise DegreeTooLowError(f"degree {p.degree()} perturbation needs 2r >= {p.degree()}")
-    basis = MonomialBasis.build(f.n_vars, r)
-    n = len(basis)
-    pairs = _pair_map(basis)
-
-    rows = []
-    for gamma in multidegrees_upto(f.n_vars, 2 * r):
-        i, j = zip(*pairs[gamma])
-        blocks = {0: (i, j, [1.0] * len(i))}
-        p_coeff = p.coeff(gamma)
-        if p_coeff != 0.0:
-            blocks[1] = ([0], [0], [-p_coeff])
-        rows.append(ConstraintRow(blocks, None, f.coeff(gamma)))
-    return SdpProblem.from_rows(
-        [n, 1], 0, rows, objective_blocks={1: np.array([[1.0]])})
 
 
 def _pair_map(basis: MonomialBasis) -> Dict[Multidegree, List[Tuple[int, int]]]:
@@ -342,44 +318,6 @@ class _ReducedGram:
         return MomentVector(n_vars, order, values)
 
 
-def build_moment_system(f: Polynomial, p: Polynomial, r: int) -> SdpProblem:
-    """Moment-side SDP: minimize L(f) with L(p) <= 1 and PSD moment matrix.
-
-    The moment values y_gamma are free scalars tied to the entries of the
-    PSD moment-matrix block; the slack of L(p) <= 1 is a 1x1 block.  Solved
-    independently, its optimal value must be the negative of the squares-side
-    value; tests rely on that cross-check.
-    """
-    if p.n_vars != f.n_vars:
-        raise DimensionMismatchError(
-            f"target has {f.n_vars} variables, perturbation has {p.n_vars}")
-    if f.degree() > 2 * r or p.degree() > 2 * r:
-        raise DegreeTooLowError("degree exceeds 2r")
-    basis = MonomialBasis.build(f.n_vars, r)
-    gammas = multidegrees_upto(f.n_vars, 2 * r)
-    gamma_index = {g: i for i, g in enumerate(gammas)}
-    n = len(basis)
-    k = len(gammas)
-
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            gamma = tuple(x + y for x, y in zip(basis.entries[i], basis.entries[j]))
-            free = np.zeros(k)
-            free[gamma_index[gamma]] = -1.0
-            entry = ([i], [j], [1.0 if i == j else 0.5])
-            rows.append(ConstraintRow({0: entry}, free, 0.0))
-    free = np.zeros(k)
-    for gamma, c in p.terms.items():
-        free[gamma_index[gamma]] = c
-    rows.append(ConstraintRow({1: ([0], [0], [1.0])}, free, 1.0))
-
-    objective_free = np.zeros(k)
-    for gamma, c in f.terms.items():
-        objective_free[gamma_index[gamma]] = c
-    return SdpProblem.from_rows([n, 1], k, rows, {}, objective_free)
-
-
 # -- results -------------------------------------------------------------------
 
 
@@ -414,6 +352,28 @@ class ApproximationResult:
         return obj
 
 
+def _check_degrees(f: Polynomial, p: Polynomial, r: int) -> None:
+    if p.n_vars != f.n_vars:
+        raise DimensionMismatchError(
+            f"target has {f.n_vars} variables, perturbation has {p.n_vars}")
+    for what, q in (("target", f), ("perturbation", p)):
+        if q.degree() > 2 * r:
+            raise DegreeTooLowError(f"degree {q.degree()} {what} needs 2r >= {q.degree()}")
+
+
+def _weight_gap(sol: SdpSolution, program: str, r: int) -> float:
+    """Duality gap of a weight solve, which must end Optimal with the
+    squares-side and moment-side optima within DUALITY_GAP_TOL."""
+    if sol.status is not SolveStatus.OPTIMAL:
+        raise SolverFailureError(
+            f"solver returned {sol.status.value} for the {program} at r={r}", sol)
+    gap = abs(sol.primal_objective - sol.dual_objective)
+    if gap > DUALITY_GAP_TOL:
+        raise SolverFailureError(
+            f"squares-side and moment-side optima disagree by {gap:.3e}", sol)
+    return gap
+
+
 def _infeasible_failure(gamma: Optional[Multidegree], r: int) -> SolverFailureError:
     sol = SdpSolution(
         status=SolveStatus.PRIMAL_LIKELY_INFEASIBLE,
@@ -441,38 +401,22 @@ def epsilon_star(
     and reinstated as zeros afterwards; moment values whose matching
     constraint was trivially satisfied are reported as zero.
     """
-    if p.n_vars != f.n_vars:
-        raise DimensionMismatchError(
-            f"target has {f.n_vars} variables, perturbation has {p.n_vars}")
-    if f.degree() > 2 * r:
-        raise DegreeTooLowError(f"degree {f.degree()} target needs 2r >= {f.degree()}")
-    if p.degree() > 2 * r:
-        raise DegreeTooLowError(f"degree {p.degree()} perturbation needs 2r >= {p.degree()}")
+    _check_degrees(f, p, r)
     reduced = _ReducedGram(f, p, r)
     if reduced.infeasible_gamma is not None or reduced.problem is None:
         raise _infeasible_failure(reduced.infeasible_gamma, r)
     sol = solve(reduced.problem, settings)
-    if sol.status is not SolveStatus.OPTIMAL:
-        raise SolverFailureError(
-            f"solver returned {sol.status.value} for the weight program at r={r}",
-            sol)
+    gap = _weight_gap(sol, "weight program", r)
     min_eps = sol.dual_objective
-    eps_star_value = -min_eps
-    gap = abs(sol.primal_objective - sol.dual_objective)
-    if gap > DUALITY_GAP_TOL:
-        raise SolverFailureError(
-            f"squares-side and moment-side optima disagree by {gap:.3e}", sol)
-    target = f + p.scale(min_eps)
-    gram = reduced.expand_gram(sol.primal_blocks)
-    moments = reduced.expand_dual(sol.dual_vector, 2 * r, f.n_vars)
     certificate = GramCertificate.from_gram(
-        reduced.full_basis, gram, target, clip_tol)
+        reduced.full_basis, reduced.expand_gram(sol.primal_blocks),
+        f + p.scale(min_eps), clip_tol)
     return ApproximationResult(
         r=r,
-        eps_star=eps_star_value,
+        eps_star=-min_eps,
         min_eps=min_eps,
         certificate=certificate,
-        dual_moments=moments,
+        dual_moments=reduced.expand_dual(sol.dual_vector, 2 * r, f.n_vars),
         gap=gap,
     )
 
@@ -494,7 +438,7 @@ def is_sos(
     """
     if f.is_zero:
         basis = MonomialBasis.build(f.n_vars, 0)
-        return True, GramCertificate(basis, np.zeros((1, 1)), [], 0.0, f)
+        return True, GramCertificate(basis, np.zeros((1, 1)), [], 0.0)
     if f.degree() % 2 == 1:
         return False, None
     r = f.degree() // 2
@@ -566,19 +510,24 @@ def _lift_certificate(
     return GramCertificate.from_gram(basis, base.certificate.gram, target, clip_tol)
 
 
-def minimal_r(
+def _sweep(
     f: Polynomial,
     eps: float,
     kind: PerturbationKind,
     r_max: int,
-    settings: SolverSettings = SolverSettings(),
-    clip_tol: float = DEFAULT_CLIP_TOL,
-) -> ApproximationResult:
-    """Smallest r <= r_max at which eps covers the minimal weight.
+    weight: Callable[[int, Polynomial], ApproximationResult],
+    decompose: Callable[[ApproximationResult, Polynomial], Optional[T]],
+) -> Tuple[T, List[dict]]:
+    """The degree sweep behind `minimal_r` and `preorder.membership`.
 
-    Scans r upward from ceil(deg f / 2) one step at a time, recording the
-    minimal weight at every degree tried; the trajectory rides along on the
-    result (and on the failure exception, so callers can inspect the trend).
+    Scans r upward from ceil(deg f / 2) one step at a time and solves the
+    weight program weight(r, p_r) at every degree, recording one
+    trajectory entry per degree: its minimal weight, or why it has none.
+    At the first degree whose minimal weight eps covers, decompose(base,
+    p_r) builds the answer; when it returns None the degree is marked
+    "weight-ok-decomposition-failed" and the sweep goes on.  Returns the
+    answer and the trajectory; the failure exception carries the
+    trajectory too, so callers can inspect the trend.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -595,30 +544,50 @@ def minimal_r(
             trajectory.append({"r": r, "min_eps": None, "status": "degree-too-low"})
             continue
         try:
-            base = epsilon_star(f, r, p, settings, clip_tol)
+            base = weight(r, p)
         except SolverFailureError as exc:
             sol = exc.solution
-            if sol is not None and sol.status is SolveStatus.PRIMAL_LIKELY_INFEASIBLE:
-                trajectory.append({"r": r, "min_eps": None, "status": "infeasible"})
-            else:
-                # an undecided degree does not block the sweep; the next
-                # degree is usually better conditioned
-                trajectory.append({"r": r, "min_eps": None, "status": "solver-failed"})
+            # an undecided degree does not block the sweep; the next
+            # degree is usually better conditioned
+            status = ("infeasible"
+                      if sol is not None and sol.status is SolveStatus.PRIMAL_LIKELY_INFEASIBLE
+                      else "solver-failed")
+            trajectory.append({"r": r, "min_eps": None, "status": status})
             continue
         trajectory.append({"r": r, "min_eps": base.min_eps, "status": "ok"})
-        if eps >= base.min_eps - SOS_DECISION_TOL:
-            certificate = _lift_certificate(base, f, p, eps, settings, clip_tol)
-            return ApproximationResult(
-                r=r,
-                eps_star=base.eps_star,
-                min_eps=base.min_eps,
-                certificate=certificate,
-                dual_moments=base.dual_moments,
-                gap=base.gap,
-                trajectory=trajectory,
-            )
+        if eps < base.min_eps - SOS_DECISION_TOL:
+            continue
+        found = decompose(base, p)
+        if found is None:
+            trajectory[-1]["status"] = "weight-ok-decomposition-failed"
+            continue
+        return found, trajectory
     raise NotFoundWithinRMaxError(
         f"no degree r <= {r_max} admits weight eps={eps}", trajectory)
+
+
+def minimal_r(
+    f: Polynomial,
+    eps: float,
+    kind: PerturbationKind,
+    r_max: int,
+    settings: SolverSettings = SolverSettings(),
+    clip_tol: float = DEFAULT_CLIP_TOL,
+) -> ApproximationResult:
+    """Smallest r <= r_max at which eps covers the minimal weight.
+
+    The degree sweep of `_sweep` over `epsilon_star`; the trajectory rides
+    along on the result.  The certificate is lifted from the minimal
+    weight to eps (see `_lift_certificate`).
+    """
+    def lift(base: ApproximationResult, p: Polynomial) -> ApproximationResult:
+        return replace(base, certificate=_lift_certificate(
+            base, f, p, eps, settings, clip_tol))
+
+    res, trajectory = _sweep(
+        f, eps, kind, r_max,
+        lambda r, p: epsilon_star(f, r, p, settings, clip_tol), lift)
+    return replace(res, trajectory=trajectory)
 
 
 def approximate_on_box(
@@ -652,15 +621,7 @@ def approximate_on_box(
     moments = MomentVector(
         f.n_vars, 2 * r,
         {a: v * l ** sum(a) for a, v in res.dual_moments.values.items()})
-    return ApproximationResult(
-        r=r,
-        eps_star=res.eps_star,
-        min_eps=res.min_eps,
-        certificate=certificate,
-        dual_moments=moments,
-        gap=res.gap,
-        trajectory=res.trajectory,
-    )
+    return replace(res, certificate=certificate, dual_moments=moments)
 
 
 # -- solver-free re-verification ------------------------------------------------
@@ -687,35 +648,35 @@ def decode_gram_obj(
     if len(lower) != n * (n + 1) // 2:
         raise ValueError("gram lower triangle has the wrong length")
     gram = np.zeros((n, n))
-    pos = 0
-    for i in range(n):
-        for j in range(i + 1):
-            gram[i, j] = gram[j, i] = float(lower[pos])
-            pos += 1
+    rows, cols = np.tril_indices(n)
+    gram[rows, cols] = gram[cols, rows] = np.asarray(lower, dtype=float)
     squares = [Polynomial.from_obj(h, n_vars) for h in obj["squares"]]
     return basis, gram, squares
 
 
-def coefficient_distance(a: Polynomial, b: Polynomial) -> float:
-    if a.n_vars != b.n_vars:
-        raise DimensionMismatchError(
-            f"operands have {a.n_vars} and {b.n_vars} variables")
-    return _residual(b, list(a.terms), list(a.terms.values()))
+def _verify_terms(target: Polynomial, terms: Sequence[Tuple[Polynomial, dict]]) -> dict:
+    """Re-check sum_t product_t * sigma_t against the target, sigma_t a
+    serialized {basis, gram, squares} object, from the stored data only.
 
-
-def verify_certificate_obj(obj: dict, target: Polynomial) -> dict:
-    """Re-check a serialized certificate against a target polynomial.
-
-    Recomputes both routes from the stored data only: the Gram form
-    z^T Q z must match the target, and the stored squares must as well.
-    Returns the two residuals and their max; raises DimensionMismatchError
-    on an incompatible basis.
+    Both routes, the Gram forms z^T Q z and the stored squares, each times
+    its product, must match the target; returns the two residuals and
+    their max.  Raises DimensionMismatchError on an incompatible basis.
     """
-    basis, gram, squares = decode_gram_obj(obj, target.n_vars)
-    residual_gram = _gram_residual(target, np.array(basis.entries), gram)
-    residual_squares = verify_certificate(target, squares)
+    gram_forms, square_forms = [], []
+    for product, sigma in terms:
+        basis, gram, squares = decode_gram_obj(sigma, target.n_vars)
+        gram_forms.append(_gram_form(product, basis.entries, gram))
+        square_forms.append(_squares_form(product, squares))
+    residual_gram = _residual(target, gram_forms)
+    residual_squares = _residual(target, square_forms)
     return {
         "residual_gram": residual_gram,
         "residual_squares": residual_squares,
         "residual_linf": max(residual_gram, residual_squares),
     }
+
+
+def verify_certificate_obj(obj: dict, target: Polynomial) -> dict:
+    """Re-check a serialized certificate against a target polynomial: the
+    one-term case of `_verify_terms`, with product 1."""
+    return _verify_terms(target, [(Polynomial.constant(target.n_vars, 1.0), obj)])

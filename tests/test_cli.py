@@ -7,7 +7,9 @@ import pytest
 from click.testing import CliRunner
 
 import sosperturb
+from sosperturb import sos
 from sosperturb.cli import main
+from sosperturb.errors import SolverFailureError
 
 MOTZKIN = "1 + x1^2*x2^2*(x1^2 + x2^2 - 3)"
 
@@ -105,6 +107,29 @@ class TestMinimalR:
         report = json.loads(res.output)
         assert report["found"] is False
         assert [t["r"] for t in report["trajectory"]] == [1, 2, 3]
+
+
+    def test_certificate_that_does_not_verify_exit_two(self, runner, tmp_path,
+                                                         monkeypatch):
+        # the odd monomial rules out the diagonal lift; the lift's re-solve
+        # ends undecided, so it falls back to the minimal-weight Gram, which
+        # misses the target by 0.5 * (eps - min_eps) * p
+        def undecided(*args, **kwargs):
+            raise SolverFailureError("undecided", None)
+
+        monkeypatch.setattr(sos, "is_sos", undecided)
+        fam = tmp_path / "fam.txt"
+        fam.write_text("2 + x1 + x1^{2r}")
+        res = invoke(runner, [
+            "minimal-r", "-n", "1", "-f", "1 - x1^2", "--eps", "0.5",
+            "--perturbation", f"custom:{fam}", "--json"])
+        assert res.exit_code == 2
+        report = json.loads(res.output)
+        assert report["found"] is False
+        assert report["status"] == "certificate-does-not-verify"
+        assert report["r"] == 2
+        assert report["residual_linf"] > 1e-6
+        assert "gram" not in report and "trajectory" not in report
 
 
 class TestApproximate:
@@ -237,6 +262,28 @@ class TestVerify:
             "verify", "-n", "2", "-f", "x1 + x2", "--certificate", str(cert),
             "--eps", "0.3"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["check-sos", "-n", "1", "-f", "(1 - x1)^2 + x1^4"],
+        ["epsilon-star", "-n", "1", "-f", "1 - x1^2", "-r", "3"],
+    ])
+    def test_one_term_preorder_certificate_same_residuals(self, runner, tmp_path, args):
+        # a plain certificate is the preorder certificate with the one
+        # product 1, and verify checks both through the same residual
+        cert = tmp_path / "cert.json"
+        assert invoke(runner, args + ["--json", "-o", str(cert)]).exit_code == 0
+        obj = json.loads(cert.read_text())
+        sigma = obj.get("certificate", obj)
+        wrapped = tmp_path / "wrapped.json"
+        wrapped.write_text(json.dumps({"r": sigma["r"], "terms": [
+            {"e": [], "product": [{"exponents": [0], "coeff": 1.0}], "sigma": sigma}]}))
+        eps = repr(obj.get("min_eps", 0.0))
+        outputs = [json.loads(invoke(runner, [
+            "verify", "-n", "1", "-f", args[4], "--certificate", str(path),
+            "--eps", eps, "--json"]).output) for path in (cert, wrapped)]
+        assert outputs[0]["residual_linf"] <= 1e-6
+        for key in ("residual_gram", "residual_squares", "residual_linf"):
+            assert outputs[0][key] == outputs[1][key]
 
     def test_preorder_certificate_verifies(self, runner, tmp_path):
         system = tmp_path / "system.txt"

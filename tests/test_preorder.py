@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
+from sosperturb import preorder
 from sosperturb.errors import (DimensionMismatchError, NotFoundWithinRMaxError,
                                TooManyGeneratorsError)
 from sosperturb.moments import moment_matrix, psd_check
@@ -11,7 +13,7 @@ from sosperturb.preorder import (SemialgebraicSystem, build_preorder_sdp,
                                  dump_system, enumerate_products,
                                  epsilon_star_preorder, load_system,
                                  membership, verify_preorder_obj)
-from sosperturb.sdp import SolveStatus, min_eigenvalue, solve
+from sosperturb.sdp import SolverSettings, SolveStatus, min_eigenvalue, solve
 from sosperturb.sos import THETA_BIG, THETA_SMALL, minimal_r
 
 INTERVAL = SemialgebraicSystem([parse("x1", 1), parse("1 - x1", 1)], True)
@@ -258,9 +260,76 @@ class TestVerifyPreorderObj:
         assert out["residual_linf"] <= 1e-6
 
     def test_tamper_detected(self):
-        cert = membership(ONE_MINUS_SQ, 0.5, THETA_SMALL, CUSP, 12)
+        # at r = 3 the generator (1 - x^2)^3 carries a sigma of its own
+        cert = membership(ONE_MINUS_SQ, 0.1, THETA_SMALL, CUSP, 12)
+        assert cert.r == 3 and cert.terms[1].product.degree() == 6
+        target = ONE_MINUS_SQ + theta_small(1, cert.r).scale(0.1)
         obj = cert.to_obj()
         obj["terms"][0]["sigma"]["gram"][0] += 1e-2
-        target = ONE_MINUS_SQ + theta_small(1, cert.r).scale(0.5)
         out = verify_preorder_obj(obj, target)
+        assert out["residual_gram"] > 1e-3
+        assert out["residual_squares"] <= 1e-6
+        obj = cert.to_obj()
+        obj["terms"][1]["sigma"]["squares"][0][0]["coeff"] += 1e-2
+        out = verify_preorder_obj(obj, target)
+        assert out["residual_gram"] <= 1e-6
+        assert out["residual_squares"] > 1e-3
         assert out["residual_linf"] > 1e-3
+
+
+TRIVIAL = SemialgebraicSystem([Polynomial.constant(1, 1.0)], True)
+
+
+def both_sweeps(f, eps, kind, r_max, settings=SolverSettings()):
+    """Trajectories of minimal_r and of membership in the trivial system,
+    both of which must find nothing."""
+    out = []
+    for sweep in (lambda: minimal_r(f, eps, kind, r_max, settings),
+                  lambda: membership(f, eps, kind, TRIVIAL, r_max, settings)):
+        with pytest.raises(NotFoundWithinRMaxError) as err:
+            sweep()
+        out.append(err.value.trajectory)
+    return out
+
+
+class TestSweepStatuses:
+    """Every status of the one degree sweep behind minimal_r and membership."""
+
+    def test_degree_too_low(self):
+        plain, pre = both_sweeps(ONE_MINUS_SQ, 0.5,
+                                 lambda n, r: Polynomial.monomial(n, (2 * r + 2,)), 3)
+        assert plain == pre == [{"r": r, "min_eps": None, "status": "degree-too-low"}
+                                for r in (1, 2, 3)]
+
+    def test_infeasible(self):
+        # -x^2 + eps*x is negative near 0 for every eps
+        plain, pre = both_sweeps(parse("-x1^2", 1), 0.5,
+                                 lambda n, r: Polynomial.monomial(n, (1,)), 2)
+        assert plain == pre == [{"r": r, "min_eps": None, "status": "infeasible"}
+                                for r in (1, 2)]
+
+    def test_solver_failed(self):
+        plain, pre = both_sweeps(ONE_MINUS_SQ, 0.5, THETA_BIG, 2,
+                                 SolverSettings(max_iterations=2))
+        assert plain == pre == [{"r": r, "min_eps": None, "status": "solver-failed"}
+                                for r in (1, 2)]
+
+    def test_weight_ok_decomposition_failed(self, monkeypatch):
+        # only membership re-solves; minimal_r lifts the certificate of
+        # its weight solve, which always gives one
+        real = preorder.solve
+
+        def failing(problem, settings=SolverSettings()):
+            sol = real(problem, settings)
+            if not any(c.any() for c in problem.C):  # the feasibility re-solve
+                return dataclasses.replace(sol, status=SolveStatus.ITERATION_LIMIT)
+            return sol
+
+        monkeypatch.setattr(preorder, "solve", failing)
+        with pytest.raises(NotFoundWithinRMaxError) as err:
+            membership(ONE_MINUS_SQ, 0.5, THETA_SMALL, CUSP, 3)
+        trajectory = err.value.trajectory
+        assert [t["status"] for t in trajectory] == [
+            "ok", "weight-ok-decomposition-failed", "weight-ok-decomposition-failed"]
+        assert trajectory[0]["min_eps"] > 0.5
+        assert trajectory[1]["min_eps"] == pytest.approx(math.sqrt(5.0) - 2.0, abs=1e-6)

@@ -9,7 +9,9 @@ from sosperturb.sdp import (ConstraintRow, SdpProblem, SolveStatus,
                             SolverSettings, _Constraints, _factorize, _Layout,
                             _schur_solver, eigendecompose, min_eigenvalue,
                             solve)
-from sosperturb.sos import _ReducedGram, build_gram_system, build_moment_system
+from sosperturb.sos import _ReducedGram
+
+from reference_programs import build_gram_system, build_moment_system
 
 CHOI_LAM = parse("x1^2*x2^2 + x1^2*x3^2 + x2^2*x3^2 + x4^4 - 4*x1*x2*x3*x4", 4)
 

@@ -12,10 +12,11 @@ from sosperturb.polynomials import MonomialBasis, Polynomial, theta_big
 from sosperturb.sdp import SolverSettings, SolveStatus, solve
 from sosperturb.sos import (DEFAULT_CLIP_TOL, THETA_BIG, THETA_SMALL,
                             _lift_certificate, _ReducedGram,
-                            approximate_on_box, build_gram_system,
-                            build_moment_system, epsilon_star,
+                            approximate_on_box, epsilon_star,
                             extract_certificate, is_sos, minimal_r,
                             verify_certificate, verify_certificate_obj)
+
+from reference_programs import build_gram_system, build_moment_system
 
 ONE_MINUS_SQ = parse("1 - x1^2", 1)
 MOTZKIN = parse("1 + x1^2*x2^2*(x1^2 + x2^2 - 3)", 2)

@@ -16,7 +16,12 @@ r = 2..15; the Motzkin polynomial with theta_big at r = 3..8; the Choi-Lam
 quartic at r = 4 and sextic at r = 6 with theta_big; the preorder weight
 programs of 1 - x1^2 on the cusp (1 - x1^2)^3 >= 0 at r = 2..29 step 3, of
 1 - x1^2 - x2^2 on the disk cusp at r = 2..7 and of the Motzkin polynomial
-on the box at r = 4..7, all with theta_small; and is_sos(Motzkin).
+on the box at r = 4..7, all with theta_small; is_sos of the Motzkin
+polynomial and of the SOS quartic (x1^2 - x2^2)^2 + (x1*x2 - 1)^2; and the
+preorder memberships of the benchmark with theta_small, whose weight solves
+and feasibility re-solves are both printed: 1 - x1^2 on the cusp at
+eps = 0.0102 (r_max 12), 1 - x1^2 - x2^2 on the disk cusp at eps = 0.08
+(r_max 8) and the Motzkin polynomial on the box at eps = 0.01 (r_max 8).
 """
 
 import hashlib
@@ -24,9 +29,9 @@ import sys
 
 import numpy as np
 
-from sosperturb import (Polynomial, SemialgebraicSystem, epsilon_star,
-                        epsilon_star_preorder, is_sos, parse, sdp, theta_big,
-                        theta_small)
+from sosperturb import (THETA_SMALL, Polynomial, SemialgebraicSystem,
+                        epsilon_star, epsilon_star_preorder, is_sos, membership,
+                        parse, sdp, theta_big, theta_small)
 from sosperturb.errors import SolverFailureError
 
 ONE_MINUS_SQ = parse("1 - x1^2", 1)
@@ -35,6 +40,7 @@ CHOI_LAM_QUARTIC = parse(
     "x1^2*x2^2 + x1^2*x3^2 + x2^2*x3^2 + x4^4 - 4*x1*x2*x3*x4", 4)
 CHOI_LAM_SEXTIC = parse("x1^4*x2^2 + x2^4*x3^2 + x3^4*x1^2 - 3*x1^2*x2^2*x3^2", 3)
 DISK = parse("1 - x1^2 - x2^2", 2)
+SOS_QUARTIC = parse("(x1^2 - x2^2)^2 + (x1*x2 - 1)^2", 2)
 CUSP = SemialgebraicSystem([parse("(1 - x1^2)^3", 1)], True)
 DISK_CUSP = SemialgebraicSystem([parse("(1 - x1^2 - x2^2)^3", 2)], True)
 BOX = SemialgebraicSystem([parse("1 - x1^2", 2), parse("1 - x2^2", 2)], True)
@@ -61,6 +67,13 @@ def ladder():
         yield f"motzkin box r={r}", lambda r=r: epsilon_star_preorder(
             MOTZKIN, r, theta_small(2, r), BOX)
     yield "is_sos motzkin", lambda: is_sos(MOTZKIN)
+    yield "is_sos sos quartic", lambda: is_sos(SOS_QUARTIC)
+    yield "membership cusp eps=0.0102", lambda: membership(
+        ONE_MINUS_SQ, 0.0102, THETA_SMALL, CUSP, 12)
+    yield "membership disk cusp eps=0.08", lambda: membership(
+        DISK, 0.08, THETA_SMALL, DISK_CUSP, 8)
+    yield "membership motzkin box eps=0.01", lambda: membership(
+        MOTZKIN, 0.01, THETA_SMALL, BOX, 8)
 
 
 def fingerprint(sol) -> str:

@@ -92,15 +92,6 @@ def times_t(alpha: Multidegree, series: ChebyshevSeries) -> ChebyshevSeries:
     return out
 
 
-def multiply(a: ChebyshevSeries, b: ChebyshevSeries) -> ChebyshevSeries:
-    """Product of two Chebyshev series, computed in the basis."""
-    out: ChebyshevSeries = {}
-    for alpha, c in a.items():
-        for gamma, v in times_t(alpha, b).items():
-            out[gamma] = out.get(gamma, 0.0) + c * v
-    return out
-
-
 def monomial_matrix(basis: MonomialBasis) -> np.ndarray:
     """P with row i holding the monomial coefficients of T_(entry i).
 

@@ -7,50 +7,45 @@ sigma_e a sum of squares and deg(sigma_e g^e) <= 2r.  Note this is the
 truncation by the degree of the individual products, which differs in
 general from intersecting the full preordering with the degree-2r space.
 
-Membership of f + eps*p is one block-diagonal SDP: a Gram block per
+Membership of f + eps*p is one block-diagonal SDP with a Gram block per
 admissible exponent tuple e, sized to the degree budget left after g^e.
-The program is stated in the tensor Chebyshev basis T_alpha of the box
-(see `chebyshev`): Gram blocks are indexed by T_alpha, and there is one
-matching constraint per Chebyshev coefficient T_gamma with |gamma| <= 2r,
-linked through T_a * T_b = (T_{a+b} + T_{|a-b|}) / 2 in each coordinate.
+It is built by the one assembly of plain sums of squares,
+`sos._ReducedGram`, with its forced-zero pruning and sign-symmetry split,
+under the matching rule `CHEBYSHEV`: Gram blocks are indexed by the tensor
+Chebyshev basis T_alpha of the box (see `chebyshev`), and one constraint
+per T_gamma with |gamma| <= 2r matches Chebyshev coefficients, linked
+through T_a * T_b = (T_{a+b} + T_{|a-b|}) / 2 in each coordinate.
 Matching monomial coefficients instead gives Hankel-type localizing blocks
-whose conditioning grows exponentially with r and stalls the solver.  Each
-Gram matrix is further split into sign-symmetry blocks (see `symmetry`),
-and the T_gamma constraints that the split leaves empty are dropped.
+whose conditioning grows exponentially with r and stalls the solver.
 
 The weight-minimizing variant adds the same 1x1 eps block as the plain
 squares engine; its dual vector, negated, is the optimal functional on the
 T_gamma subject to the localizing PSD conditions, one per admissible e.
 Results leave this module in grlex monomials through exact changes of
-basis: the blocks of a product are put back into one Gram matrix Q over
-the T_alpha, which becomes P^T Q P, with row alpha of P the monomial
-coefficients of T_alpha, and moments become L(x^beta) = sum_gamma
-C_beta,gamma L(T_gamma), with x^beta = sum_gamma C_beta,gamma T_gamma and
-L(T_gamma) = 0 for every dropped T_gamma.  Certificates, their
-verification and the file formats are the monomial ones of the plain
-engine.
+basis: a product's Gram matrix Q over the T_alpha becomes P^T Q P, with
+row alpha of P the monomial coefficients of T_alpha, and moments become
+L(x^beta) = sum_gamma C_beta,gamma L(T_gamma), with x^beta = sum_gamma
+C_beta,gamma T_gamma and L(T_gamma) = 0 for every dropped T_gamma.
+Certificates, their verification and the file formats are the monomial
+ones of the plain engine.
 """
-
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import chebyshev
 from .errors import DimensionMismatchError, TooManyGeneratorsError
-from .moments import MomentVector
 from .parsing import parse, unparse
-from .polynomials import (MonomialBasis, Multidegree, Polynomial,
-                          multidegrees_upto)
-from .sdp import ConstraintRow, SdpProblem, SolveStatus, SolverSettings, solve
-from .sos import (DEFAULT_CLIP_TOL, DEFAULT_RESIDUAL_TOL, ApproximationResult,
-                  GramCertificate, PerturbationKind, THETA_BIG, THETA_SMALL,
-                  _check_degrees, _gram_form, _residual, _squares_form, _sweep,
-                  _verify_terms, _weight_gap, extract_certificate)
-from .symmetry import ParitySpan, scatter
+from .polynomials import MonomialBasis, Polynomial
+from .sdp import SdpProblem, SolveStatus, SolverSettings, solve
+from .sos import (DEFAULT_RESIDUAL_TOL, ApproximationResult, GramCertificate,
+                  Matching, PerturbationKind, THETA_BIG, THETA_SMALL,
+                  _ReducedGram, _gram_form, _residual, _squares_form, _sweep,
+                  _verify_terms, extract_certificate)
 
 MAX_GENERATORS = 10
 
@@ -150,93 +145,27 @@ def enumerate_products(
     return out
 
 
-ProductBlock = Tuple[Tuple[int, ...], Polynomial, MonomialBasis,
-                     List[Tuple[int, List[int]]]]
+# the tensor Chebyshev basis as a matching rule of `sos._ReducedGram`; the
+# functions are looked up at call time, so patches of `chebyshev` see them
+CHEBYSHEV = Matching(
+    expand=lambda poly: chebyshev.to_chebyshev(poly),
+    times=lambda alpha, series: chebyshev.times_t(alpha, series),
+    moments=lambda values, betas: chebyshev.moments_to_monomials(values, betas),
+)
 
 
-def _product_blocks(
+def _reduced(
     f: Polynomial,
     p: Polynomial,
     system: SemialgebraicSystem,
     r: int,
     eps: Optional[float],
-) -> Tuple[List[ProductBlock], List[Multidegree], SdpProblem]:
-    """Shared assembly of the preorder programs in the tensor Chebyshev basis.
-
-    Each admissible product g^e gets a Gram matrix indexed by the T_alpha
-    with |alpha| <= (2r - deg g^e) // 2, in the graded-lex order of the
-    returned MonomialBasis, whose entries double as the Chebyshev indices.
-    That matrix is split by sign symmetry (see `symmetry`, with the span of
-    f, p and the generators) into one SDP block per coset, and each product
-    is returned as (e, product, basis, parts), parts listing the SDP block
-    index and the basis indices of every coset in order.  There is one
-    equality per T_gamma with |gamma| <= 2r whose parity lies in the span,
-    in graded-lex order; those gammas are returned as well.  The equalities
-    match Chebyshev coefficients of sum_e (T^T Q_e T) g^e against the
-    target.  Targets, perturbation and generator products are expanded in
-    the basis directly (see `chebyshev`), never by monomial arithmetic.
-
-    With eps None this is the weight program: a 1x1 eps block carrying -p,
-    objective eps, right-hand side f.  With a number it is the feasibility
-    program for f + eps*p, zero objective.
-    """
-    _check_degrees(f, p, r)
-    if f.n_vars != system.n_vars:
-        raise DimensionMismatchError(
-            f"target has {f.n_vars} variables, system has {system.n_vars}")
-    n_vars = f.n_vars
-    span = ParitySpan([f, p, *system.generators])
-    gammas = [g for g in multidegrees_upto(n_vars, 2 * r) if span.contains(g)]
-    row_of = {g: i for i, g in enumerate(gammas)}
-    row_entries: List[Dict[int, Tuple[list, list, list]]] = [{} for _ in gammas]
-    generators = [chebyshev.to_chebyshev(g) for g in system.generators]
-
-    blocks: List[ProductBlock] = []
-    sizes: List[int] = []
-    for e, product in enumerate_products(system, 2 * r):
-        # leading forms never cancel in a product, so degrees add
-        deg = sum(g.degree() for g, ei in zip(system.generators, e) if ei)
-        basis = MonomialBasis.build(n_vars, (2 * r - deg) // 2)
-        parts = [(len(sizes) + k, idx)
-                 for k, idx in enumerate(span.split(basis.entries))]
-        blocks.append((e, product, basis, parts))
-        series = {(0,) * n_vars: 1.0}
-        for g, ei in zip(generators, e):
-            if ei:
-                series = chebyshev.multiply(series, g)
-        for bi, idx in parts:
-            sizes.append(len(idx))
-            alphas = [basis.entries[a] for a in idx]
-            shifted = [chebyshev.times_t(alpha, series) for alpha in alphas]
-            for i in range(len(idx)):
-                for j in range(i, len(idx)):
-                    for gamma, c in chebyshev.times_t(alphas[j], shifted[i]).items():
-                        if c == 0.0:
-                            continue
-                        entries = row_entries[row_of[gamma]].get(bi)
-                        if entries is None:
-                            entries = row_entries[row_of[gamma]][bi] = ([], [], [])
-                        entries[0].append(i)
-                        entries[1].append(j)
-                        entries[2].append(c)
-
-    f_t, p_t = chebyshev.to_chebyshev(f), chebyshev.to_chebyshev(p)
-    objective: Dict[int, np.ndarray] = {}
-    rows = []
-    if eps is None:
-        eps_index = len(sizes)
-        sizes.append(1)
-        objective[eps_index] = np.array([[1.0]])
-    for gamma, entries in zip(gammas, row_entries):
-        if eps is None:
-            c = p_t.get(gamma, 0.0)
-            if c != 0.0:
-                entries[eps_index] = ([0], [0], [-c])
-            rhs = f_t.get(gamma, 0.0)
-        else:
-            rhs = f_t.get(gamma, 0.0) + eps * p_t.get(gamma, 0.0)
-        rows.append(ConstraintRow(entries, None, rhs))
-    return blocks, gammas, SdpProblem.from_rows(sizes, 0, rows, objective)
+) -> _ReducedGram:
+    """The preorder program of `sos._ReducedGram`: one product per
+    admissible exponent tuple of `enumerate_products`, in the order listed
+    there, matched in the tensor Chebyshev basis."""
+    products = [e for e, _ in enumerate_products(system, 2 * r)]
+    return _ReducedGram(f, p, r, eps, CHEBYSHEV, system.generators, products)
 
 
 def build_preorder_sdp(
@@ -248,10 +177,12 @@ def build_preorder_sdp(
 ) -> SdpProblem:
     """Feasibility program: does f + eps*p decompose at degree 2r?
 
-    Zero objective; one Gram block per admissible product, all in the
-    tensor Chebyshev basis of `_product_blocks`.
+    Zero objective; the Gram blocks of every admissible product, in the
+    tensor Chebyshev basis.  Raises the PrimalLikelyInfeasible
+    SolverFailureError of `sos._ReducedGram.program`, without a solve, when
+    forced-zero pruning already leaves the program infeasible.
     """
-    return _product_blocks(f, p, system, r, eps)[2]
+    return _reduced(f, p, system, r, eps).program()
 
 
 def epsilon_star_preorder(
@@ -263,34 +194,18 @@ def epsilon_star_preorder(
 ) -> ApproximationResult:
     """Minimal weight eps putting f + eps*p in the degree-2r truncation.
 
-    The program matches Chebyshev coefficients (see `_product_blocks`) on
-    generators scaled to unit max coefficient.  Its dual is the moment-side
-    problem: minimize L(f) over functionals with L(p) <= 1 whose localizing
-    matrix for every admissible product is PSD; its value is reported as
-    eps_star and cross-checked against the primal optimum.  The dual vector
-    holds -L(T_gamma); it is mapped exactly to the monomial moments
-    L(x^beta) reported in dual_moments.  No certificate is attached here;
+    The program matches Chebyshev coefficients on generators scaled to unit
+    max coefficient.  Its dual is the moment-side problem: minimize L(f)
+    over functionals with L(p) <= 1 whose localizing matrix for every
+    admissible product is PSD; its value is reported as eps_star and
+    cross-checked against the primal optimum.  The dual vector holds
+    -L(T_gamma); it is mapped exactly to the monomial moments L(x^beta)
+    reported in dual_moments.  No certificate is attached here;
     membership() builds one for a concrete weight.
     """
-    system_n, _ = _normalized_system(system)
-    _, kept, problem = _product_blocks(f, p, system_n, r, None)
-    sol = solve(problem, settings)
-    gap = _weight_gap(sol, "preorder weight program", r)
-    min_eps = sol.dual_objective
-    # T_gamma outside the parity span carry no constraint: L(T_gamma) = 0
-    gammas = multidegrees_upto(f.n_vars, 2 * r)
-    on_t = dict.fromkeys(gammas, 0.0)
-    on_t.update((g, -float(v)) for g, v in zip(kept, sol.dual_vector))
-    moments = MomentVector(
-        f.n_vars, 2 * r, chebyshev.moments_to_monomials(on_t, gammas))
-    return ApproximationResult(
-        r=r,
-        eps_star=-min_eps,
-        min_eps=min_eps,
-        certificate=None,
-        dual_moments=moments,
-        gap=gap,
-    )
+    reduced = _reduced(f, p, _normalized_system(system)[0], r, None)
+    return reduced.weight_result(solve(reduced.program(), settings),
+                                 "preorder weight program")
 
 
 def _normalized_system(
@@ -359,21 +274,19 @@ class PreorderCertificate:
         }
 
 
-def _sigma_certificate(
-    basis: MonomialBasis, gram_t: np.ndarray, clip_tol: float
-) -> GramCertificate:
+def _sigma_certificate(basis: MonomialBasis, gram_t: np.ndarray) -> GramCertificate:
     """Monomial certificate for a Gram block solved over the T_alpha.
 
     The Gram matrix maps by congruence to P^T Q P (see
     `chebyshev.monomial_matrix`).  The squares are extracted from Q itself,
-    whose spectrum clip_tol can judge without the growth of the monomial
+    whose spectrum the clipping of `extract_certificate` can judge without the growth of the monomial
     coefficients of T_alpha, and the Chebyshev coefficients c of each
     square map to the monomial coefficients P^T c.
     """
     P = chebyshev.monomial_matrix(basis)
     gram = P.T @ gram_t @ P
     squares = []
-    for h in extract_certificate(gram_t, basis, clip_tol):
+    for h in extract_certificate(gram_t, basis):
         coeffs = P.T @ np.array([h.coeff(a) for a in basis.entries])
         squares.append(Polynomial(basis.n_vars, dict(zip(basis.entries, coeffs))))
     # the squares against the Gram form they were extracted from
@@ -401,7 +314,6 @@ def membership(
     system: SemialgebraicSystem,
     r_max: int,
     settings: SolverSettings = SolverSettings(),
-    clip_tol: float = DEFAULT_CLIP_TOL,
 ) -> PreorderCertificate:
     """Search the smallest degree at which f + eps*p_r decomposes.
 
@@ -420,18 +332,18 @@ def membership(
 
     def decompose(base: ApproximationResult, p: Polynomial) -> Optional[PreorderCertificate]:
         r = base.r
-        blocks, _, problem = _product_blocks(f, p, system_n, r, eps)
-        sol = solve(problem, settings)
+        reduced = _reduced(f, p, system_n, r, eps)
+        if reduced.problem is None:
+            return None
+        sol = solve(reduced.problem, settings)
         if sol.status is not SolveStatus.OPTIMAL:
             return None
-        products = enumerate_products(system, 2 * r)
         terms = []
-        for bi, (e, _normalized_product, basis, parts) in enumerate(blocks):
-            gram_t = scatter(
-                len(basis), ((idx, sol.primal_blocks[k]) for k, idx in parts))
+        for (e, product), basis, gram_t in zip(enumerate_products(system, 2 * r),
+                                               reduced.bases,
+                                               reduced.expand_gram(sol.primal_blocks)):
             norm = math.prod(c for ei, c in zip(e, norms) if ei)
-            sigma = _sigma_certificate(basis, gram_t / norm, clip_tol)
-            terms.append(PreorderTerm(e, products[bi][1], sigma))
+            terms.append(PreorderTerm(e, product, _sigma_certificate(basis, gram_t / norm)))
         residual = _residual(f + p.scale(eps),
                              [_squares_form(t.product, t.sigma.squares) for t in terms])
         if residual > DEFAULT_RESIDUAL_TOL:

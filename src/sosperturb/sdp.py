@@ -77,6 +77,8 @@ from .errors import ConvergenceFailureError
 log = logging.getLogger(__name__)
 
 _SYMMETRY_TOL = 1e-12
+# a dual objective above this reads as a certificate of primal infeasibility
+INFEASIBILITY_THRESHOLD = 1e8
 
 
 class SolveStatus(enum.Enum):
@@ -91,15 +93,12 @@ class SolverSettings:
     gap_tolerance: float = 1e-8
     feas_tolerance: float = 1e-8
     max_iterations: int = 200
-    infeasibility_threshold: float = 1e8
     max_block_size: int = 400
     collect_trace: bool = False
 
     def __post_init__(self):
         if self.gap_tolerance <= 0 or self.feas_tolerance <= 0:
             raise ValueError("tolerances must be positive")
-        if self.infeasibility_threshold <= 0:
-            raise ValueError("infeasibility_threshold must be positive")
 
 
 # COO storage of one block's constraints: the triple (row, i, j, v), i <= j,
@@ -611,7 +610,7 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
                 and free_res <= settings.feas_tolerance):
             status = SolveStatus.OPTIMAL
             break
-        if dobj > settings.infeasibility_threshold:
+        if dobj > INFEASIBILITY_THRESHOLD:
             status = SolveStatus.PRIMAL_LIKELY_INFEASIBLE
             break
 

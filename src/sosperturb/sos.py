@@ -6,20 +6,23 @@ For a target f and perturbation p of degree <= 2r, the squares-side program
 
 is assembled as one SDP: Gram blocks over the degree-r monomial basis, a
 1x1 block for eps, and one equality per monomial of degree <= 2r.  The
-Gram matrix is split into sign-symmetry blocks and the equalities the
-split leaves empty are dropped (see `symmetry`).  The interior-point
-solver returns primal and dual solutions together; the dual vector,
-negated, is exactly the optimal moment functional of the companion
-moment-side program
+interior-point solver returns primal and dual solutions together; the
+dual vector, negated, is exactly the optimal moment functional of the
+companion moment-side program
 
     minimize L(f)   s.t.   L(p) <= 1,   moment matrix of L PSD,
 
 whose value is the negative of the minimal weight.  Both numbers are
 reported and their agreement (the duality gap) is checked, never assumed.
 
-Plain sums of squares are the preordering with the one product 1, so the
-degree sweep (`_sweep`), the check of a weight solve (`_weight_gap`) and
-the certificate residual (`_residual`) here are also those of `preorder`.
+Plain sums of squares are the preordering with the one product 1, so one
+assembly, `_ReducedGram`, builds every weight and feasibility program here
+and in `preorder`.  Only its matching rule differs: plain programs match
+monomial coefficients (`MONOMIAL`), preorder programs tensor Chebyshev
+coefficients (`preorder.CHEBYSHEV`).  Both get the same forced-zero
+pruning and sign-symmetry split (see `symmetry`), the same check of a
+weight solve, the degree sweep (`_sweep`) and the certificate residual
+(`_residual`).
 
 eps is modeled as a 1x1 PSD block rather than a sign-free scalar: the
 moment side keeps L(p) <= 1 as an inequality (the zero form stays feasible,
@@ -28,7 +31,6 @@ constrains eps to be nonnegative.  A sign-free eps would instead pair with
 the equality-constrained moment program and report negative weights for
 strictly interior sums of squares.
 """
-
 from __future__ import annotations
 
 import math
@@ -95,14 +97,13 @@ class GramCertificate:
         basis: MonomialBasis,
         gram: np.ndarray,
         target: Polynomial,
-        clip_tol: float = DEFAULT_CLIP_TOL,
     ) -> "GramCertificate":
         gram = np.asarray(gram, dtype=float)
         scale = 1.0 + np.max(np.abs(gram), initial=0.0)
         eigmin = float(np.linalg.eigvalsh(0.5 * (gram + gram.T))[0])
         if eigmin < -1e-8 * scale:
             raise NotPsdError(f"gram matrix has eigenvalue {eigmin:.3e}")
-        squares = extract_certificate(gram, basis, clip_tol)
+        squares = extract_certificate(gram, basis)
         residual = verify_certificate(target, squares)
         return GramCertificate(basis, gram, squares, residual)
 
@@ -117,15 +118,13 @@ class GramCertificate:
         }
 
 
-def extract_certificate(
-    gram: np.ndarray, basis: MonomialBasis, clip_tol: float = DEFAULT_CLIP_TOL
-) -> List[Polynomial]:
+def extract_certificate(gram: np.ndarray, basis: MonomialBasis) -> List[Polynomial]:
     """Square roots of the Gram form: eigendecompose and keep the
-    directions whose eigenvalue exceeds clip_tol times the largest."""
+    directions whose eigenvalue exceeds DEFAULT_CLIP_TOL times the largest."""
     gram = np.asarray(gram, dtype=float)
     scale = 1.0 + np.max(np.abs(gram), initial=0.0)
     w, Q = eigendecompose(gram)
-    if w[0] < -clip_tol * scale:
+    if w[0] < -DEFAULT_CLIP_TOL * scale:
         raise NotPsdError(f"gram matrix has eigenvalue {w[0]:.3e}")
     wmax = float(w[-1])
     if wmax <= 0.0:
@@ -133,7 +132,7 @@ def extract_certificate(
     squares: List[Polynomial] = []
     for idx in range(len(w) - 1, -1, -1):
         lam = float(w[idx])
-        if lam <= clip_tol * wmax:
+        if lam <= DEFAULT_CLIP_TOL * wmax:
             break
         root = math.sqrt(lam)
         terms = {
@@ -211,111 +210,207 @@ def verify_certificate(target: Polynomial, squares: Sequence[Polynomial]) -> flo
 # -- SDP assembly --------------------------------------------------------------
 
 
-def _pair_map(basis: MonomialBasis) -> Dict[Multidegree, List[Tuple[int, int]]]:
-    pairs: Dict[Multidegree, List[Tuple[int, int]]] = {}
-    n = len(basis)
-    for i in range(n):
-        for j in range(i, n):
-            gamma = tuple(x + y for x, y in zip(basis.entries[i], basis.entries[j]))
-            pairs.setdefault(gamma, []).append((i, j))
-    return pairs
+# coefficients of a polynomial in the basis functions of a matching rule
+Series = Dict[Multidegree, float]
 
 
-def _forced_zero_rows(basis: MonomialBasis, f: Polynomial, p: Polynomial) -> set:
-    """Basis rows every feasible Gram matrix must zero out.
+@dataclass(frozen=True)
+class Matching:
+    """The basis a program matches coefficients in: expand a polynomial in
+    it, multiply basis function alpha by a series, and map the values of a
+    functional on the basis functions of degree <= 2r to monomial moments."""
 
-    If a monomial gamma is absent from both f and p and, after earlier
-    eliminations, only diagonal entries can contribute to its matching
-    constraint, those diagonals are a sum of nonnegatives equal to zero and
-    their rows vanish.  Iterating to a fixed point removes the degenerate
-    directions that stall the interior-point iteration when a perturbation
-    touches only a few monomials.
+    expand: Callable[[Polynomial], Series]
+    times: Callable[[Multidegree, Series], Series]
+    moments: Callable[[Series, List[Multidegree]], Series]
+
+
+MONOMIAL = Matching(
+    expand=lambda poly: poly.terms,
+    times=lambda alpha, series: {
+        tuple(a + d for a, d in zip(alpha, delta)): c for delta, c in series.items()},
+    moments=lambda values, betas: values,
+)
+
+
+class _ReducedGram:
+    """The one assembly of every weight and feasibility program.
+
+    Each product, an exponent tuple e over the generators (plain SOS: the
+    empty product of no generators), gets a Gram matrix Q_e over the basis
+    functions of degree <= (2r - deg g^e) // 2, and one equality per basis
+    function gamma of degree <= 2r matches the coefficients of
+    sum_e (z^T Q_e z) g^e in `matching`.  With eps None this is the weight
+    program (a 1x1 eps block carrying -p, objective eps, right-hand side
+    f), with a number the feasibility program for f + eps*p.
+
+    Forced-zero pruning (`_forced_zeros`) removes Gram rows first.  Each
+    product's kept basis then splits into the cosets of the parity span of
+    f, p and the generators (see `symmetry`), one block each, ordered by
+    first kept index, then the eps block.  Equalities outside the span or
+    left empty drop; an empty one with a nonzero right-hand side makes the
+    program infeasible (infeasible_gamma set, problem None).  Gram blocks
+    and dual values expand back with zeros at the dropped positions.
     """
-    pairs = _pair_map(basis)
-    zero_gammas = [g for g in pairs
-                   if f.coeff(g) == 0.0 and p.coeff(g) == 0.0]
+
+    def __init__(self, f: Polynomial, p: Polynomial, r: int,
+                 eps: Optional[float] = None, matching: Matching = MONOMIAL,
+                 generators: Sequence[Polynomial] = (),
+                 products: Sequence[Tuple[int, ...]] = ((),)):
+        _check_degrees(f, p, r)
+        for g in generators:
+            if g.n_vars != f.n_vars:
+                raise DimensionMismatchError(
+                    f"target has {f.n_vars} variables, system has {g.n_vars}")
+        self.n_vars, self.r, self.matching = f.n_vars, r, matching
+        span = ParitySpan([f, p, *generators])
+        gammas = [g for g in multidegrees_upto(f.n_vars, 2 * r) if span.contains(g)]
+        f_s, p_s = matching.expand(f), matching.expand(p)
+        rhs = {g: f_s.get(g, 0.0) if eps is None
+               else f_s.get(g, 0.0) + eps * p_s.get(g, 0.0) for g in gammas}
+        eps_s = p_s if eps is None else {}
+
+        # entries (product, i, j, coefficient) of each equality, i <= j in
+        # one coset; times gives each gamma once per (i, j)
+        terms: Dict[Multidegree, List[Tuple[int, int, int, float]]] = {}
+        expanded = [matching.expand(g) for g in generators]
+        self.bases: List[MonomialBasis] = []
+        for k, e in enumerate(products):
+            # leading forms never cancel in a product, so degrees add
+            deg = sum(g.degree() for g, ei in zip(generators, e) if ei)
+            basis = MonomialBasis.build(f.n_vars, (2 * r - deg) // 2)
+            self.bases.append(basis)
+            series: Series = {(0,) * f.n_vars: 1.0}
+            for g, ei in zip(expanded, e):
+                if ei:
+                    series = _multiply(matching.times, series, g)
+            shifted = [matching.times(a, series) for a in basis.entries]
+            for idx in span.split(basis.entries):
+                for a, i in enumerate(idx):
+                    for j in idx[a:]:
+                        for gamma, c in matching.times(basis.entries[j], shifted[i]).items():
+                            if c != 0.0:
+                                terms.setdefault(gamma, []).append((k, i, j, c))
+        forced = _forced_zeros([terms.get(g, []) for g in gammas
+                                if rhs[g] == 0.0 and eps_s.get(g, 0.0) == 0.0])
+
+        # parts[k]: (block, basis indices) per coset; place: (k, i) -> (block, position)
+        self.parts: List[List[Tuple[int, List[int]]]] = []
+        place: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        sizes: List[int] = []
+        for k, basis in enumerate(self.bases):
+            keep = [i for i in range(len(basis)) if (k, i) not in forced]
+            self.parts.append([])
+            for part in span.split([basis.entries[i] for i in keep]):
+                idx = [keep[a] for a in part]
+                place.update(((k, i), (len(sizes), pos)) for pos, i in enumerate(idx))
+                self.parts[k].append((len(sizes), idx))
+                sizes.append(len(idx))
+        objective: Dict[int, np.ndarray] = {}
+        if eps is None:
+            objective[len(sizes)] = np.array([[1.0]])
+            sizes.append(1)
+
+        rows = []
+        self.kept_gammas: List[Multidegree] = []
+        self.infeasible_gamma: Optional[Multidegree] = None
+        for gamma in gammas:
+            entries: Dict[int, Tuple[list, list, list]] = {}
+            for k, i, j, c in terms.get(gamma, ()):
+                if (k, i) not in forced and (k, j) not in forced:
+                    block = entries.setdefault(place[k, i][0], ([], [], []))
+                    block[0].append(place[k, i][1])
+                    block[1].append(place[k, j][1])
+                    block[2].append(c)
+            if eps_s.get(gamma, 0.0) != 0.0:
+                entries[len(sizes) - 1] = ([0], [0], [-eps_s[gamma]])
+            if entries:
+                rows.append(ConstraintRow(entries, None, rhs[gamma]))
+                self.kept_gammas.append(gamma)
+            elif rhs[gamma] != 0.0:
+                self.infeasible_gamma = gamma
+        self.problem = (SdpProblem.from_rows(sizes, 0, rows, objective)
+                        if rows and self.infeasible_gamma is None else None)
+
+    def program(self) -> SdpProblem:
+        """The SDP, or, when pruning leaves none, a SolverFailureError with a
+        synthetic PrimalLikelyInfeasible solution and no solve."""
+        if self.problem is None:
+            sol = SdpSolution(
+                status=SolveStatus.PRIMAL_LIKELY_INFEASIBLE,
+                primal_blocks=[], free_values=np.zeros(0), dual_vector=np.zeros(0),
+                primal_objective=float("nan"), dual_objective=float("nan"),
+                gap=float("nan"), iterations=0)
+            what = (f"coefficient {self.infeasible_gamma} cannot be matched"
+                    if self.infeasible_gamma is not None
+                    else "no matchable coefficients remain")
+            raise SolverFailureError(
+                f"{what} at r={self.r}: the program is infeasible", sol)
+        return self.problem
+
+    def expand_gram(self, blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """One Gram matrix per product over its full basis, from the
+        solved coset blocks; a trailing eps block is ignored."""
+        return [scatter(len(basis), ((idx, blocks[bi]) for bi, idx in parts))
+                for basis, parts in zip(self.bases, self.parts)]
+
+    def weight_result(self, sol: SdpSolution, program: str) -> ApproximationResult:
+        """Minimal weight, gap and moments of a solved weight program, with
+        no certificate.  The solve must end Optimal with the squares-side
+        and moment-side optima within DUALITY_GAP_TOL.  The moments are
+        -dual on the kept gammas and zero on the dropped ones, mapped to
+        monomials."""
+        if sol.status is not SolveStatus.OPTIMAL:
+            raise SolverFailureError(
+                f"solver returned {sol.status.value} for the {program} at r={self.r}", sol)
+        gap = abs(sol.primal_objective - sol.dual_objective)
+        if gap > DUALITY_GAP_TOL:
+            raise SolverFailureError(
+                f"squares-side and moment-side optima disagree by {gap:.3e}", sol)
+        gammas = multidegrees_upto(self.n_vars, 2 * self.r)
+        values = dict.fromkeys(gammas, 0.0)
+        values.update((g, -float(v)) for g, v in zip(self.kept_gammas, sol.dual_vector))
+        moments = MomentVector(self.n_vars, 2 * self.r, self.matching.moments(values, gammas))
+        return ApproximationResult(
+            r=self.r, eps_star=-sol.dual_objective, min_eps=sol.dual_objective,
+            certificate=None, dual_moments=moments, gap=gap)
+
+
+def _multiply(times: Callable[[Multidegree, Series], Series],
+              a: Series, b: Series) -> Series:
+    """Product of two series, one basis function of a at a time, with the
+    `times` of a matching rule."""
+    out: Series = {}
+    for alpha, c in a.items():
+        for gamma, v in times(alpha, b).items():
+            out[gamma] = out.get(gamma, 0.0) + c * v
+    return out
+
+
+def _forced_zeros(rows: Sequence[Sequence[Tuple[int, int, int, float]]]) -> set:
+    """(product, basis index) positions every feasible point must zero.
+
+    Each row is an equality with zero right-hand side and no eps entry,
+    given by its entries (product, i, j, coefficient).  When the entries
+    that avoid every forced position are all diagonal with one strict
+    sign, they are a signed sum of nonnegative diagonals equal to zero, so
+    those Gram rows vanish; this repeats to a fixed point.  It is a facial
+    reduction (Loefberg, IEEE TAC 54(5), 2009) that holds in any basis, and
+    it removes the degenerate directions that stall the interior-point
+    iteration when a perturbation touches only a few coefficients.
+    """
     forced: set = set()
     changed = True
     while changed:
         changed = False
-        for gamma in zero_gammas:
-            remaining = [(i, j) for i, j in pairs[gamma]
-                         if i not in forced and j not in forced]
-            if remaining and all(i == j for i, j in remaining):
-                for i, _ in remaining:
-                    forced.add(i)
+        for row in rows:
+            left = [(k, i, j, c) for k, i, j, c in row
+                    if (k, i) not in forced and (k, j) not in forced]
+            if (left and all(i == j for _, i, j, _ in left)
+                    and (all(c > 0 for *_, c in left) or all(c < 0 for *_, c in left))):
+                forced.update((k, i) for k, i, _, _ in left)
                 changed = True
     return forced
-
-
-class _ReducedGram:
-    """Gram system with forced-zero rows removed, split by sign symmetry.
-
-    After forced-zero pruning the kept basis splits into the cosets of the
-    parity span of f and p (see `symmetry`), one Gram block each, ordered
-    by first basis index, followed by the 1x1 eps block.  A monomial
-    constraint is dropped when its parity lies outside the span, or when
-    nothing is left to match (no surviving entries and no coefficient).
-    The kept monomials are recorded so the dual vector can be expanded
-    back to the full monomial list, with zeros at dropped positions, and
-    the Gram blocks back to one matrix over the full basis.
-    """
-
-    def __init__(self, f: Polynomial, p: Polynomial, r: int):
-        full = MonomialBasis.build(f.n_vars, r)
-        forced = _forced_zero_rows(full, f, p)
-        keep = [i for i in range(len(full)) if i not in forced]
-        span = ParitySpan([f, p])
-        self.full_basis = full
-        self.cosets = [[keep[k] for k in part]
-                       for part in span.split([full.entries[i] for i in keep])]
-        self.infeasible_gamma: Optional[Multidegree] = None
-
-        # full basis index -> (block, position in the block)
-        place = {i: (bi, pos) for bi, part in enumerate(self.cosets)
-                 for pos, i in enumerate(part)}
-        eps_block = len(self.cosets)
-        pairs = _pair_map(full)
-        rows = []
-        kept_gammas = []
-        for gamma in multidegrees_upto(f.n_vars, 2 * r):
-            if not span.contains(gamma):
-                continue
-            entries: Dict[int, Tuple[list, list, list]] = {}
-            for i, j in pairs[gamma]:
-                if i in forced or j in forced:
-                    continue
-                bi, a = place[i]
-                block = entries.setdefault(bi, ([], [], []))
-                block[0].append(a)
-                block[1].append(place[j][1])
-                block[2].append(1.0)
-            p_coeff = p.coeff(gamma)
-            f_coeff = f.coeff(gamma)
-            if not entries and p_coeff == 0.0:
-                if f_coeff != 0.0:
-                    self.infeasible_gamma = gamma
-                continue
-            if p_coeff != 0.0:
-                entries[eps_block] = ([0], [0], [-p_coeff])
-            rows.append(ConstraintRow(entries, None, f_coeff))
-            kept_gammas.append(gamma)
-        self.kept_gammas = kept_gammas
-        sizes = [len(part) for part in self.cosets] + [1]
-        self.problem = (
-            SdpProblem.from_rows(sizes, 0, rows, {eps_block: np.array([[1.0]])})
-            if rows and self.infeasible_gamma is None else None)
-
-    def expand_gram(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        """Gram matrix over the full basis from the solved coset blocks;
-        a trailing eps block is ignored."""
-        return scatter(len(self.full_basis), zip(self.cosets, blocks))
-
-    def expand_dual(self, dual: np.ndarray, order: int, n_vars: int) -> MomentVector:
-        values = {g: 0.0 for g in multidegrees_upto(n_vars, order)}
-        for gamma, v in zip(self.kept_gammas, dual):
-            values[gamma] = -float(v)
-        return MomentVector(n_vars, order, values)
 
 
 # -- results -------------------------------------------------------------------
@@ -361,36 +456,11 @@ def _check_degrees(f: Polynomial, p: Polynomial, r: int) -> None:
             raise DegreeTooLowError(f"degree {q.degree()} {what} needs 2r >= {q.degree()}")
 
 
-def _weight_gap(sol: SdpSolution, program: str, r: int) -> float:
-    """Duality gap of a weight solve, which must end Optimal with the
-    squares-side and moment-side optima within DUALITY_GAP_TOL."""
-    if sol.status is not SolveStatus.OPTIMAL:
-        raise SolverFailureError(
-            f"solver returned {sol.status.value} for the {program} at r={r}", sol)
-    gap = abs(sol.primal_objective - sol.dual_objective)
-    if gap > DUALITY_GAP_TOL:
-        raise SolverFailureError(
-            f"squares-side and moment-side optima disagree by {gap:.3e}", sol)
-    return gap
-
-
-def _infeasible_failure(gamma: Optional[Multidegree], r: int) -> SolverFailureError:
-    sol = SdpSolution(
-        status=SolveStatus.PRIMAL_LIKELY_INFEASIBLE,
-        primal_blocks=[], free_values=np.zeros(0), dual_vector=np.zeros(0),
-        primal_objective=float("nan"), dual_objective=float("nan"),
-        gap=float("nan"), iterations=0)
-    what = (f"monomial {gamma} cannot be matched"
-            if gamma is not None else "no matchable monomials remain")
-    return SolverFailureError(f"{what} at r={r}: the program is infeasible", sol)
-
-
 def epsilon_star(
     f: Polynomial,
     r: int,
     p: Polynomial,
     settings: SolverSettings = SolverSettings(),
-    clip_tol: float = DEFAULT_CLIP_TOL,
 ) -> ApproximationResult:
     """Minimal weight eps making f + eps*p a sum of squares of degree 2r.
 
@@ -401,49 +471,34 @@ def epsilon_star(
     and reinstated as zeros afterwards; moment values whose matching
     constraint was trivially satisfied are reported as zero.
     """
-    _check_degrees(f, p, r)
     reduced = _ReducedGram(f, p, r)
-    if reduced.infeasible_gamma is not None or reduced.problem is None:
-        raise _infeasible_failure(reduced.infeasible_gamma, r)
-    sol = solve(reduced.problem, settings)
-    gap = _weight_gap(sol, "weight program", r)
-    min_eps = sol.dual_objective
-    certificate = GramCertificate.from_gram(
-        reduced.full_basis, reduced.expand_gram(sol.primal_blocks),
-        f + p.scale(min_eps), clip_tol)
-    return ApproximationResult(
-        r=r,
-        eps_star=-min_eps,
-        min_eps=min_eps,
-        certificate=certificate,
-        dual_moments=reduced.expand_dual(sol.dual_vector, 2 * r, f.n_vars),
-        gap=gap,
-    )
+    sol = solve(reduced.program(), settings)
+    res = reduced.weight_result(sol, "weight program")
+    return replace(res, certificate=GramCertificate.from_gram(
+        reduced.bases[0], reduced.expand_gram(sol.primal_blocks)[0],
+        f + p.scale(res.min_eps)))
 
 
 def is_sos(
     f: Polynomial,
     settings: SolverSettings = SolverSettings(),
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    clip_tol: float = DEFAULT_CLIP_TOL,
 ) -> Tuple[bool, Optional[GramCertificate]]:
     """Decide sum-of-squares membership by a pure feasibility solve.
 
     Odd degree can never be a sum of squares and returns False immediately.
     True requires an optimal solver status and an independently recomputed
-    certificate residual within residual_tol.  False means a definite
-    "no": the program is infeasible, or the certificate fails to verify.
-    A solve that ends undecided (numerical trouble, iteration limit)
-    raises SolverFailureError.
+    certificate residual within DEFAULT_RESIDUAL_TOL.  False means a
+    definite "no": the program is infeasible, or the certificate fails to
+    verify.  A solve that ends undecided (numerical trouble, iteration
+    limit) raises SolverFailureError.
     """
     if f.is_zero:
         basis = MonomialBasis.build(f.n_vars, 0)
         return True, GramCertificate(basis, np.zeros((1, 1)), [], 0.0)
     if f.degree() % 2 == 1:
         return False, None
-    r = f.degree() // 2
-    reduced = _ReducedGram(f, Polynomial.zero(f.n_vars), r)
-    if reduced.infeasible_gamma is not None or reduced.problem is None:
+    reduced = _ReducedGram(f, Polynomial.zero(f.n_vars), f.degree() // 2)
+    if reduced.problem is None:
         return False, None
     sol = solve(reduced.problem, settings)
     if sol.status is SolveStatus.PRIMAL_LIKELY_INFEASIBLE:
@@ -454,10 +509,10 @@ def is_sos(
             sol)
     try:
         certificate = GramCertificate.from_gram(
-            reduced.full_basis, reduced.expand_gram(sol.primal_blocks), f, clip_tol)
+            reduced.bases[0], reduced.expand_gram(sol.primal_blocks)[0], f)
     except NotPsdError:
         return False, None
-    if certificate.residual_linf > residual_tol:
+    if certificate.residual_linf > DEFAULT_RESIDUAL_TOL:
         return False, None
     return True, certificate
 
@@ -487,7 +542,6 @@ def _lift_certificate(
     p: Polynomial,
     eps: float,
     settings: SolverSettings,
-    clip_tol: float,
 ) -> GramCertificate:
     """Certificate for f + eps*p from the minimal-weight solve at the same r."""
     extra = max(0.0, eps - base.min_eps)
@@ -499,15 +553,15 @@ def _lift_certificate(
         for half, c in diag.items():
             idx = basis.index_of(half)
             gram[idx, idx] += extra * c
-        return GramCertificate.from_gram(basis, gram, target, clip_tol)
+        return GramCertificate.from_gram(basis, gram, target)
     try:
-        ok, cert = is_sos(target, settings, clip_tol=clip_tol)
+        ok, cert = is_sos(target, settings)
     except SolverFailureError:
         ok = False
     if ok:
         return cert
     # fall back to the minimal-weight gram; the residual stays honest
-    return GramCertificate.from_gram(basis, base.certificate.gram, target, clip_tol)
+    return GramCertificate.from_gram(basis, base.certificate.gram, target)
 
 
 def _sweep(
@@ -572,7 +626,6 @@ def minimal_r(
     kind: PerturbationKind,
     r_max: int,
     settings: SolverSettings = SolverSettings(),
-    clip_tol: float = DEFAULT_CLIP_TOL,
 ) -> ApproximationResult:
     """Smallest r <= r_max at which eps covers the minimal weight.
 
@@ -582,11 +635,11 @@ def minimal_r(
     """
     def lift(base: ApproximationResult, p: Polynomial) -> ApproximationResult:
         return replace(base, certificate=_lift_certificate(
-            base, f, p, eps, settings, clip_tol))
+            base, f, p, eps, settings))
 
     res, trajectory = _sweep(
         f, eps, kind, r_max,
-        lambda r, p: epsilon_star(f, r, p, settings, clip_tol), lift)
+        lambda r, p: epsilon_star(f, r, p, settings), lift)
     return replace(res, trajectory=trajectory)
 
 
@@ -596,7 +649,6 @@ def approximate_on_box(
     l: float,
     r_max: int,
     settings: SolverSettings = SolverSettings(),
-    clip_tol: float = DEFAULT_CLIP_TOL,
 ) -> ApproximationResult:
     """Certify f on the box [-l, l]^n via the unit-box pipeline.
 
@@ -608,7 +660,7 @@ def approximate_on_box(
     if l <= 0:
         raise ValueError(f"box scale must be positive, got {l}")
     g = scale_box(f, l)
-    res = minimal_r(g, eps, THETA_BIG, r_max, settings, clip_tol)
+    res = minimal_r(g, eps, THETA_BIG, r_max, settings)
     if l == 1.0:
         return res
     r = res.r
@@ -617,7 +669,7 @@ def approximate_on_box(
     target = f + perturbation.scale(eps)
     scale_vec = np.array([l ** (-sum(a)) for a in basis.entries])
     gram = res.certificate.gram * np.outer(scale_vec, scale_vec)
-    certificate = GramCertificate.from_gram(basis, gram, target, clip_tol)
+    certificate = GramCertificate.from_gram(basis, gram, target)
     moments = MomentVector(
         f.n_vars, 2 * r,
         {a: v * l ** sum(a) for a, v in res.dual_moments.values.items()})

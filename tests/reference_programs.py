@@ -2,16 +2,17 @@
 
 `build_gram_system` is the squares-side program as one Gram block with one
 equality per monomial, without the forced-zero pruning and sign-symmetry
-split of `sos._ReducedGram`.  `build_moment_system` is the moment-side
-program with the moment values as free variables, an oracle solved
-independently of the squares side.
+split of `sos._ReducedGram`; it enumerates its own pairs, so it shares no
+assembly code with the routine it checks.  `build_moment_system` is the
+moment-side program with the moment values as free variables, an oracle
+solved independently of the squares side.
 """
 
 import numpy as np
 
 from sosperturb.polynomials import MonomialBasis, Polynomial, multidegrees_upto
 from sosperturb.sdp import ConstraintRow, SdpProblem
-from sosperturb.sos import _check_degrees, _pair_map
+from sosperturb.sos import _check_degrees
 
 
 def build_gram_system(f: Polynomial, p: Polynomial, r: int) -> SdpProblem:
@@ -22,7 +23,10 @@ def build_gram_system(f: Polynomial, p: Polynomial, r: int) -> SdpProblem:
     """
     _check_degrees(f, p, r)
     basis = MonomialBasis.build(f.n_vars, r)
-    pairs = _pair_map(basis)
+    pairs = {}
+    for i, a in enumerate(basis.entries):
+        for j, b in enumerate(basis.entries[i:], i):
+            pairs.setdefault(tuple(x + y for x, y in zip(a, b)), []).append((i, j))
     rows = []
     for gamma in multidegrees_upto(f.n_vars, 2 * r):
         i, j = zip(*pairs[gamma])

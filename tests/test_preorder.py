@@ -308,6 +308,23 @@ class TestSweepStatuses:
         assert plain == pre == [{"r": r, "min_eps": None, "status": "infeasible"}
                                 for r in (1, 2)]
 
+    def test_infeasible_by_pruning(self, monkeypatch):
+        # x^(2r) forces x^r, down to x, which cannot match the coefficient
+        # of x1: both programs are infeasible before any solve
+        calls = []
+        real = preorder.solve
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(preorder, "solve", counted)
+        plain, pre = both_sweeps(parse("x1", 1), 0.5,
+                                 lambda n, r: Polynomial.constant(n, 1.0), 3)
+        assert plain == pre == [{"r": r, "min_eps": None, "status": "infeasible"}
+                                for r in (1, 2, 3)]
+        assert calls == []
+
     def test_solver_failed(self):
         plain, pre = both_sweeps(ONE_MINUS_SQ, 0.5, THETA_BIG, 2,
                                  SolverSettings(max_iterations=2))

@@ -10,8 +10,8 @@ from sosperturb.moments import check_lemma3, moment_matrix, psd_check
 from sosperturb.parsing import parse
 from sosperturb.polynomials import MonomialBasis, Polynomial, theta_big
 from sosperturb.sdp import SolverSettings, SolveStatus, solve
-from sosperturb.sos import (DEFAULT_CLIP_TOL, THETA_BIG, THETA_SMALL,
-                            _lift_certificate, _ReducedGram,
+from sosperturb.sos import (THETA_BIG, THETA_SMALL,
+                            _forced_zeros, _lift_certificate, _ReducedGram,
                             approximate_on_box, epsilon_star,
                             extract_certificate, is_sos, minimal_r,
                             verify_certificate, verify_certificate_obj)
@@ -98,6 +98,54 @@ class TestBuildGramSystem:
         res = epsilon_star(CHOI_LAM, 4, p)
         assert res.min_eps == pytest.approx(sol.dual_objective, abs=1e-7)
         assert res.certificate.residual_linf <= 1e-6
+
+
+def kept(reduced):
+    """Basis indices of each product that stay in the program."""
+    return [sorted(i for _, idx in parts for i in idx) for parts in reduced.parts]
+
+
+class TestForcedZeros:
+    """The pruning rule on hand-built rows (product, i, j, coefficient)."""
+
+    def test_same_sign_diagonals_forced(self):
+        assert _forced_zeros([[(0, 1, 1, 1.0), (1, 2, 2, 0.5)]]) == {(0, 1), (1, 2)}
+        assert _forced_zeros([[(0, 1, 1, -1.0), (0, 2, 2, -0.25)]]) == {(0, 1), (0, 2)}
+
+    def test_mixed_signs_not_forced(self):
+        assert _forced_zeros([[(0, 1, 1, 1.0), (0, 2, 2, -1.0)]]) == set()
+
+    def test_off_diagonal_entry_not_forced(self):
+        assert _forced_zeros([[(0, 1, 1, 1.0), (0, 1, 2, 1.0)]]) == set()
+
+    def test_fixed_point_across_rows(self):
+        # the off-diagonal entry of the first row goes once the second row
+        # forces position 2
+        rows = [[(0, 0, 2, 1.0), (0, 1, 1, 1.0)], [(0, 2, 2, 1.0)]]
+        assert _forced_zeros(rows) == {(0, 1), (0, 2)}
+
+    def test_nonzero_rhs_not_forced(self):
+        # x^4 is matched by Q[x^2, x^2] alone, but f has a coefficient there
+        reduced = _ReducedGram(parse("1 + x1^4", 1), Polynomial.constant(1, 1.0), 2)
+        assert kept(reduced) == [[0, 1, 2]]
+
+    def test_eps_entry_not_forced(self):
+        p = Polynomial.monomial(1, (4,))
+        assert kept(_ReducedGram(Polynomial.constant(1, 1.0), p, 2)) == [[0, 1, 2]]
+        # the feasibility program has no eps entry: only its rhs counts
+        assert kept(_ReducedGram(Polynomial.constant(1, 1.0), p, 2, eps=0.0)) == [[0]]
+        assert kept(_ReducedGram(Polynomial.constant(1, 1.0), p, 2, eps=0.5)) == [[0, 1, 2]]
+
+    def test_x1_chain_is_infeasible(self):
+        # x^4 forces x^2, then x^2 forces x, and x itself cannot be matched
+        reduced = _ReducedGram(parse("x1", 1), Polynomial.constant(1, 1.0), 2)
+        assert kept(reduced) == [[0]]
+        assert reduced.infeasible_gamma == (1,)
+        assert reduced.problem is None
+        with pytest.raises(SolverFailureError) as err:
+            epsilon_star(parse("x1", 1), 2, Polynomial.constant(1, 1.0))
+        assert err.value.solution.status is SolveStatus.PRIMAL_LIKELY_INFEASIBLE
+        assert err.value.solution.iterations == 0
 
 
 class TestEpsilonStar:
@@ -203,7 +251,7 @@ class TestIsSos:
         base = epsilon_star(ONE_MINUS_SQ, 2, p)
         eps = base.min_eps + 0.5
         cert = _lift_certificate(base, ONE_MINUS_SQ, p, eps,
-                                 SolverSettings(max_iterations=2), DEFAULT_CLIP_TOL)
+                                 SolverSettings(max_iterations=2))
         assert np.array_equal(cert.gram, base.certificate.gram)
         # the residual honestly shows the extra 0.5 * p, largest at its constant 2
         assert cert.residual_linf == pytest.approx(0.5 * 2.0, rel=1e-6)

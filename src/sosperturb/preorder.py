@@ -29,6 +29,7 @@ C_beta,gamma T_gamma and L(T_gamma) = 0 for every dropped T_gamma.
 Certificates, their verification and the file formats are the monomial
 ones of the plain engine.
 """
+
 from __future__ import annotations
 
 import math
@@ -145,27 +146,14 @@ def enumerate_products(
     return out
 
 
-# the tensor Chebyshev basis as a matching rule of `sos._ReducedGram`; the
+# the tensor Chebyshev basis as a matching rule of `sos._ReducedGram`, whose
+# products are the exponent tuples of `enumerate_products` in its order; the
 # functions are looked up at call time, so patches of `chebyshev` see them
 CHEBYSHEV = Matching(
     expand=lambda poly: chebyshev.to_chebyshev(poly),
     times=lambda alpha, series: chebyshev.times_t(alpha, series),
     moments=lambda values, betas: chebyshev.moments_to_monomials(values, betas),
 )
-
-
-def _reduced(
-    f: Polynomial,
-    p: Polynomial,
-    system: SemialgebraicSystem,
-    r: int,
-    eps: Optional[float],
-) -> _ReducedGram:
-    """The preorder program of `sos._ReducedGram`: one product per
-    admissible exponent tuple of `enumerate_products`, in the order listed
-    there, matched in the tensor Chebyshev basis."""
-    products = [e for e, _ in enumerate_products(system, 2 * r)]
-    return _ReducedGram(f, p, r, eps, CHEBYSHEV, system.generators, products)
 
 
 def build_preorder_sdp(
@@ -182,7 +170,8 @@ def build_preorder_sdp(
     SolverFailureError of `sos._ReducedGram.program`, without a solve, when
     forced-zero pruning already leaves the program infeasible.
     """
-    return _reduced(f, p, system, r, eps).program()
+    products = [e for e, _ in enumerate_products(system, 2 * r)]
+    return _ReducedGram(f, p, r, eps, CHEBYSHEV, system.generators, products).program()
 
 
 def epsilon_star_preorder(
@@ -203,7 +192,9 @@ def epsilon_star_preorder(
     reported in dual_moments.  No certificate is attached here;
     membership() builds one for a concrete weight.
     """
-    reduced = _reduced(f, p, _normalized_system(system)[0], r, None)
+    system_n = _normalized_system(system)[0]
+    products = [e for e, _ in enumerate_products(system_n, 2 * r)]
+    reduced = _ReducedGram(f, p, r, None, CHEBYSHEV, system_n.generators, products)
     return reduced.weight_result(solve(reduced.program(), settings),
                                  "preorder weight program")
 
@@ -332,15 +323,16 @@ def membership(
 
     def decompose(base: ApproximationResult, p: Polynomial) -> Optional[PreorderCertificate]:
         r = base.r
-        reduced = _reduced(f, p, system_n, r, eps)
+        products = enumerate_products(system, 2 * r)
+        reduced = _ReducedGram(f, p, r, eps, CHEBYSHEV, system_n.generators,
+                               [e for e, _ in products])
         if reduced.problem is None:
             return None
         sol = solve(reduced.problem, settings)
         if sol.status is not SolveStatus.OPTIMAL:
             return None
         terms = []
-        for (e, product), basis, gram_t in zip(enumerate_products(system, 2 * r),
-                                               reduced.bases,
+        for (e, product), basis, gram_t in zip(products, reduced.bases,
                                                reduced.expand_gram(sol.primal_blocks)):
             norm = math.prod(c for ei, c in zip(e, norms) if ei)
             terms.append(PreorderTerm(e, product, _sigma_certificate(basis, gram_t / norm)))

@@ -31,6 +31,7 @@ constrains eps to be nonnegative.  A sign-free eps would instead pair with
 the equality-constrained moment program and report negative weights for
 strictly interior sums of squares.
 """
+
 from __future__ import annotations
 
 import math
@@ -372,8 +373,13 @@ class _ReducedGram:
         values.update((g, -float(v)) for g, v in zip(self.kept_gammas, sol.dual_vector))
         moments = MomentVector(self.n_vars, 2 * self.r, self.matching.moments(values, gammas))
         return ApproximationResult(
-            r=self.r, eps_star=-sol.dual_objective, min_eps=sol.dual_objective,
-            certificate=None, dual_moments=moments, gap=gap)
+            r=self.r,
+            eps_star=-sol.dual_objective,
+            min_eps=sol.dual_objective,
+            certificate=None,
+            dual_moments=moments,
+            gap=gap,
+        )
 
 
 def _multiply(times: Callable[[Multidegree, Series], Series],

@@ -137,7 +137,8 @@ class TestForcedZeros:
         assert kept(_ReducedGram(Polynomial.constant(1, 1.0), p, 2, eps=0.5)) == [[0, 1, 2]]
 
     def test_x1_chain_is_infeasible(self):
-        # x^4 forces x^2, then x^2 forces x, and x itself cannot be matched
+        # the row of x^4 forces the basis element x^2, the row of x^2 then
+        # forces x, and the row of x has nothing left to match x1 with
         reduced = _ReducedGram(parse("x1", 1), Polynomial.constant(1, 1.0), 2)
         assert kept(reduced) == [[0]]
         assert reduced.infeasible_gamma == (1,)

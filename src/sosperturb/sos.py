@@ -295,16 +295,18 @@ class _ReducedGram:
         forced = _forced_zeros([terms.get(g, []) for g in gammas
                                 if rhs[g] == 0.0 and eps_s.get(g, 0.0) == 0.0])
 
-        # parts[k]: (block, basis indices) per coset; place: (k, i) -> (block, position)
+        # parts[k]: (block, basis indices) per coset; place[k]: kept basis
+        # index -> (block, position in the block)
         self.parts: List[List[Tuple[int, List[int]]]] = []
-        place: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        place: List[Dict[int, Tuple[int, int]]] = []
         sizes: List[int] = []
         for k, basis in enumerate(self.bases):
             keep = [i for i in range(len(basis)) if (k, i) not in forced]
             self.parts.append([])
+            place.append({})
             for part in span.split([basis.entries[i] for i in keep]):
                 idx = [keep[a] for a in part]
-                place.update(((k, i), (len(sizes), pos)) for pos, i in enumerate(idx))
+                place[k].update((i, (len(sizes), pos)) for pos, i in enumerate(idx))
                 self.parts[k].append((len(sizes), idx))
                 sizes.append(len(idx))
         objective: Dict[int, np.ndarray] = {}
@@ -318,10 +320,11 @@ class _ReducedGram:
         for gamma in gammas:
             entries: Dict[int, Tuple[list, list, list]] = {}
             for k, i, j, c in terms.get(gamma, ()):
-                if (k, i) not in forced and (k, j) not in forced:
-                    block = entries.setdefault(place[k, i][0], ([], [], []))
-                    block[0].append(place[k, i][1])
-                    block[1].append(place[k, j][1])
+                if i in place[k] and j in place[k]:
+                    (bi, a), (_, b) = place[k][i], place[k][j]
+                    block = entries.setdefault(bi, ([], [], []))
+                    block[0].append(a)
+                    block[1].append(b)
                     block[2].append(c)
             if eps_s.get(gamma, 0.0) != 0.0:
                 entries[len(sizes) - 1] = ([0], [0], [-eps_s[gamma]])

@@ -240,10 +240,11 @@ class _ReducedGram:
     Each product, an exponent tuple e over the generators (plain SOS: the
     empty product of no generators), gets a Gram matrix Q_e over the basis
     functions of degree <= (2r - deg g^e) // 2, and one equality per basis
-    function gamma of degree <= 2r matches the coefficients of
-    sum_e (z^T Q_e z) g^e in `matching`.  With eps None this is the weight
-    program (a 1x1 eps block carrying -p, objective eps, right-hand side
-    f), with a number the feasibility program for f + eps*p.
+    function gamma of degree <= 2r matches the coefficient of gamma in
+    sum_e (z^T Q_e z) g^e, under `matching`, against the target.  With eps
+    None this is the weight program (a 1x1 eps block carrying -p, objective
+    eps, right-hand side f), with a number the feasibility program for
+    f + eps*p.
 
     Forced-zero pruning (`_forced_zeros`) removes Gram rows first.  Each
     product's kept basis then splits into the cosets of the parity span of
@@ -287,8 +288,8 @@ class _ReducedGram:
                     series = _multiply(matching.times, series, g)
             shifted = [matching.times(a, series) for a in basis.entries]
             for idx in span.split(basis.entries):
-                for a, i in enumerate(idx):
-                    for j in idx[a:]:
+                for pos, i in enumerate(idx):
+                    for j in idx[pos:]:
                         for gamma, c in matching.times(basis.entries[j], shifted[i]).items():
                             if c != 0.0:
                                 terms.setdefault(gamma, []).append((k, i, j, c))

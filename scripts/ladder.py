@@ -17,8 +17,10 @@ quartic at r = 4 and sextic at r = 6 with theta_big; the preorder weight
 programs of 1 - x1^2 on the cusp (1 - x1^2)^3 >= 0 at r = 2..29 step 3, of
 1 - x1^2 - x2^2 on the disk cusp at r = 2..7 and of the Motzkin polynomial
 on the box at r = 4..7, all with theta_small; is_sos of the Motzkin
-polynomial and of the SOS quartic (x1^2 - x2^2)^2 + (x1*x2 - 1)^2; and the
-preorder memberships of the benchmark with theta_small, whose weight solves
+polynomial and of the SOS quartic (x1^2 - x2^2)^2 + (x1*x2 - 1)^2; the
+feasibility programs of `build_preorder_sdp` for x1 and for x1*(1 - x1) on
+the interval x1 >= 0, 1 - x1 >= 0 at r = 1 and for 1 - x1^2 on the cusp at
+r = 3, each solved as built; and the preorder memberships of the benchmark with theta_small, whose weight solves
 and feasibility re-solves are both printed: 1 - x1^2 on the cusp at
 eps = 0.0102 (r_max 12), 1 - x1^2 - x2^2 on the disk cusp at eps = 0.08
 (r_max 8) and the Motzkin polynomial on the box at eps = 0.01 (r_max 8).
@@ -30,8 +32,8 @@ import sys
 import numpy as np
 
 from sosperturb import (THETA_SMALL, Polynomial, SemialgebraicSystem,
-                        epsilon_star, epsilon_star_preorder, is_sos, membership,
-                        parse, sdp, theta_big, theta_small)
+                        build_preorder_sdp, epsilon_star, epsilon_star_preorder,
+                        is_sos, membership, parse, sdp, theta_big, theta_small)
 from sosperturb.errors import SolverFailureError
 
 ONE_MINUS_SQ = parse("1 - x1^2", 1)
@@ -44,6 +46,7 @@ SOS_QUARTIC = parse("(x1^2 - x2^2)^2 + (x1*x2 - 1)^2", 2)
 CUSP = SemialgebraicSystem([parse("(1 - x1^2)^3", 1)], True)
 DISK_CUSP = SemialgebraicSystem([parse("(1 - x1^2 - x2^2)^3", 2)], True)
 BOX = SemialgebraicSystem([parse("1 - x1^2", 2), parse("1 - x2^2", 2)], True)
+INTERVAL = SemialgebraicSystem([parse("x1", 1), parse("1 - x1", 1)], True)
 
 
 def ladder():
@@ -68,6 +71,13 @@ def ladder():
             MOTZKIN, r, theta_small(2, r), BOX)
     yield "is_sos motzkin", lambda: is_sos(MOTZKIN)
     yield "is_sos sos quartic", lambda: is_sos(SOS_QUARTIC)
+    for label, f, system, r in (("x1 interval", parse("x1", 1), INTERVAL, 1),
+                                ("x1*(1 - x1) interval", parse("x1*(1 - x1)", 1),
+                                 INTERVAL, 1),
+                                ("cusp", ONE_MINUS_SQ, CUSP, 3)):
+        # sdp.solve is looked up at call time, so the wrapped one records it
+        yield f"feasibility {label} r={r}", lambda f=f, system=system, r=r: sdp.solve(
+            build_preorder_sdp(f, 0.0, Polynomial.zero(1), system, r))
     yield "membership cusp eps=0.0102", lambda: membership(
         ONE_MINUS_SQ, 0.0102, THETA_SMALL, CUSP, 12)
     yield "membership disk cusp eps=0.08", lambda: membership(

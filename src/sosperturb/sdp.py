@@ -79,6 +79,8 @@ log = logging.getLogger(__name__)
 _SYMMETRY_TOL = 1e-12
 # a dual objective above this reads as a certificate of primal infeasibility
 INFEASIBILITY_THRESHOLD = 1e8
+# largest PSD block `solve` accepts
+MAX_BLOCK_SIZE = 400
 
 
 class SolveStatus(enum.Enum):
@@ -93,7 +95,6 @@ class SolverSettings:
     gap_tolerance: float = 1e-8
     feas_tolerance: float = 1e-8
     max_iterations: int = 200
-    max_block_size: int = 400
     collect_trace: bool = False
 
     def __post_init__(self):
@@ -530,9 +531,9 @@ def _schur_solver(M: np.ndarray):
 
 def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> SdpSolution:
     """Run the interior-point iteration on a standard-form problem."""
-    if max(problem.block_sizes) > settings.max_block_size:
+    if max(problem.block_sizes) > MAX_BLOCK_SIZE:
         raise ValueError(
-            f"largest block {max(problem.block_sizes)} exceeds cap {settings.max_block_size}")
+            f"largest block {max(problem.block_sizes)} exceeds cap {MAX_BLOCK_SIZE}")
 
     F, b, d = problem.F, problem.b, problem.d
     m = problem.n_constraints
@@ -714,7 +715,8 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
                 dX, dS, dy, du = direction(sigma * mu * Sinv - X)
                 ap_raw = max_step(Lxi, dX)
                 ad_raw = max_step(Lsi, dS)
-        except _KktFailure:
+        except (_KktFailure, np.linalg.LinAlgError):
+            # also a step-length eigvalsh that fails once S^-1 overflows
             status = SolveStatus.NUMERICAL_TROUBLE
             break
 

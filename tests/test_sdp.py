@@ -5,10 +5,10 @@ from scipy.sparse import csr_matrix
 
 from sosperturb.parsing import parse
 from sosperturb.polynomials import Polynomial, theta_big
-from sosperturb.sdp import (ConstraintRow, SdpProblem, SolveStatus,
-                            SolverSettings, _Constraints, _factorize, _Layout,
-                            _schur_solver, eigendecompose, min_eigenvalue,
-                            solve)
+from sosperturb.sdp import (MAX_BLOCK_SIZE, ConstraintRow, SdpProblem,
+                            SolveStatus, SolverSettings, _Constraints,
+                            _factorize, _Layout, _schur_solver,
+                            eigendecompose, min_eigenvalue, solve)
 from sosperturb.sos import _ReducedGram
 
 from reference_programs import build_gram_system, build_moment_system
@@ -139,9 +139,22 @@ class TestSolve:
         assert a.iterations == b.iterations
 
     def test_block_size_cap(self):
-        problem = scalar_problem()
-        with pytest.raises(ValueError):
-            solve(problem, SolverSettings(max_block_size=0))
+        size = MAX_BLOCK_SIZE + 1
+        problem = SdpProblem.from_rows(
+            [size], 0, [ConstraintRow({0: ([0], [0], [1.0])}, None, 1.0)],
+            {0: np.eye(size)})
+        with pytest.raises(ValueError, match="exceeds cap"):
+            solve(problem)
+
+    def test_step_length_eigensolver_failure_is_numerical_trouble(self, monkeypatch):
+        # eigvalsh can fail to converge once S^-1 overflows; the solve must
+        # end NumericalTrouble instead of letting LinAlgError escape
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        sol = solve(completion_problem())
+        assert sol.status is SolveStatus.NUMERICAL_TROUBLE
 
     def test_weak_duality_at_every_iterate(self):
         fixtures = [

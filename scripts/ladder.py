@@ -20,10 +20,11 @@ on the box at r = 4..7, all with theta_small; is_sos of the Motzkin
 polynomial and of the SOS quartic (x1^2 - x2^2)^2 + (x1*x2 - 1)^2; the
 feasibility programs of `build_preorder_sdp` for x1 and for x1*(1 - x1) on
 the interval x1 >= 0, 1 - x1 >= 0 at r = 1 and for 1 - x1^2 on the cusp at
-r = 3, each solved as built; and the preorder memberships of the benchmark with theta_small, whose weight solves
-and feasibility re-solves are both printed: 1 - x1^2 on the cusp at
-eps = 0.0102 (r_max 12), 1 - x1^2 - x2^2 on the disk cusp at eps = 0.08
-(r_max 8) and the Motzkin polynomial on the box at eps = 0.01 (r_max 8).
+r = 3, each solved as built; and the preorder memberships of the benchmark
+with theta_small, whose weight solves and feasibility re-solves are both
+printed: 1 - x1^2 on the cusp at eps = 0.0102 (r_max 12), 1 - x1^2 - x2^2
+on the disk cusp at eps = 0.08 (r_max 8) and the Motzkin polynomial on the
+box at eps = 0.01 (r_max 8).
 """
 
 import hashlib

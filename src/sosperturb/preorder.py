@@ -10,9 +10,10 @@ general from intersecting the full preordering with the degree-2r space.
 Membership of f + eps*p is one block-diagonal SDP with a Gram block per
 admissible exponent tuple e, sized to the degree budget left after g^e.
 It is built by the one assembly of plain sums of squares,
-`sos._ReducedGram`, with its forced-zero pruning and sign-symmetry split,
-under the matching rule `CHEBYSHEV`: Gram blocks are indexed by the tensor
-Chebyshev basis T_alpha of the box (see `chebyshev`), and one constraint
+`sos._ReducedGram`, which lists the products, scales each generator to
+unit max coefficient and applies its forced-zero pruning and sign-symmetry
+split, under the matching rule `CHEBYSHEV`: Gram blocks are indexed by the
+tensor Chebyshev basis T_alpha of the box (see `chebyshev`), and one constraint
 per T_gamma with |gamma| <= 2r matches Chebyshev coefficients, linked
 through T_a * T_b = (T_{a+b} + T_{|a-b|}) / 2 in each coordinate.
 Matching monomial coefficients instead gives Hankel-type localizing blocks
@@ -32,7 +33,6 @@ ones of the plain engine.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -45,8 +45,8 @@ from .polynomials import MonomialBasis, Polynomial
 from .sdp import SdpProblem, SolveStatus, SolverSettings, solve
 from .sos import (DEFAULT_RESIDUAL_TOL, ApproximationResult, GramCertificate,
                   Matching, PerturbationKind, THETA_BIG, THETA_SMALL,
-                  _ReducedGram, _gram_form, _residual, _squares_form, _sweep,
-                  _verify_terms, extract_certificate)
+                  _ReducedGram, _gram_form, _products, _residual,
+                  _squares_form, _sweep, _verify_terms, extract_certificate)
 
 MAX_GENERATORS = 10
 
@@ -123,21 +123,13 @@ def enumerate_products(
     system: SemialgebraicSystem, two_r: int
 ) -> List[Tuple[Tuple[int, ...], Polynomial]]:
     """Admissible exponent tuples e with deg(g^e) <= two_r and the expanded
-    products, in little-endian counting order (e_1 is the fastest bit), so
-    the trivial product e = 0 comes first.
+    products, in the assembly's order (`sos._products`): e_1 is the fastest
+    bit, so the trivial product e = 0 comes first.
 
     Distinct tuples with identical products are kept as separate entries.
     """
-    if two_r < 0:
-        raise ValueError("two_r must be >= 0")
-    s = len(system.generators)
-    degs = [g.degree() for g in system.generators]
     out: List[Tuple[Tuple[int, ...], Polynomial]] = []
-    for code in range(1 << s):
-        e = tuple((code >> i) & 1 for i in range(s))
-        deg = sum(d for d, ei in zip(degs, e) if ei)
-        if deg > two_r:
-            continue
+    for e in _products(system.generators, two_r):
         product = Polynomial.constant(system.n_vars, 1.0)
         for g, ei in zip(system.generators, e):
             if ei:
@@ -146,8 +138,7 @@ def enumerate_products(
     return out
 
 
-# the tensor Chebyshev basis as a matching rule of `sos._ReducedGram`, whose
-# products are the exponent tuples of `enumerate_products` in its order; the
+# the tensor Chebyshev basis as a matching rule of `sos._ReducedGram`; the
 # functions are looked up at call time, so patches of `chebyshev` see them
 CHEBYSHEV = Matching(
     expand=lambda poly: chebyshev.to_chebyshev(poly),
@@ -166,12 +157,13 @@ def build_preorder_sdp(
     """Feasibility program: does f + eps*p decompose at degree 2r?
 
     Zero objective; the Gram blocks of every admissible product, in the
-    tensor Chebyshev basis.  Raises the PrimalLikelyInfeasible
-    SolverFailureError of `sos._ReducedGram.program`, without a solve, when
-    forced-zero pruning already leaves the program infeasible.
+    tensor Chebyshev basis, on generators scaled to unit max coefficient:
+    the program `membership` re-solves at a covered degree.  Raises the
+    PrimalLikelyInfeasible SolverFailureError of `sos._ReducedGram.program`,
+    without a solve, when forced-zero pruning already leaves the program
+    infeasible.
     """
-    products = [e for e, _ in enumerate_products(system, 2 * r)]
-    return _ReducedGram(f, p, r, eps, CHEBYSHEV, system.generators, products).program()
+    return _ReducedGram(f, p, r, eps, CHEBYSHEV, system.generators).program()
 
 
 def epsilon_star_preorder(
@@ -183,39 +175,19 @@ def epsilon_star_preorder(
 ) -> ApproximationResult:
     """Minimal weight eps putting f + eps*p in the degree-2r truncation.
 
-    The program matches Chebyshev coefficients on generators scaled to unit
-    max coefficient.  Its dual is the moment-side problem: minimize L(f)
-    over functionals with L(p) <= 1 whose localizing matrix for every
-    admissible product is PSD; its value is reported as eps_star and
-    cross-checked against the primal optimum.  The dual vector holds
-    -L(T_gamma); it is mapped exactly to the monomial moments L(x^beta)
-    reported in dual_moments.  No certificate is attached here;
-    membership() builds one for a concrete weight.
+    The one assembly lists the products and scales the generators to unit
+    max coefficient, as for `build_preorder_sdp` and the re-solve of
+    `membership`; the program matches Chebyshev coefficients.  Its dual is
+    the moment-side problem: minimize L(f) over functionals with L(p) <= 1
+    whose localizing matrix for every admissible product is PSD; its value
+    is reported as eps_star and cross-checked against the primal optimum.
+    The dual vector holds -L(T_gamma); it is mapped exactly to the monomial
+    moments L(x^beta) reported in dual_moments.  No certificate is attached
+    here; membership() builds one for a concrete weight.
     """
-    system_n = _normalized_system(system)[0]
-    products = [e for e, _ in enumerate_products(system_n, 2 * r)]
-    reduced = _ReducedGram(f, p, r, None, CHEBYSHEV, system_n.generators, products)
+    reduced = _ReducedGram(f, p, r, None, CHEBYSHEV, system.generators)
     return reduced.weight_result(solve(reduced.program(), settings),
                                  "preorder weight program")
-
-
-def _normalized_system(
-    system: SemialgebraicSystem,
-) -> Tuple[SemialgebraicSystem, List[float]]:
-    """Generators scaled to unit max coefficient, plus the norms taken out.
-
-    The normalization factor moves into the matching sigma block and is
-    divided back out of its Gram matrix after the solve; it keeps the
-    constraint data O(1) regardless of how the generators were written.
-    """
-    gens = []
-    norms = []
-    for g in system.generators:
-        norm = max(abs(c) for c in g.terms.values())
-        gens.append(g.scale(1.0 / norm))
-        norms.append(norm)
-    return SemialgebraicSystem(
-        gens, system.assert_moment_problem, system.note), norms
 
 
 @dataclass
@@ -310,32 +282,29 @@ def membership(
 
     The degree sweep of `sos._sweep` over `epsilon_star_preorder`; at the
     first degree whose minimal weight is covered by eps, the feasibility
-    program for the requested weight is re-solved and per-product square
-    decompositions are extracted.  A re-solve that does not end Optimal
-    marks the degree "weight-ok-decomposition-failed" and the sweep goes on.
+    program for the requested weight (that of `build_preorder_sdp`) is
+    re-solved and per-product square decompositions are extracted.  A
+    re-solve that does not end Optimal marks the degree
+    "weight-ok-decomposition-failed" and the sweep goes on.
     """
     warnings: List[str] = []
     if not system.assert_moment_problem:
         warnings.append(
             "moment problem hypothesis not asserted: the degree sweep is a "
             "best effort and may miss memberships that hold at every degree")
-    system_n, norms = _normalized_system(system)
 
     def decompose(base: ApproximationResult, p: Polynomial) -> Optional[PreorderCertificate]:
         r = base.r
-        products = enumerate_products(system, 2 * r)
-        reduced = _ReducedGram(f, p, r, eps, CHEBYSHEV, system_n.generators,
-                               [e for e, _ in products])
+        reduced = _ReducedGram(f, p, r, eps, CHEBYSHEV, system.generators)
         if reduced.problem is None:
             return None
         sol = solve(reduced.problem, settings)
         if sol.status is not SolveStatus.OPTIMAL:
             return None
-        terms = []
-        for (e, product), basis, gram_t in zip(products, reduced.bases,
-                                               reduced.expand_gram(sol.primal_blocks)):
-            norm = math.prod(c for ei, c in zip(e, norms) if ei)
-            terms.append(PreorderTerm(e, product, _sigma_certificate(basis, gram_t / norm)))
+        terms = [PreorderTerm(e, product, _sigma_certificate(basis, gram_t))
+                 for (e, product), basis, gram_t in zip(
+                     enumerate_products(system, 2 * r), reduced.bases,
+                     reduced.expand_gram(sol.primal_blocks))]
         residual = _residual(f + p.scale(eps),
                              [_squares_form(t.product, t.sigma.squares) for t in terms])
         if residual > DEFAULT_RESIDUAL_TOL:

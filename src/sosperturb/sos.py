@@ -237,14 +237,16 @@ MONOMIAL = Matching(
 class _ReducedGram:
     """The one assembly of every weight and feasibility program.
 
-    Each product, an exponent tuple e over the generators (plain SOS: the
-    empty product of no generators), gets a Gram matrix Q_e over the basis
-    functions of degree <= (2r - deg g^e) // 2, and one equality per basis
-    function gamma of degree <= 2r matches the coefficient of gamma in
-    sum_e (z^T Q_e z) g^e, under `matching`, against the target.  With eps
-    None this is the weight program (a 1x1 eps block carrying -p, objective
-    eps, right-hand side f), with a number the feasibility program for
-    f + eps*p.
+    The products are the tuples e in {0,1}^s with deg g^e <= 2r of
+    `_products` (plain SOS: the empty product of no generators), over the
+    generators scaled to a largest coefficient of 1, which keeps the
+    constraint data O(1) however they were written.  Each product gets a
+    Gram matrix Q_e over the basis functions of degree <= (2r - deg g^e) //
+    2, and one equality per basis function gamma of degree <= 2r matches
+    the coefficient of gamma in sum_e (z^T Q_e z) g^e, under `matching`,
+    against the target.  With eps None this is the weight program (a 1x1
+    eps block carrying -p, objective eps, right-hand side f), with a number
+    the feasibility program for f + eps*p: zero objective, no eps block.
 
     Forced-zero pruning (`_forced_zeros`) removes Gram rows first.  Each
     product's kept basis then splits into the cosets of the parity span of
@@ -252,19 +254,24 @@ class _ReducedGram:
     first kept index, then the eps block.  Equalities outside the span or
     left empty drop; an empty one with a nonzero right-hand side makes the
     program infeasible (infeasible_gamma set, problem None).  Gram blocks
-    and dual values expand back with zeros at the dropped positions.
+    and dual values expand back with zeros at the dropped positions; a Gram
+    matrix, divided by its product's scales, multiplies the unscaled product.
     """
 
     def __init__(self, f: Polynomial, p: Polynomial, r: int,
                  eps: Optional[float] = None, matching: Matching = MONOMIAL,
-                 generators: Sequence[Polynomial] = (),
-                 products: Sequence[Tuple[int, ...]] = ((),)):
+                 generators: Sequence[Polynomial] = ()):
         _check_degrees(f, p, r)
         for g in generators:
             if g.n_vars != f.n_vars:
                 raise DimensionMismatchError(
                     f"target has {f.n_vars} variables, system has {g.n_vars}")
         self.n_vars, self.r, self.matching = f.n_vars, r, matching
+        self.products = _products(generators, 2 * r)
+        norms = [max(abs(c) for c in g.terms.values()) for g in generators]
+        generators = [g.scale(1.0 / norm) for g, norm in zip(generators, norms)]
+        self.scales = [math.prod(c for ei, c in zip(e, norms) if ei)
+                       for e in self.products]
         span = ParitySpan([f, p, *generators])
         gammas = [g for g in multidegrees_upto(f.n_vars, 2 * r) if span.contains(g)]
         f_s, p_s = matching.expand(f), matching.expand(p)
@@ -277,8 +284,7 @@ class _ReducedGram:
         terms: Dict[Multidegree, List[Tuple[int, int, int, float]]] = {}
         expanded = [matching.expand(g) for g in generators]
         self.bases: List[MonomialBasis] = []
-        for k, e in enumerate(products):
-            # leading forms never cancel in a product, so degrees add
+        for k, e in enumerate(self.products):
             deg = sum(g.degree() for g, ei in zip(generators, e) if ei)
             basis = MonomialBasis.build(f.n_vars, (2 * r - deg) // 2)
             self.bases.append(basis)
@@ -355,9 +361,10 @@ class _ReducedGram:
 
     def expand_gram(self, blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
         """One Gram matrix per product over its full basis, from the
-        solved coset blocks; a trailing eps block is ignored."""
-        return [scatter(len(basis), ((idx, blocks[bi]) for bi, idx in parts))
-                for basis, parts in zip(self.bases, self.parts)]
+        solved coset blocks, divided by the product's generator scales; a
+        trailing eps block is ignored."""
+        return [scatter(len(basis), ((idx, blocks[bi]) for bi, idx in parts)) / scale
+                for basis, parts, scale in zip(self.bases, self.parts, self.scales)]
 
     def weight_result(self, sol: SdpSolution, program: str) -> ApproximationResult:
         """Minimal weight, gap and moments of a solved weight program, with
@@ -384,6 +391,21 @@ class _ReducedGram:
             dual_moments=moments,
             gap=gap,
         )
+
+
+def _products(generators: Sequence[Polynomial], two_r: int) -> List[Tuple[int, ...]]:
+    """Exponent tuples e in {0,1}^s with deg(g^e) <= two_r, e_1 the fastest
+    bit, so the trivial product e = 0 comes first (no generators: ())."""
+    if two_r < 0:
+        raise ValueError("two_r must be >= 0")
+    degs = [g.degree() for g in generators]
+    out = []
+    for code in range(1 << len(degs)):
+        e = tuple((code >> i) & 1 for i in range(len(degs)))
+        # leading forms never cancel in a product, so degrees add
+        if sum(d for d, ei in zip(degs, e) if ei) <= two_r:
+            out.append(e)
+    return out
 
 
 def _multiply(times: Callable[[Multidegree, Series], Series],
@@ -495,6 +517,8 @@ def is_sos(
 ) -> Tuple[bool, Optional[GramCertificate]]:
     """Decide sum-of-squares membership by a pure feasibility solve.
 
+    The program is the feasibility form of the one assembly for f at
+    r = deg f / 2 (eps = 0): Gram blocks and zero objective, no eps block.
     Odd degree can never be a sum of squares and returns False immediately.
     True requires an optimal solver status and an independently recomputed
     certificate residual within DEFAULT_RESIDUAL_TOL.  False means a
@@ -507,7 +531,7 @@ def is_sos(
         return True, GramCertificate(basis, np.zeros((1, 1)), [], 0.0)
     if f.degree() % 2 == 1:
         return False, None
-    reduced = _ReducedGram(f, Polynomial.zero(f.n_vars), f.degree() // 2)
+    reduced = _ReducedGram(f, Polynomial.zero(f.n_vars), f.degree() // 2, eps=0.0)
     if reduced.problem is None:
         return False, None
     sol = solve(reduced.problem, settings)

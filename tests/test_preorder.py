@@ -14,7 +14,8 @@ from sosperturb.preorder import (SemialgebraicSystem, build_preorder_sdp,
                                  epsilon_star_preorder, load_system,
                                  membership, verify_preorder_obj)
 from sosperturb.sdp import SolverSettings, SolveStatus, min_eigenvalue, solve
-from sosperturb.sos import THETA_BIG, THETA_SMALL, minimal_r
+from sosperturb.preorder import CHEBYSHEV
+from sosperturb.sos import THETA_BIG, THETA_SMALL, _ReducedGram, minimal_r
 
 INTERVAL = SemialgebraicSystem([parse("x1", 1), parse("1 - x1", 1)], True)
 CUSP = SemialgebraicSystem([parse("(1 - x1^2)^3", 1)], True)
@@ -88,6 +89,13 @@ class TestEnumerateProducts:
         # (1,1,0) and (0,0,1) expand to the same polynomial but stay distinct
         assert prods[3][1].terms == prods[4][1].terms
 
+    def test_same_order_as_the_assembly(self):
+        system = SemialgebraicSystem(
+            [parse("x1", 2), parse("x2", 2), parse("x1*x2", 2)], True)
+        reduced = _ReducedGram(parse("1 - x1^2", 2), Polynomial.zero(2), 1,
+                               0.0, CHEBYSHEV, system.generators)
+        assert reduced.products == [e for e, _ in enumerate_products(system, 2)]
+
 
 class TestBuildPreorderSdp:
     def test_generator_itself_feasible(self):
@@ -104,6 +112,25 @@ class TestBuildPreorderSdp:
         problem = build_preorder_sdp(
             ONE_MINUS_SQ, 0.0, Polynomial.zero(1), CUSP, 3)
         assert solve(problem).status is SolveStatus.PRIMAL_LIKELY_INFEASIBLE
+
+    def test_same_program_as_the_membership_resolve(self, monkeypatch):
+        # at eps 0.1 membership re-solves at r = 3, where the cusp generator,
+        # whose largest coefficient is 3, has a Gram block of its own
+        problems = []
+
+        def recording(problem, settings=SolverSettings()):
+            problems.append(problem)
+            return solve(problem, settings)
+
+        monkeypatch.setattr(preorder, "solve", recording)
+        cert = membership(ONE_MINUS_SQ, 0.1, THETA_SMALL, CUSP, 12)
+        assert cert.r == 3
+        built = build_preorder_sdp(ONE_MINUS_SQ, 0.1, theta_small(1, 3), CUSP, 3)
+        resolved = problems[-1]
+        assert built.block_sizes == resolved.block_sizes
+        assert [a.tobytes() for a in built.A] == [a.tobytes() for a in resolved.A]
+        assert built.b.tobytes() == resolved.b.tobytes()
+        assert [c.tobytes() for c in built.C] == [c.tobytes() for c in resolved.C]
 
 
 class TestEpsilonStarPreorder:

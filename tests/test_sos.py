@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sosperturb import sos
 from sosperturb.errors import (DegreeTooLowError, DimensionMismatchError,
                                NotFoundWithinRMaxError, NotPsdError,
                                SolverFailureError)
@@ -238,6 +239,19 @@ class TestIsSos:
         above, _ = is_sos(ONE_MINUS_SQ + p.scale(res.min_eps * 1.01))
         below, _ = is_sos(ONE_MINUS_SQ + p.scale(res.min_eps * 0.9))
         assert above and not below
+
+    def test_feasibility_form_has_no_eps_block(self, monkeypatch):
+        problems = []
+
+        def recording(problem, settings=SolverSettings()):
+            problems.append(problem)
+            return solve(problem, settings)
+
+        monkeypatch.setattr(sos, "solve", recording)
+        ok, _ = is_sos(parse("(x1^2 - x2^2)^2 + (x1*x2 - 1)^2", 2))
+        assert ok
+        assert [p.block_sizes for p in problems] == [(4, 2)]
+        assert all(not c.any() for c in problems[0].C)
 
     def test_undecided_solve_raises(self):
         # an iteration cap of 2 ends the solve undecided, which is not "no"

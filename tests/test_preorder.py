@@ -9,12 +9,11 @@ from sosperturb.errors import (DimensionMismatchError, NotFoundWithinRMaxError,
 from sosperturb.moments import moment_matrix, psd_check
 from sosperturb.parsing import parse
 from sosperturb.polynomials import Polynomial, theta_big, theta_small
-from sosperturb.preorder import (SemialgebraicSystem, build_preorder_sdp,
-                                 dump_system, enumerate_products,
-                                 epsilon_star_preorder, load_system,
-                                 membership, verify_preorder_obj)
+from sosperturb.preorder import (CHEBYSHEV, SemialgebraicSystem,
+                                 build_preorder_sdp, dump_system,
+                                 enumerate_products, epsilon_star_preorder,
+                                 load_system, membership, verify_preorder_obj)
 from sosperturb.sdp import SolverSettings, SolveStatus, min_eigenvalue, solve
-from sosperturb.preorder import CHEBYSHEV
 from sosperturb.sos import THETA_BIG, THETA_SMALL, _ReducedGram, minimal_r
 
 INTERVAL = SemialgebraicSystem([parse("x1", 1), parse("1 - x1", 1)], True)

@@ -18,15 +18,15 @@ from typing import List, Optional
 
 import click
 
-from .errors import (DegreeTooLowError, DimensionMismatchError,
-                     IncompleteMomentsError, NoSamplesAcceptedError,
-                     NotFoundWithinRMaxError, NotPsdError, ParseError,
-                     SolverFailureError, TooManyGeneratorsError)
+from .errors import (ConvergenceFailureError, DegreeTooLowError,
+                     DimensionMismatchError, IncompleteMomentsError,
+                     NoSamplesAcceptedError, NotFoundWithinRMaxError,
+                     NotPsdError, ParseError, SolverFailureError,
+                     TooManyGeneratorsError)
 from .parsing import parse, unparse
 from .polynomials import Polynomial
 from .preorder import load_system, membership, verify_preorder_obj
 from .probe import run_probe
-from .sdp import SolverSettings
 from .sos import (DEFAULT_RESIDUAL_TOL, THETA_BIG, THETA_SMALL,
                   approximate_on_box, epsilon_star, is_sos, minimal_r,
                   perturbation_polynomial, verify_certificate_obj)
@@ -34,7 +34,8 @@ from .sos import (DEFAULT_RESIDUAL_TOL, THETA_BIG, THETA_SMALL,
 _USAGE_ERRORS = (
     ParseError, DimensionMismatchError, DegreeTooLowError,
     TooManyGeneratorsError, NotPsdError, IncompleteMomentsError,
-    SolverFailureError, NoSamplesAcceptedError, ValueError, OSError,
+    SolverFailureError, ConvergenceFailureError, NoSamplesAcceptedError,
+    ValueError, OSError,
 )
 
 
@@ -61,24 +62,12 @@ def _poly_options(fn):
     return fn
 
 
-def _solver_options(fn):
-    fn = click.option("--feas-tol", type=float, default=1e-8, show_default=True,
-                      help="Feasibility tolerance of the embedded solver.")(fn)
-    fn = click.option("--gap-tol", type=float, default=1e-8, show_default=True,
-                      help="Duality gap tolerance of the embedded solver.")(fn)
-    return fn
-
-
 def _output_options(fn):
     fn = click.option("-o", "--output", type=click.Path(dir_okay=False),
                       help="Write the report to a file instead of stdout.")(fn)
     fn = click.option("--json", "as_json", is_flag=True,
                       help="Emit the report as JSON.")(fn)
     return fn
-
-
-def _settings(gap_tol: float, feas_tol: float) -> SolverSettings:
-    return SolverSettings(gap_tolerance=gap_tol, feas_tolerance=feas_tol)
 
 
 def _load_poly(nvars: Optional[int], poly_text: Optional[str],
@@ -139,13 +128,12 @@ def _trajectory_lines(trajectory) -> List[str]:
 
 @main.command("check-sos")
 @_poly_options
-@_solver_options
 @_output_options
-def cmd_check_sos(nvars, poly_text, poly_file, gap_tol, feas_tol, as_json, output):
+def cmd_check_sos(nvars, poly_text, poly_file, as_json, output):
     """Decide whether a polynomial is a sum of squares."""
     try:
         f = _load_poly(nvars, poly_text, poly_file)
-        ok, cert = is_sos(f, _settings(gap_tol, feas_tol))
+        ok, cert = is_sos(f)
     except _USAGE_ERRORS as exc:
         _fail(exc)
     report = {
@@ -169,16 +157,15 @@ def cmd_check_sos(nvars, poly_text, poly_file, gap_tol, feas_tol, as_json, outpu
 @click.option("-r", "relaxation_r", type=int, required=True,
               help="Half-degree of the squares basis.")
 @click.option("--perturbation", default="theta-big", show_default=True)
-@_solver_options
 @_output_options
 def cmd_epsilon_star(nvars, poly_text, poly_file, relaxation_r, perturbation,
-                     gap_tol, feas_tol, as_json, output):
+                     as_json, output):
     """Minimal perturbation weight at a fixed degree."""
     try:
         f = _load_poly(nvars, poly_text, poly_file)
         kind, desc = _perturbation(perturbation)
         p = perturbation_polynomial(kind, f.n_vars, relaxation_r)
-        res = epsilon_star(f, relaxation_r, p, _settings(gap_tol, feas_tol))
+        res = epsilon_star(f, relaxation_r, p)
     except _USAGE_ERRORS as exc:
         _fail(exc)
     report = {
@@ -258,10 +245,9 @@ def _plain_sweep_command(f, eps, desc, r_max, as_json, output, command, sweep,
 @click.option("--eps", type=float, required=True, help="Perturbation weight.")
 @click.option("--perturbation", default="theta-big", show_default=True)
 @click.option("--r-max", type=int, default=10, show_default=True)
-@_solver_options
 @_output_options
 def cmd_minimal_r(nvars, poly_text, poly_file, eps, perturbation, r_max,
-                  gap_tol, feas_tol, as_json, output):
+                  as_json, output):
     """Smallest degree whose minimal weight is covered by eps."""
     try:
         f = _load_poly(nvars, poly_text, poly_file)
@@ -270,7 +256,7 @@ def cmd_minimal_r(nvars, poly_text, poly_file, eps, perturbation, r_max,
         _fail(exc)
     _plain_sweep_command(
         f, eps, desc, r_max, as_json, output, "minimal-r",
-        lambda: minimal_r(f, eps, kind, r_max, _settings(gap_tol, feas_tol)))
+        lambda: minimal_r(f, eps, kind, r_max))
 
 
 @main.command("approximate")
@@ -279,10 +265,9 @@ def cmd_minimal_r(nvars, poly_text, poly_file, eps, perturbation, r_max,
 @click.option("--box-scale", type=float, default=1.0, show_default=True,
               help="Half-width of the certification box [-l, l]^n.")
 @click.option("--r-max", type=int, default=10, show_default=True)
-@_solver_options
 @_output_options
 def cmd_approximate(nvars, poly_text, poly_file, eps, box_scale, r_max,
-                    gap_tol, feas_tol, as_json, output):
+                    as_json, output):
     """Certify nonnegativity on a box via the rescaled sweep."""
     try:
         f = _load_poly(nvars, poly_text, poly_file)
@@ -290,7 +275,7 @@ def cmd_approximate(nvars, poly_text, poly_file, eps, box_scale, r_max,
         _fail(exc)
     _plain_sweep_command(
         f, eps, {"kind": "theta-big"}, r_max, as_json, output, "approximate",
-        lambda: approximate_on_box(f, eps, box_scale, r_max, _settings(gap_tol, feas_tol)),
+        lambda: approximate_on_box(f, eps, box_scale, r_max),
         {"box_scale": box_scale})
 
 
@@ -303,10 +288,9 @@ def cmd_approximate(nvars, poly_text, poly_file, eps, box_scale, r_max,
               type=click.Path(exists=True, dir_okay=False),
               help="Semialgebraic system description file.")
 @click.option("--r-max", type=int, default=10, show_default=True)
-@_solver_options
 @_output_options
 def cmd_preorder_membership(nvars, poly_text, poly_file, eps, perturbation,
-                            system_file, r_max, gap_tol, feas_tol, as_json, output):
+                            system_file, r_max, as_json, output):
     """Decompose f + eps*p over the system's truncated preordering."""
     try:
         with open(system_file, "r", encoding="utf-8") as handle:
@@ -331,7 +315,7 @@ def cmd_preorder_membership(nvars, poly_text, poly_file, eps, perturbation,
 
     _sweep_command(
         fields, r_max,
-        lambda: membership(f, eps, kind, system, r_max, _settings(gap_tol, feas_tol)),
+        lambda: membership(f, eps, kind, system, r_max),
         details, as_json, output)
 
 
@@ -345,14 +329,12 @@ def cmd_preorder_membership(nvars, poly_text, poly_file, eps, perturbation,
 @click.option("--samples", type=int, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--r-max", type=int, default=10, show_default=True)
-@_solver_options
 @_output_options
 def cmd_degree_probe(nvars, degree, coeff_bound, eps, samples, seed, r_max,
-                     gap_tol, feas_tol, as_json, output):
+                     as_json, output):
     """Estimate the certification degree over random nonnegative samples."""
     try:
-        report_data = run_probe(nvars, degree, coeff_bound, eps, samples, seed,
-                                r_max, _settings(gap_tol, feas_tol))
+        report_data = run_probe(nvars, degree, coeff_bound, eps, samples, seed, r_max)
     except _USAGE_ERRORS as exc:
         _fail(exc)
     report = {"command": "degree-probe", **report_data.to_obj()}
@@ -380,11 +362,13 @@ def cmd_degree_probe(nvars, degree, coeff_bound, eps, samples, seed, r_max,
 @click.option("--eps", type=float, default=0.0, show_default=True,
               help="Perturbation weight the certificate claims.")
 @click.option("--perturbation", default="theta-big", show_default=True)
-@click.option("--residual-tol", type=float, default=1e-6, show_default=True)
 @_output_options
 def cmd_verify(nvars, poly_text, poly_file, certificate_file, eps,
-               perturbation, residual_tol, as_json, output):
-    """Re-check a serialized certificate without the solver."""
+               perturbation, as_json, output):
+    """Re-check a serialized certificate without the solver.
+
+    Accepts when the coefficient residual is at most 1e-6
+    (DEFAULT_RESIDUAL_TOL), the tolerance the degree sweeps certify at."""
     try:
         f = _load_poly(nvars, poly_text, poly_file)
         with open(certificate_file, "r", encoding="utf-8") as handle:
@@ -403,7 +387,7 @@ def cmd_verify(nvars, poly_text, poly_file, certificate_file, eps,
             result = verify_certificate_obj(obj, target)
     except (*_USAGE_ERRORS, KeyError, json.JSONDecodeError) as exc:
         _fail(exc)
-    ok = result["residual_linf"] <= residual_tol
+    ok = result["residual_linf"] <= DEFAULT_RESIDUAL_TOL
     report = {
         "command": "verify",
         "nvars": f.n_vars,

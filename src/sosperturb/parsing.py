@@ -9,7 +9,9 @@
 
 '^' binds tightest and takes a nonnegative integer exponent.  Implicit
 multiplication is not allowed.  Rational literals like 4/27 are evaluated as
-one float quotient.  Whitespace is insignificant.
+one float quotient.  Whitespace is insignificant.  Terms combine with the
+ordinary `Polynomial` arithmetic, which keeps every coefficient the user
+wrote, however small; only exact zeros (say from x1 - x1) disappear.
 """
 
 from __future__ import annotations
@@ -54,37 +56,6 @@ def _tokenize(text: str) -> List[_Token]:
     return tokens
 
 
-# the parser combines terms exactly: unlike general arithmetic it must not
-# drop coefficients the user wrote, however small
-
-
-def _exact_add(f: Polynomial, g: Polynomial) -> Polynomial:
-    terms = dict(f.terms)
-    for a, c in g.terms.items():
-        terms[a] = terms.get(a, 0.0) + c
-    return Polynomial(f.n_vars, terms)
-
-
-def _exact_scale(f: Polynomial, c: float) -> Polynomial:
-    return Polynomial(f.n_vars, {a: v * c for a, v in f.terms.items()})
-
-
-def _exact_mul(f: Polynomial, g: Polynomial) -> Polynomial:
-    acc = {}
-    for a1, c1 in f.terms.items():
-        for a2, c2 in g.terms.items():
-            prod = tuple(e1 + e2 for e1, e2 in zip(a1, a2))
-            acc[prod] = acc.get(prod, 0.0) + c1 * c2
-    return Polynomial(f.n_vars, acc)
-
-
-def _exact_pow(f: Polynomial, k: int) -> Polynomial:
-    result = Polynomial.constant(f.n_vars, 1.0)
-    for _ in range(k):
-        result = _exact_mul(result, f)
-    return result
-
-
 class _Parser:
     def __init__(self, tokens: List[_Token], n_vars: int, length: int):
         self.tokens = tokens
@@ -113,15 +84,14 @@ class _Parser:
         if tok is not None and tok.kind == "op" and tok.text in "+-":
             self.i += 1
             sign = -1.0 if tok.text == "-" else 1.0
-        result = _exact_scale(self.parse_term(), sign)
+        result = self.parse_term().scale(sign)
         while True:
             tok = self._peek()
             if tok is None or tok.kind != "op" or tok.text not in "+-":
                 return result
             self.i += 1
             term = self.parse_term()
-            result = _exact_add(
-                result, _exact_scale(term, -1.0) if tok.text == "-" else term)
+            result = result - term if tok.text == "-" else result + term
 
     def parse_term(self) -> Polynomial:
         result = self.parse_factor()
@@ -130,7 +100,7 @@ class _Parser:
             if tok is None or tok.kind != "op" or tok.text != "*":
                 return result
             self.i += 1
-            result = _exact_mul(result, self.parse_factor())
+            result = result * self.parse_factor()
 
     def parse_factor(self) -> Polynomial:
         base = self.parse_atom()
@@ -142,7 +112,7 @@ class _Parser:
                 raise ParseError(
                     f"exponent must be a nonnegative integer, found {exp_tok.text!r}",
                     exp_tok.pos)
-            return _exact_pow(base, int(exp_tok.text))
+            return base.pow(int(exp_tok.text))
         return base
 
     def parse_atom(self) -> Polynomial:

@@ -7,10 +7,9 @@ single canonical ordering, graded lexicographic: ascending total degree,
 ties broken by descending lexicographic comparison of the exponent tuple,
 so for two variables the order starts (0,0), (1,0), (0,1), (2,0), (1,1), ...
 
-Coefficient hygiene: arithmetic results drop entries with magnitude below
-DROP_TOLERANCE (they are below the noise floor of the SDP solver).  Direct
-constructors (parsing, the perturbation families) and the box rescaling
-`scale_box` keep every nonzero coefficient.
+Coefficient hygiene: a polynomial never stores an exact zero, and nothing
+else is dropped.  Arithmetic, parsing, the perturbation families and the
+box rescaling `scale_box` keep every nonzero coefficient, however small.
 """
 
 from __future__ import annotations
@@ -22,9 +21,6 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 from .errors import DimensionMismatchError
 
 Multidegree = Tuple[int, ...]
-
-# Magnitude below which arithmetic results discard a coefficient.
-DROP_TOLERANCE = 1e-14
 
 
 def grlex_key(alpha: Multidegree) -> tuple:
@@ -115,7 +111,7 @@ class Polynomial:
     def l1_norm(self) -> float:
         return sum(abs(c) for c in self.terms.values())
 
-    # -- arithmetic (results normalized with DROP_TOLERANCE) ---------------
+    # -- arithmetic (exact zeros drop in the constructor) -------------------
 
     def _check_same_vars(self, other: "Polynomial") -> None:
         if self.n_vars != other.n_vars:
@@ -127,7 +123,7 @@ class Polynomial:
         terms = dict(self.terms)
         for a, c in other.terms.items():
             terms[a] = terms.get(a, 0.0) + c
-        return Polynomial(self.n_vars, _dropped(terms))
+        return Polynomial(self.n_vars, terms)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + other.scale(-1.0)
@@ -136,7 +132,7 @@ class Polynomial:
         return self.scale(-1.0)
 
     def scale(self, c: float) -> "Polynomial":
-        return Polynomial(self.n_vars, _dropped({a: v * c for a, v in self.terms.items()}))
+        return Polynomial(self.n_vars, {a: v * c for a, v in self.terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_same_vars(other)
@@ -145,7 +141,7 @@ class Polynomial:
             for a2, c2 in other.terms.items():
                 prod = tuple(e1 + e2 for e1, e2 in zip(a1, a2))
                 acc[prod] = acc.get(prod, 0.0) + c1 * c2
-        return Polynomial(self.n_vars, _dropped(acc))
+        return Polynomial(self.n_vars, acc)
 
     def pow(self, k: int) -> "Polynomial":
         if k < 0:
@@ -177,10 +173,6 @@ class Polynomial:
     @staticmethod
     def from_obj(obj: Iterable[dict], n_vars: int) -> "Polynomial":
         return Polynomial(n_vars, {tuple(t["exponents"]): float(t["coeff"]) for t in obj})
-
-
-def _dropped(terms: Dict[Multidegree, float]) -> Dict[Multidegree, float]:
-    return {a: c for a, c in terms.items() if abs(c) > DROP_TOLERANCE}
 
 
 # -- perturbation families and related constructors -------------------------

@@ -42,7 +42,7 @@ from . import chebyshev
 from .errors import DimensionMismatchError, TooManyGeneratorsError
 from .parsing import parse, unparse
 from .polynomials import MonomialBasis, Polynomial
-from .sdp import SdpProblem, SolveStatus, SolverSettings, solve
+from .sdp import SdpProblem, SolveStatus, solve
 from .sos import (DEFAULT_RESIDUAL_TOL, ApproximationResult, GramCertificate,
                   Matching, PerturbationKind, THETA_BIG, THETA_SMALL,
                   _ReducedGram, _gram_form, _products, _residual,
@@ -171,7 +171,6 @@ def epsilon_star_preorder(
     r: int,
     p: Polynomial,
     system: SemialgebraicSystem,
-    settings: SolverSettings = SolverSettings(),
 ) -> ApproximationResult:
     """Minimal weight eps putting f + eps*p in the degree-2r truncation.
 
@@ -186,8 +185,7 @@ def epsilon_star_preorder(
     here; membership() builds one for a concrete weight.
     """
     reduced = _ReducedGram(f, p, r, None, CHEBYSHEV, system.generators)
-    return reduced.weight_result(solve(reduced.program(), settings),
-                                 "preorder weight program")
+    return reduced.weight_result(solve(reduced.program()), "preorder weight program")
 
 
 @dataclass
@@ -276,7 +274,6 @@ def membership(
     kind: PerturbationKind,
     system: SemialgebraicSystem,
     r_max: int,
-    settings: SolverSettings = SolverSettings(),
 ) -> PreorderCertificate:
     """Search the smallest degree at which f + eps*p_r decomposes.
 
@@ -298,7 +295,7 @@ def membership(
         reduced = _ReducedGram(f, p, r, eps, CHEBYSHEV, system.generators)
         if reduced.problem is None:
             return None
-        sol = solve(reduced.problem, settings)
+        sol = solve(reduced.problem)
         if sol.status is not SolveStatus.OPTIMAL:
             return None
         terms = [PreorderTerm(e, product, _sigma_certificate(basis, gram_t))
@@ -326,7 +323,7 @@ def membership(
 
     return _sweep(
         f, eps, kind, r_max,
-        lambda r, p: epsilon_star_preorder(f, r, p, system, settings), decompose)[0]
+        lambda r, p: epsilon_star_preorder(f, r, p, system), decompose)[0]
 
 
 def verify_preorder_obj(obj: dict, target: Polynomial) -> dict:

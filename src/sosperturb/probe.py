@@ -22,7 +22,6 @@ import numpy as np
 from .errors import NoSamplesAcceptedError, NotFoundWithinRMaxError
 from .polynomials import Polynomial, multidegrees_upto
 from .rng import SplitMix64
-from .sdp import SolverSettings
 from .sos import THETA_BIG, minimal_r
 
 GRID_POINTS_PER_AXIS = 33
@@ -120,7 +119,6 @@ def run_probe(
     samples: int,
     seed: int,
     r_max: int = 10,
-    settings: SolverSettings = SolverSettings(),
 ) -> ProbeReport:
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -137,14 +135,14 @@ def run_probe(
             continue
         row = ProbeRow(index, "accepted", grid_min)
         try:
-            res = minimal_r(f, eps, THETA_BIG, r_max, settings)
+            res = minimal_r(f, eps, THETA_BIG, r_max)
             row.found_r = res.r
             row.min_eps = res.min_eps
         except NotFoundWithinRMaxError:
             row.shifted = True
             lifted = f + Polynomial.constant(n, grid_min)
             try:
-                res = minimal_r(lifted, eps, THETA_BIG, r_max, settings)
+                res = minimal_r(lifted, eps, THETA_BIG, r_max)
                 row.found_r = res.r
                 row.min_eps = res.min_eps
             except NotFoundWithinRMaxError:

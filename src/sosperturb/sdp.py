@@ -81,6 +81,13 @@ _SYMMETRY_TOL = 1e-12
 INFEASIBILITY_THRESHOLD = 1e8
 # largest PSD block `solve` accepts
 MAX_BLOCK_SIZE = 400
+# a solve is Optimal once the relative gap is at most GAP_TOLERANCE and the
+# scaled primal, dual and free residuals at most FEAS_TOLERANCE; it stops
+# as IterationLimit after MAX_ITERATIONS.  `solve` reads all three at call
+# time.
+GAP_TOLERANCE = 1e-8
+FEAS_TOLERANCE = 1e-8
+MAX_ITERATIONS = 200
 
 
 class SolveStatus(enum.Enum):
@@ -88,18 +95,6 @@ class SolveStatus(enum.Enum):
     NUMERICAL_TROUBLE = "NumericalTrouble"
     PRIMAL_LIKELY_INFEASIBLE = "PrimalLikelyInfeasible"
     ITERATION_LIMIT = "IterationLimit"
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    gap_tolerance: float = 1e-8
-    feas_tolerance: float = 1e-8
-    max_iterations: int = 200
-    collect_trace: bool = False
-
-    def __post_init__(self):
-        if self.gap_tolerance <= 0 or self.feas_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 # COO storage of one block's constraints: the triple (row, i, j, v), i <= j,
@@ -261,7 +256,8 @@ class SdpSolution:
     dual_objective: float
     gap: float                      # relative gap |pobj - dobj| / (1 + max |obj|)
     iterations: int
-    trace: Optional[List[Tuple[float, float]]] = field(default=None)
+    # (primal objective, dual objective) at the start of each iteration
+    trace: List[Tuple[float, float]] = field(default_factory=list)
 
 
 def _t(mat: np.ndarray) -> np.ndarray:
@@ -529,7 +525,7 @@ def _schur_solver(M: np.ndarray):
     return None
 
 
-def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> SdpSolution:
+def solve(problem: SdpProblem) -> SdpSolution:
     """Run the interior-point iteration on a standard-form problem."""
     if max(problem.block_sizes) > MAX_BLOCK_SIZE:
         raise ValueError(
@@ -560,7 +556,7 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
     work_dtype = np.longdouble if use_extended else np.float64
     F_w = F.astype(work_dtype)
 
-    trace: Optional[List[Tuple[float, float]]] = [] if settings.collect_trace else None
+    trace: List[Tuple[float, float]] = []
     status = SolveStatus.ITERATION_LIMIT
     iterations = 0
     # Cholesky factors of X and S per size group, carried over from the
@@ -588,14 +584,13 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
             return np.inf
         return -1.0 / lam
 
-    for iterations in range(1, settings.max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         rp = b - op.apply(X) - F @ u
         Rd = C - op.adjoint(y) - S
         rf = d - F.T @ y
 
         pobj, dobj = objectives()
-        if trace is not None:
-            trace.append((pobj, dobj))
+        trace.append((pobj, dobj))
 
         prim_res = np.max(np.abs(rp)) / b_scale
         dual_res = np.max(np.abs(Rd), initial=0.0) / c_scale
@@ -605,10 +600,10 @@ def solve(problem: SdpProblem, settings: SolverSettings = SolverSettings()) -> S
         log.debug("iter %d pobj=%.9g dobj=%.9g prim=%.2e dual=%.2e free=%.2e",
                   iterations, pobj, dobj, prim_res, dual_res, free_res)
 
-        if (gap <= settings.gap_tolerance
-                and prim_res <= settings.feas_tolerance
-                and dual_res <= settings.feas_tolerance
-                and free_res <= settings.feas_tolerance):
+        if (gap <= GAP_TOLERANCE
+                and prim_res <= FEAS_TOLERANCE
+                and dual_res <= FEAS_TOLERANCE
+                and free_res <= FEAS_TOLERANCE):
             status = SolveStatus.OPTIMAL
             break
         if dobj > INFEASIBILITY_THRESHOLD:

@@ -47,7 +47,7 @@ from .moments import MomentVector
 from .polynomials import (MonomialBasis, Multidegree, Polynomial,
                           multidegrees_upto, scale_box, theta_big, theta_small)
 from .sdp import (ConstraintRow, SdpProblem, SdpSolution, SolveStatus,
-                  SolverSettings, eigendecompose, solve)
+                  eigendecompose, solve)
 from .symmetry import ParitySpan, scatter
 
 
@@ -100,10 +100,6 @@ class GramCertificate:
         target: Polynomial,
     ) -> "GramCertificate":
         gram = np.asarray(gram, dtype=float)
-        scale = 1.0 + np.max(np.abs(gram), initial=0.0)
-        eigmin = float(np.linalg.eigvalsh(0.5 * (gram + gram.T))[0])
-        if eigmin < -1e-8 * scale:
-            raise NotPsdError(f"gram matrix has eigenvalue {eigmin:.3e}")
         squares = extract_certificate(gram, basis)
         residual = verify_certificate(target, squares)
         return GramCertificate(basis, gram, squares, residual)
@@ -488,12 +484,7 @@ def _check_degrees(f: Polynomial, p: Polynomial, r: int) -> None:
             raise DegreeTooLowError(f"degree {q.degree()} {what} needs 2r >= {q.degree()}")
 
 
-def epsilon_star(
-    f: Polynomial,
-    r: int,
-    p: Polynomial,
-    settings: SolverSettings = SolverSettings(),
-) -> ApproximationResult:
+def epsilon_star(f: Polynomial, r: int, p: Polynomial) -> ApproximationResult:
     """Minimal weight eps making f + eps*p a sum of squares of degree 2r.
 
     One primal-dual solve yields both sides: the Gram block certifies
@@ -504,17 +495,14 @@ def epsilon_star(
     constraint was trivially satisfied are reported as zero.
     """
     reduced = _ReducedGram(f, p, r)
-    sol = solve(reduced.program(), settings)
+    sol = solve(reduced.program())
     res = reduced.weight_result(sol, "weight program")
     return replace(res, certificate=GramCertificate.from_gram(
         reduced.bases[0], reduced.expand_gram(sol.primal_blocks)[0],
         f + p.scale(res.min_eps)))
 
 
-def is_sos(
-    f: Polynomial,
-    settings: SolverSettings = SolverSettings(),
-) -> Tuple[bool, Optional[GramCertificate]]:
+def is_sos(f: Polynomial) -> Tuple[bool, Optional[GramCertificate]]:
     """Decide sum-of-squares membership by a pure feasibility solve.
 
     The program is the feasibility form of the one assembly for f at
@@ -534,7 +522,7 @@ def is_sos(
     reduced = _ReducedGram(f, Polynomial.zero(f.n_vars), f.degree() // 2, eps=0.0)
     if reduced.problem is None:
         return False, None
-    sol = solve(reduced.problem, settings)
+    sol = solve(reduced.problem)
     if sol.status is SolveStatus.PRIMAL_LIKELY_INFEASIBLE:
         return False, None
     if sol.status is not SolveStatus.OPTIMAL:
@@ -575,7 +563,6 @@ def _lift_certificate(
     f: Polynomial,
     p: Polynomial,
     eps: float,
-    settings: SolverSettings,
 ) -> GramCertificate:
     """Certificate for f + eps*p from the minimal-weight solve at the same r."""
     extra = max(0.0, eps - base.min_eps)
@@ -589,7 +576,7 @@ def _lift_certificate(
             gram[idx, idx] += extra * c
         return GramCertificate.from_gram(basis, gram, target)
     try:
-        ok, cert = is_sos(target, settings)
+        ok, cert = is_sos(target)
     except SolverFailureError:
         ok = False
     if ok:
@@ -659,7 +646,6 @@ def minimal_r(
     eps: float,
     kind: PerturbationKind,
     r_max: int,
-    settings: SolverSettings = SolverSettings(),
 ) -> ApproximationResult:
     """Smallest r <= r_max at which eps covers the minimal weight.
 
@@ -668,12 +654,10 @@ def minimal_r(
     weight to eps (see `_lift_certificate`).
     """
     def lift(base: ApproximationResult, p: Polynomial) -> ApproximationResult:
-        return replace(base, certificate=_lift_certificate(
-            base, f, p, eps, settings))
+        return replace(base, certificate=_lift_certificate(base, f, p, eps))
 
     res, trajectory = _sweep(
-        f, eps, kind, r_max,
-        lambda r, p: epsilon_star(f, r, p, settings), lift)
+        f, eps, kind, r_max, lambda r, p: epsilon_star(f, r, p), lift)
     return replace(res, trajectory=trajectory)
 
 
@@ -682,7 +666,6 @@ def approximate_on_box(
     eps: float,
     l: float,
     r_max: int,
-    settings: SolverSettings = SolverSettings(),
 ) -> ApproximationResult:
     """Certify f on the box [-l, l]^n via the unit-box pipeline.
 
@@ -694,7 +677,7 @@ def approximate_on_box(
     if l <= 0:
         raise ValueError(f"box scale must be positive, got {l}")
     g = scale_box(f, l)
-    res = minimal_r(g, eps, THETA_BIG, r_max, settings)
+    res = minimal_r(g, eps, THETA_BIG, r_max)
     if l == 1.0:
         return res
     r = res.r

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -45,6 +46,24 @@ class TestCheckSos:
         report = json.loads(res.output)
         assert report["sos"] is True
         assert report["certificate"]["residual_linf"] <= 1e-6
+
+
+class TestEigensolverFailure:
+    """A dense eigendecomposition that does not converge is a numerical
+    failure: exit 2 with an error line, never the definite "no" of exit 1."""
+
+    @pytest.mark.parametrize("args", [
+        ["check-sos", "-n", "1", "-f", "1 + x1^2"],
+        ["epsilon-star", "-n", "1", "-f", "1 - x1^2", "-r", "2"],
+    ])
+    def test_exit_two(self, runner, monkeypatch, args):
+        def failing(*_args, **_kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        res = invoke(runner, args)
+        assert res.exit_code == 2
+        assert "error: Eigenvalues did not converge" in res.output
 
 
 class TestEpsilonStar:

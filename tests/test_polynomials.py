@@ -48,6 +48,10 @@ class TestArithmetic:
         g = parse("x1^2", 1)
         assert (f + g).terms == {(0,): 1.0}
 
+    def test_add_keeps_tiny_coefficient(self):
+        f = parse("1 + x1", 1) + parse("0.000000000000001*x1^2", 1)
+        assert f.terms == {(0,): 1.0, (1,): 1.0, (2,): 1e-15}
+
     def test_mul(self):
         f = parse("x1", 1) * parse("1 - x1", 1)
         assert f.terms == {(1,): 1.0, (2,): -1.0}

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from sosperturb import preorder
+from sosperturb import preorder, sdp
 from sosperturb.errors import (DimensionMismatchError, NotFoundWithinRMaxError,
                                TooManyGeneratorsError)
 from sosperturb.moments import moment_matrix, psd_check
@@ -13,7 +13,7 @@ from sosperturb.preorder import (CHEBYSHEV, SemialgebraicSystem,
                                  build_preorder_sdp, dump_system,
                                  enumerate_products, epsilon_star_preorder,
                                  load_system, membership, verify_preorder_obj)
-from sosperturb.sdp import SolverSettings, SolveStatus, min_eigenvalue, solve
+from sosperturb.sdp import SolveStatus, min_eigenvalue, solve
 from sosperturb.sos import THETA_BIG, THETA_SMALL, _ReducedGram, minimal_r
 
 INTERVAL = SemialgebraicSystem([parse("x1", 1), parse("1 - x1", 1)], True)
@@ -117,9 +117,9 @@ class TestBuildPreorderSdp:
         # whose largest coefficient is 3, has a Gram block of its own
         problems = []
 
-        def recording(problem, settings=SolverSettings()):
+        def recording(problem):
             problems.append(problem)
-            return solve(problem, settings)
+            return solve(problem)
 
         monkeypatch.setattr(preorder, "solve", recording)
         cert = membership(ONE_MINUS_SQ, 0.1, THETA_SMALL, CUSP, 12)
@@ -306,12 +306,12 @@ class TestVerifyPreorderObj:
 TRIVIAL = SemialgebraicSystem([Polynomial.constant(1, 1.0)], True)
 
 
-def both_sweeps(f, eps, kind, r_max, settings=SolverSettings()):
+def both_sweeps(f, eps, kind, r_max):
     """Trajectories of minimal_r and of membership in the trivial system,
     both of which must find nothing."""
     out = []
-    for sweep in (lambda: minimal_r(f, eps, kind, r_max, settings),
-                  lambda: membership(f, eps, kind, TRIVIAL, r_max, settings)):
+    for sweep in (lambda: minimal_r(f, eps, kind, r_max),
+                  lambda: membership(f, eps, kind, TRIVIAL, r_max)):
         with pytest.raises(NotFoundWithinRMaxError) as err:
             sweep()
         out.append(err.value.trajectory)
@@ -351,9 +351,9 @@ class TestSweepStatuses:
                                 for r in (1, 2, 3)]
         assert calls == []
 
-    def test_solver_failed(self):
-        plain, pre = both_sweeps(ONE_MINUS_SQ, 0.5, THETA_BIG, 2,
-                                 SolverSettings(max_iterations=2))
+    def test_solver_failed(self, monkeypatch):
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
+        plain, pre = both_sweeps(ONE_MINUS_SQ, 0.5, THETA_BIG, 2)
         assert plain == pre == [{"r": r, "min_eps": None, "status": "solver-failed"}
                                 for r in (1, 2)]
 
@@ -362,8 +362,8 @@ class TestSweepStatuses:
         # its weight solve, which always gives one
         real = preorder.solve
 
-        def failing(problem, settings=SolverSettings()):
-            sol = real(problem, settings)
+        def failing(problem):
+            sol = real(problem)
             if not any(c.any() for c in problem.C):  # the feasibility re-solve
                 return dataclasses.replace(sol, status=SolveStatus.ITERATION_LIMIT)
             return sol

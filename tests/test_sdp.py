@@ -5,10 +5,10 @@ from scipy.sparse import csr_matrix
 
 from sosperturb.parsing import parse
 from sosperturb.polynomials import Polynomial, theta_big
-from sosperturb.sdp import (MAX_BLOCK_SIZE, ConstraintRow, SdpProblem,
-                            SolveStatus, SolverSettings, _Constraints,
-                            _factorize, _Layout, _schur_solver,
-                            eigendecompose, min_eigenvalue, solve)
+from sosperturb.sdp import (GAP_TOLERANCE, MAX_BLOCK_SIZE, ConstraintRow,
+                            SdpProblem, SolveStatus, _Constraints, _factorize,
+                            _Layout, _schur_solver, eigendecompose,
+                            min_eigenvalue, solve)
 from sosperturb.sos import _ReducedGram
 
 from reference_programs import build_gram_system, build_moment_system
@@ -127,7 +127,7 @@ class TestSolve:
 
     def test_gap_within_tolerance_when_optimal(self):
         sol = solve(completion_problem())
-        assert sol.gap <= SolverSettings().gap_tolerance
+        assert sol.gap <= GAP_TOLERANCE
 
     def test_determinism(self):
         problem = random_feasible_problem(11)
@@ -164,19 +164,11 @@ class TestSolve:
             build_moment_system(parse("1 - x1^2", 1), Polynomial.monomial(1, (4,)), 2),
             random_feasible_problem(3),
         ]
-        settings = SolverSettings(collect_trace=True)
         for problem in fixtures:
-            sol = solve(problem, settings)
+            sol = solve(problem)
+            assert len(sol.trace) == sol.iterations
             for pobj, dobj in sol.trace:
                 assert pobj >= dobj - 1e-7
-
-
-class TestSettings:
-    def test_tolerances_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SolverSettings(gap_tolerance=0.0)
-        with pytest.raises(ValueError):
-            SolverSettings(feas_tolerance=-1.0)
 
 
 class TestProblemConstruction:
@@ -426,9 +418,8 @@ class TestFlatLayoutSolve:
 
     def test_repeat_solves_bitwise_equal(self):
         problem = random_feasible_problem(8, self.SIZES, m=6, n_free=1)
-        settings = SolverSettings(collect_trace=True)
-        a = solve(problem, settings)
-        b = solve(problem, settings)
+        a = solve(problem)
+        b = solve(problem)
         assert a.status is b.status and a.iterations == b.iterations
         for Xa, Xb in zip(a.primal_blocks, b.primal_blocks):
             assert Xa.tobytes() == Xb.tobytes()

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from sosperturb import sos
+from sosperturb import sdp, sos
 from sosperturb.errors import (DegreeTooLowError, DimensionMismatchError,
                                NotFoundWithinRMaxError, NotPsdError,
                                SolverFailureError)
 from sosperturb.moments import check_lemma3, moment_matrix, psd_check
 from sosperturb.parsing import parse
 from sosperturb.polynomials import MonomialBasis, Polynomial, theta_big
-from sosperturb.sdp import SolverSettings, SolveStatus, solve
-from sosperturb.sos import (THETA_BIG, THETA_SMALL,
+from sosperturb.sdp import SolveStatus, solve
+from sosperturb.sos import (THETA_BIG, THETA_SMALL, GramCertificate,
                             _forced_zeros, _lift_certificate, _ReducedGram,
                             approximate_on_box, epsilon_star,
                             extract_certificate, is_sos, minimal_r,
@@ -243,9 +243,9 @@ class TestIsSos:
     def test_feasibility_form_has_no_eps_block(self, monkeypatch):
         problems = []
 
-        def recording(problem, settings=SolverSettings()):
+        def recording(problem):
             problems.append(problem)
-            return solve(problem, settings)
+            return solve(problem)
 
         monkeypatch.setattr(sos, "solve", recording)
         ok, _ = is_sos(parse("(x1^2 - x2^2)^2 + (x1*x2 - 1)^2", 2))
@@ -253,20 +253,21 @@ class TestIsSos:
         assert [p.block_sizes for p in problems] == [(4, 2)]
         assert all(not c.any() for c in problems[0].C)
 
-    def test_undecided_solve_raises(self):
+    def test_undecided_solve_raises(self, monkeypatch):
         # an iteration cap of 2 ends the solve undecided, which is not "no"
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
         with pytest.raises(SolverFailureError) as info:
-            is_sos(parse("1 - x1^2 + 1/4*x1^4", 1), SolverSettings(max_iterations=2))
+            is_sos(parse("1 - x1^2 + 1/4*x1^4", 1))
         assert info.value.solution.status is SolveStatus.ITERATION_LIMIT
 
-    def test_lift_treats_undecided_as_not_ok(self):
+    def test_lift_treats_undecided_as_not_ok(self, monkeypatch):
         # an odd monomial in p rules out the diagonal lift, so the lift
         # re-solves, ends undecided and falls back to the minimal-weight Gram
         p = parse("2 + x1 + x1^4", 1)
         base = epsilon_star(ONE_MINUS_SQ, 2, p)
         eps = base.min_eps + 0.5
-        cert = _lift_certificate(base, ONE_MINUS_SQ, p, eps,
-                                 SolverSettings(max_iterations=2))
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
+        cert = _lift_certificate(base, ONE_MINUS_SQ, p, eps)
         assert np.array_equal(cert.gram, base.certificate.gram)
         # the residual honestly shows the extra 0.5 * p, largest at its constant 2
         assert cert.residual_linf == pytest.approx(0.5 * 2.0, rel=1e-6)
@@ -302,6 +303,8 @@ class TestExtraction:
         basis = MonomialBasis.build(1, 1)
         with pytest.raises(NotPsdError):
             extract_certificate(np.diag([1.0, -1.0]), basis)
+        with pytest.raises(NotPsdError):
+            GramCertificate.from_gram(basis, np.diag([1.0, -1.0]), parse("1 - x1^2", 1))
 
     def test_square_count_bounded_by_basis(self):
         res = epsilon_star(MOTZKIN, 3, Polynomial.monomial(2, (6, 0)))

@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Fingerprint of the command line: exit codes and output bytes.
+
+Each command of a fixed list is run as `python -m sosperturb.cli` in a
+fresh subprocess, inside a temporary directory that holds its input files,
+so every path it prints is relative.  For each command one line is
+printed: a label, the exit code and a sha256 over stdout, over stderr and
+over the `-o` file (`-` when the command names none or writes none).  Two
+checkouts whose outputs are identical behave the same on the command line,
+byte for byte, so a refactor of the CLI can be checked by a diff:
+
+    PYTHONPATH=src python3 scripts/cli_fingerprint.py > cli.txt
+
+The list: the five acceptance commands of `tests/test_acceptance.py`
+(`--json`), the human output of `check-sos`, `minimal-r` and
+`degree-probe`, `preorder-membership` of 1 - x1^2 on the cusp
+(1 - x1^2)^3 >= 0 at eps 0.5 and 0.1, `minimal-r --r-max 6 -o` and
+`verify` of the file it writes, a sweep that finds nothing (exit 1), the
+lift of a custom perturbation with an odd monomial, and the error paths: a
+parse error, no polynomial source, a degree too low, an `-o` in a missing
+directory and two malformed certificate files.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+import sosperturb
+
+CUSP = "nvars 1\nmoment_problem asserted\n(1 - x1^2)^3\n"
+ONE = ["-n", "1", "-f", "1 - x1^2"]
+
+# (label, arguments, -o file or None); run in order, so `verify` reads the
+# certificate the command before it wrote
+COMMANDS = [
+    ("acceptance check-sos", ["check-sos", "-n", "2", "-f",
+                              "1 + x1^2*x2^2*(x1^2 + x2^2 - 3)", "--json"], None),
+    ("acceptance epsilon-star", ["epsilon-star", *ONE, "-r", "2", "--json"], None),
+    ("acceptance minimal-r", ["minimal-r", *ONE, "--eps", "0.3", "--json"], None),
+    ("acceptance approximate", ["approximate", "-n", "1", "-f", "4 - x1^2",
+                                "--eps", "0.2", "--box-scale", "2.0", "--json"], None),
+    ("acceptance degree-probe", ["degree-probe", "-n", "1", "-d", "2", "-N", "1.0",
+                                 "--eps", "0.5", "--samples", "6", "--seed", "42",
+                                 "--json"], None),
+    ("human check-sos", ["check-sos", "-n", "2", "-f",
+                         "1 + x1^2*x2^2*(x1^2 + x2^2 - 3)"], None),
+    ("human minimal-r", ["minimal-r", *ONE, "--eps", "0.3"], None),
+    ("human degree-probe", ["degree-probe", "-n", "1", "-d", "2", "-N", "1.0",
+                            "--eps", "0.5", "--samples", "6", "--seed", "42"], None),
+    ("cusp eps=0.5", ["preorder-membership", "-f", "1 - x1^2", "--eps", "0.5",
+                      "--perturbation", "theta-small", "--system", "cusp.txt",
+                      "--r-max", "12", "--json"], None),
+    ("cusp eps=0.1", ["preorder-membership", "-f", "1 - x1^2", "--eps", "0.1",
+                      "--perturbation", "theta-small", "--system", "cusp.txt",
+                      "--r-max", "12", "--json"], None),
+    ("minimal-r -o", ["minimal-r", *ONE, "--eps", "0.3", "--r-max", "6", "--json",
+                      "-o", "cert.json"], "cert.json"),
+    ("verify", ["verify", *ONE, "--certificate", "cert.json", "--eps", "0.3",
+                "--json"], None),
+    ("not found", ["minimal-r", *ONE, "--eps", "0.0001", "--r-max", "3", "--json"],
+     None),
+    ("odd custom lift", ["minimal-r", *ONE, "--eps", "0.5",
+                         "--perturbation", "custom:odd.txt", "--json"], None),
+    ("error parse", ["check-sos", "-n", "1", "-f", "1 ++ x1"], None),
+    ("error no polynomial source", ["check-sos", "-n", "1"], None),
+    ("error degree too low", ["epsilon-star", "-n", "1", "-f", "1 - x1^4", "-r", "1"],
+     None),
+    ("error unwritable -o", ["check-sos", "-n", "1", "-f", "1 + x1^2", "--json",
+                             "-o", "missing/report.json"], "missing/report.json"),
+    ("error certificate list", ["verify", *ONE, "--certificate", "list.json"], None),
+    ("error certificate object squares", ["verify", *ONE, "--certificate",
+                                          "objects.json", "--eps", "0.3"], None),
+]
+
+
+def digest(data) -> str:
+    return "-" if data is None else hashlib.sha256(data).hexdigest()
+
+
+def write_inputs(workdir: str) -> None:
+    files = {
+        "cusp.txt": CUSP,
+        "odd.txt": "2 + x1 + x1^{2r}\n",
+        "list.json": "[1, 2]\n",
+        # one square written as its term objects instead of a list of them
+        "objects.json": json.dumps({"r": 1, "basis": [[0], [1]], "gram": [1.0, 0.0, 1.0],
+                                    "squares": [{"exponents": [0], "coeff": 1.0}]}),
+    }
+    for name, text in files.items():
+        with open(os.path.join(workdir, name), "w", encoding="utf-8") as handle:
+            handle.write(text)
+
+
+def main() -> None:
+    # the child runs the package this script imported, whatever the cwd
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sosperturb.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    with tempfile.TemporaryDirectory() as workdir:
+        write_inputs(workdir)
+        for label, args, output in COMMANDS:
+            proc = subprocess.run([sys.executable, "-m", "sosperturb.cli", *args],
+                                  cwd=workdir, env=env, capture_output=True)
+            written = None
+            if output is not None and os.path.exists(os.path.join(workdir, output)):
+                with open(os.path.join(workdir, output), "rb") as handle:
+                    written = handle.read()
+            print(f"{label}: exit={proc.returncode} stdout={digest(proc.stdout)} "
+                  f"stderr={digest(proc.stderr)} file={digest(written)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -53,8 +53,10 @@ class SolverFailureError(RuntimeError):
 
 
 class NotFoundWithinRMaxError(RuntimeError):
-    """The degree sweep exhausted r_max. Carries the (r, min_eps) trajectory,
-    with min_eps = inf recorded for degrees where the program was infeasible."""
+    """The degree sweep exhausted r_max. Carries the trajectory: one
+    {r, min_eps, status} entry per degree, with min_eps None for a degree
+    that has no minimal weight (status "degree-too-low", "infeasible" or
+    "solver-failed")."""
 
     def __init__(self, message: str, trajectory):
         super().__init__(message)

@@ -525,6 +525,9 @@ def _schur_solver(M: np.ndarray):
     return None
 
 
+# an iterate that diverges overflows (X, S^-1) before the solve ends as
+# NumericalTrouble; the status says so, numpy's RuntimeWarnings add nothing
+@np.errstate(over="ignore", invalid="ignore")
 def solve(problem: SdpProblem) -> SdpSolution:
     """Run the interior-point iteration on a standard-form problem."""
     if max(problem.block_sizes) > MAX_BLOCK_SIZE:

@@ -729,7 +729,9 @@ def _verify_terms(target: Polynomial, terms: Sequence[Tuple[Polynomial, dict]]) 
 
     Both routes, the Gram forms z^T Q z and the stored squares, each times
     its product, must match the target; returns the two residuals and
-    their max.  Raises DimensionMismatchError on an incompatible basis.
+    their max, NaN when either is NaN, so a non-finite certificate never
+    passes a tolerance.  Raises DimensionMismatchError on an incompatible
+    basis.
     """
     gram_forms, square_forms = [], []
     for product, sigma in terms:
@@ -741,7 +743,7 @@ def _verify_terms(target: Polynomial, terms: Sequence[Tuple[Polynomial, dict]]) 
     return {
         "residual_gram": residual_gram,
         "residual_squares": residual_squares,
-        "residual_linf": max(residual_gram, residual_squares),
+        "residual_linf": float(np.maximum(residual_gram, residual_squares)),
     }
 
 

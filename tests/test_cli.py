@@ -66,6 +66,23 @@ class TestEigensolverFailure:
         assert "error: Eigenvalues did not converge" in res.output
 
 
+class TestUnwritableReport:
+    """A report that cannot be written is an error: exit 2 with an error
+    line, never a traceback and the definite "no" of exit 1."""
+
+    @pytest.mark.parametrize("args", [
+        ["check-sos", "-n", "1", "-f", "1 + x1^2"],
+        ["epsilon-star", "-n", "1", "-f", "1 - x1^2", "-r", "2"],
+        ["minimal-r", "-n", "1", "-f", "1 - x1^2", "--eps", "0.3", "--r-max", "6"],
+    ])
+    def test_missing_directory_exit_two(self, runner, tmp_path, args):
+        missing = tmp_path / "missing" / "report.json"
+        res = invoke(runner, args + ["--json", "-o", str(missing)])
+        assert res.exit_code == 2
+        assert "error:" in res.output
+        assert not missing.exists()
+
+
 class TestEpsilonStar:
     def test_quartic_weight(self, runner):
         res = invoke(runner, [
@@ -274,6 +291,33 @@ class TestVerify:
             "--eps", "0.3", "--perturbation", "theta-big", "--json"])
         assert res.exit_code == 1
         assert json.loads(res.output)["residual_linf"] > 1e-3
+
+    def test_nan_squares_rejected(self, runner, tmp_path):
+        # a NaN on the squares route must not be dropped by the max of the
+        # two residuals
+        cert = self.make_certificate(runner, tmp_path)
+        obj = json.loads(cert.read_text())
+        obj["squares"] = [[{"exponents": [0], "coeff": float("nan")}]]
+        cert.write_text(json.dumps(obj))
+        res = invoke(runner, [
+            "verify", "-n", "1", "-f", "1 - x1^2", "--certificate", str(cert),
+            "--eps", "0.3", "--perturbation", "theta-big"])
+        assert res.exit_code == 1
+        assert "residual (squares route): nan" in res.output
+        assert "verdict: REJECTED" in res.output
+
+    @pytest.mark.parametrize("mangle", [
+        lambda obj: [1, 2],
+        lambda obj: {**obj, "squares": [t for h in obj["squares"] for t in h]},
+    ], ids=["list", "object-squares"])
+    def test_malformed_certificate_exit_two(self, runner, tmp_path, mangle):
+        cert = self.make_certificate(runner, tmp_path)
+        cert.write_text(json.dumps(mangle(json.loads(cert.read_text()))))
+        res = invoke(runner, [
+            "verify", "-n", "1", "-f", "1 - x1^2", "--certificate", str(cert),
+            "--eps", "0.3"])
+        assert res.exit_code == 2
+        assert "error:" in res.output
 
     def test_wrong_nvars_exit_two(self, runner, tmp_path):
         cert = self.make_certificate(runner, tmp_path)

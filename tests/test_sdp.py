@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -154,6 +156,18 @@ class TestSolve:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", failing)
         sol = solve(completion_problem())
+        assert sol.status is SolveStatus.NUMERICAL_TROUBLE
+
+    def test_diverging_iterate_raises_no_warning(self):
+        # min -X_11 subject to X_22 = 1 is unbounded: X overflows within
+        # twenty iterations and the solve ends NumericalTrouble, with no
+        # numpy RuntimeWarning on the way
+        problem = SdpProblem.from_rows(
+            [2], 0, [ConstraintRow.dense({0: np.diag([0.0, 1.0])}, None, 1.0)],
+            {0: np.diag([-1.0, 0.0])})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(problem)
         assert sol.status is SolveStatus.NUMERICAL_TROUBLE
 
     def test_weak_duality_at_every_iterate(self):

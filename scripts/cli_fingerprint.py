@@ -16,9 +16,12 @@ The list: the five acceptance commands of `tests/test_acceptance.py`
 `degree-probe`, `preorder-membership` of 1 - x1^2 on the cusp
 (1 - x1^2)^3 >= 0 at eps 0.5 and 0.1, `minimal-r --r-max 6 -o` and
 `verify` of the file it writes, a sweep that finds nothing (exit 1), the
-lift of a custom perturbation with an odd monomial, and the error paths: a
-parse error, no polynomial source, a degree too low, an `-o` in a missing
-directory and two malformed certificate files.
+lift of a custom perturbation with an odd monomial, two bivariate
+certificates whose Gram matrices split into several sign-symmetry blocks
+(`epsilon-star` of the Motzkin polynomial at r = 4 and `check-sos` of the
+sum of squares (x1^2 - x2^2)^2 + (x1*x2 - 1)^2, both `--json`), and the
+error paths: a parse error, no polynomial source, a degree too low, an `-o`
+in a missing directory and two malformed certificate files.
 """
 
 import hashlib
@@ -32,6 +35,7 @@ import sosperturb
 
 CUSP = "nvars 1\nmoment_problem asserted\n(1 - x1^2)^3\n"
 ONE = ["-n", "1", "-f", "1 - x1^2"]
+MOTZKIN = ["-n", "2", "-f", "1 + x1^2*x2^2*(x1^2 + x2^2 - 3)"]
 
 # (label, arguments, -o file or None); run in order, so `verify` reads the
 # certificate the command before it wrote
@@ -64,6 +68,9 @@ COMMANDS = [
      None),
     ("odd custom lift", ["minimal-r", *ONE, "--eps", "0.5",
                          "--perturbation", "custom:odd.txt", "--json"], None),
+    ("multi-block epsilon-star", ["epsilon-star", *MOTZKIN, "-r", "4", "--json"], None),
+    ("multi-block check-sos", ["check-sos", "-n", "2", "-f",
+                               "(x1^2 - x2^2)^2 + (x1*x2 - 1)^2", "--json"], None),
     ("error parse", ["check-sos", "-n", "1", "-f", "1 ++ x1"], None),
     ("error no polynomial source", ["check-sos", "-n", "1"], None),
     ("error degree too low", ["epsilon-star", "-n", "1", "-f", "1 - x1^4", "-r", "1"],

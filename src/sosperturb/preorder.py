@@ -43,9 +43,9 @@ from .errors import DimensionMismatchError, TooManyGeneratorsError
 from .parsing import parse, unparse
 from .polynomials import MonomialBasis, Polynomial
 from .sdp import SdpProblem, SolveStatus, solve
-from .sos import (DEFAULT_RESIDUAL_TOL, ApproximationResult, GramCertificate,
-                  Matching, PerturbationKind, THETA_BIG, THETA_SMALL,
-                  _ReducedGram, _gram_form, _products, _residual,
+from .sos import (ApproximationResult, GramCertificate, Matching,
+                  PerturbationKind, THETA_BIG, THETA_SMALL, _ReducedGram,
+                  _gram_form, _products, _residual, _residual_warnings,
                   _squares_form, _sweep, _verify_terms, extract_certificate)
 
 MAX_GENERATORS = 10
@@ -240,9 +240,10 @@ def _sigma_certificate(basis: MonomialBasis, gram_t: np.ndarray) -> GramCertific
 
     The Gram matrix maps by congruence to P^T Q P (see
     `chebyshev.monomial_matrix`).  The squares are extracted from Q itself,
-    whose spectrum the clipping of `extract_certificate` can judge without the growth of the monomial
-    coefficients of T_alpha, and the Chebyshev coefficients c of each
-    square map to the monomial coefficients P^T c.
+    one connected block of its nonzero pattern at a time, whose spectrum
+    the clipping of `extract_certificate` can judge without the growth of
+    the monomial coefficients of T_alpha, and the Chebyshev coefficients c
+    of each square map to the monomial coefficients P^T c.
     """
     P = chebyshev.monomial_matrix(basis)
     gram = P.T @ gram_t @ P
@@ -304,11 +305,7 @@ def membership(
                      reduced.expand_gram(sol.primal_blocks))]
         residual = _residual(f + p.scale(eps),
                              [_squares_form(t.product, t.sigma.squares) for t in terms])
-        if residual > DEFAULT_RESIDUAL_TOL:
-            warnings.append(
-                f"reconstruction residual {residual:.3e} exceeds "
-                f"{DEFAULT_RESIDUAL_TOL:g}: the monomial certificate does not "
-                "re-verify at the default tolerance")
+        warnings.extend(_residual_warnings(residual))
         return PreorderCertificate(
             r=r,
             eps_star=base.eps_star,

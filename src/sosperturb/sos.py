@@ -35,7 +35,7 @@ strictly interior sums of squares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import (Callable, Dict, List, Optional, Sequence, Tuple, TypeVar,
                     Union)
 
@@ -84,6 +84,9 @@ def perturbation_polynomial(kind: PerturbationKind, n_vars: int, r: int) -> Poly
 class GramCertificate:
     """PSD Gram matrix over a monomial basis plus the extracted squares.
 
+    The Gram matrix is kept dense over the full basis; the squares come
+    from `extract_certificate`, one connected block of its nonzero pattern
+    at a time, so each square is supported on the monomials of one block.
     residual_linf is recomputed here from the stored squares against the
     target; solver-reported feasibility is never trusted.
     """
@@ -115,27 +118,64 @@ class GramCertificate:
         }
 
 
+def _blocks(gram: np.ndarray) -> List[np.ndarray]:
+    """Basis indices of each connected block of the nonzero pattern of
+    gram, ordered by first index; a row with no nonzero entry is in none."""
+    linked = gram != 0.0
+    linked |= linked.T
+    done = ~linked.any(axis=1)
+    blocks = []
+    for start in np.flatnonzero(~done):
+        if done[start]:
+            continue
+        block = np.zeros(len(gram), dtype=bool)
+        block[start] = True
+        frontier = block
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~block
+            block |= frontier
+        done |= block
+        blocks.append(np.flatnonzero(block))
+    return blocks
+
+
 def extract_certificate(gram: np.ndarray, basis: MonomialBasis) -> List[Polynomial]:
-    """Square roots of the Gram form: eigendecompose and keep the
-    directions whose eigenvalue exceeds DEFAULT_CLIP_TOL times the largest."""
+    """Square roots of the Gram form, one connected block of its nonzero
+    pattern at a time.
+
+    Each block is eigendecomposed on its own, so every square is supported
+    on the monomials of one block.  The squares come in descending order of
+    eigenvalue across all blocks, ties in block order, and keep the
+    directions whose eigenvalue exceeds DEFAULT_CLIP_TOL times the largest
+    eigenvalue of any block.  An eigenvalue below -DEFAULT_CLIP_TOL times
+    (1 + max |gram|) in any block raises NotPsdError.  The blocks are read
+    off the matrix, not taken from a solver, so the sign-symmetry split of
+    a solved Gram matrix and any other zero pattern are used alike.
+    """
     gram = np.asarray(gram, dtype=float)
     scale = 1.0 + np.max(np.abs(gram), initial=0.0)
-    w, Q = eigendecompose(gram)
-    if w[0] < -DEFAULT_CLIP_TOL * scale:
-        raise NotPsdError(f"gram matrix has eigenvalue {w[0]:.3e}")
-    wmax = float(w[-1])
+    pieces = [(idx, *eigendecompose(gram[np.ix_(idx, idx)])) for idx in _blocks(gram)]
+    if not pieces:
+        return []
+    wmin = min(float(w[0]) for _, w, _ in pieces)
+    if wmin < -DEFAULT_CLIP_TOL * scale:
+        raise NotPsdError(f"gram matrix has eigenvalue {wmin:.3e}")
+    wmax = max(float(w[-1]) for _, w, _ in pieces)
     if wmax <= 0.0:
         return []
+    # (eigenvalue, block, column); eigh ascends, so a tie inside a block
+    # takes the later column first
+    kept = sorted(((float(lam), b, k) for b, (_, w, _) in enumerate(pieces)
+                   for k, lam in enumerate(w) if lam > DEFAULT_CLIP_TOL * wmax),
+                  key=lambda t: (-t[0], t[1], -t[2]))
     squares: List[Polynomial] = []
-    for idx in range(len(w) - 1, -1, -1):
-        lam = float(w[idx])
-        if lam <= DEFAULT_CLIP_TOL * wmax:
-            break
+    for lam, b, k in kept:
+        idx, _, Q = pieces[b]
         root = math.sqrt(lam)
         terms = {
-            alpha: root * float(Q[i, idx])
-            for i, alpha in enumerate(basis.entries)
-            if Q[i, idx] != 0.0
+            basis.entries[i]: root * float(q)
+            for i, q in zip(idx, Q[:, k])
+            if q != 0.0
         }
         squares.append(Polynomial(basis.n_vars, terms))
     return squares
@@ -169,14 +209,21 @@ def _gram_form(product: Polynomial, exponents: Sequence[Multidegree],
                gram: np.ndarray) -> Form:
     """product * z^T Q z, z the monomials x^exponents[a]: Q[a, b] times the
     coefficient of x^k in the product lands on exponents[a] + exponents[b] + k.
-    A plain certificate is the one-term case whose product is 1."""
+    A plain certificate is the one-term case whose product is 1.
+
+    Only the nonzero entries of Q are listed, in row-major order.  An
+    exact zero adds nothing to the per-exponent sums of `_residual`, and
+    the order of the other values is kept, so the residual is the same,
+    bit for bit, as over all n^2 pairs."""
     n = product.n_vars
     exponents = np.asarray(exponents, dtype=np.int64).reshape(-1, n)
+    gram = np.asarray(gram, dtype=float)
+    rows, cols = np.nonzero(gram)
     shifts = np.array(list(product.terms), dtype=np.int64).reshape(-1, n)
     weights = np.fromiter(product.terms.values(), dtype=float, count=len(product.terms))
-    pairs = exponents[:, None, :] + exponents[None, :, :]
-    return (shifts[:, None, None, :] + pairs[None],
-            weights[:, None, None] * np.asarray(gram, dtype=float)[None])
+    pairs = exponents[rows] + exponents[cols]
+    return (shifts[:, None, :] + pairs[None],
+            weights[:, None] * gram[rows, cols][None])
 
 
 def _squares_form(product: Polynomial, squares: Sequence[Polynomial]) -> Form:
@@ -451,6 +498,8 @@ class ApproximationResult:
     eps_star is the moment-side optimum (never meaningfully positive);
     min_eps = -eps_star is the smallest weight making the perturbed target a
     sum of squares at this degree; gap is the cross-side disagreement.
+    warnings says, for a sweep, that the returned certificate does not
+    re-verify (`_residual_warnings`); it is serialized only when not empty.
     """
 
     r: int
@@ -460,6 +509,7 @@ class ApproximationResult:
     dual_moments: MomentVector
     gap: float
     trajectory: Optional[List[dict]] = None
+    warnings: List[str] = field(default_factory=list)
 
     def to_obj(self) -> dict:
         obj = {
@@ -472,7 +522,19 @@ class ApproximationResult:
             obj.update(self.certificate.to_obj())
         if self.trajectory is not None:
             obj["trajectory"] = self.trajectory
+        if self.warnings:
+            obj["warnings"] = self.warnings
         return obj
+
+
+def _residual_warnings(residual: float) -> List[str]:
+    """The warning of a certificate whose residual exceeds
+    DEFAULT_RESIDUAL_TOL, which `verify` would reject, or none."""
+    if residual > DEFAULT_RESIDUAL_TOL:
+        return [f"reconstruction residual {residual:.3e} exceeds "
+                f"{DEFAULT_RESIDUAL_TOL:g}: the monomial certificate does not "
+                "re-verify at the default tolerance"]
+    return []
 
 
 def _check_degrees(f: Polynomial, p: Polynomial, r: int) -> None:
@@ -651,14 +713,16 @@ def minimal_r(
 
     The degree sweep of `_sweep` over `epsilon_star`; the trajectory rides
     along on the result.  The certificate is lifted from the minimal
-    weight to eps (see `_lift_certificate`).
+    weight to eps (see `_lift_certificate`); when its residual exceeds
+    DEFAULT_RESIDUAL_TOL the result carries a warning.
     """
     def lift(base: ApproximationResult, p: Polynomial) -> ApproximationResult:
         return replace(base, certificate=_lift_certificate(base, f, p, eps))
 
     res, trajectory = _sweep(
         f, eps, kind, r_max, lambda r, p: epsilon_star(f, r, p), lift)
-    return replace(res, trajectory=trajectory)
+    return replace(res, trajectory=trajectory,
+                   warnings=_residual_warnings(res.certificate.residual_linf))
 
 
 def approximate_on_box(
@@ -672,7 +736,8 @@ def approximate_on_box(
     Runs the degree sweep on x -> f(l*x), then transports the certificate
     back: the reported squares and Gram matrix certify
     f + eps*(1 + sum_j (x_j / l)^(2r)) for the original variables, and the
-    moment functional is rescaled to match.
+    moment functional is rescaled to match.  The warnings are those of the
+    transported certificate.
     """
     if l <= 0:
         raise ValueError(f"box scale must be positive, got {l}")
@@ -690,7 +755,8 @@ def approximate_on_box(
     moments = MomentVector(
         f.n_vars, 2 * r,
         {a: v * l ** sum(a) for a, v in res.dual_moments.values.items()})
-    return replace(res, certificate=certificate, dual_moments=moments)
+    return replace(res, certificate=certificate, dual_moments=moments,
+                   warnings=_residual_warnings(certificate.residual_linf))
 
 
 # -- solver-free re-verification ------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from sosperturb import sdp, sos
 from sosperturb.errors import (DegreeTooLowError, DimensionMismatchError,
@@ -11,8 +12,9 @@ from sosperturb.moments import check_lemma3, moment_matrix, psd_check
 from sosperturb.parsing import parse
 from sosperturb.polynomials import MonomialBasis, Polynomial, theta_big
 from sosperturb.sdp import SolveStatus, solve
-from sosperturb.sos import (THETA_BIG, THETA_SMALL, GramCertificate,
-                            _forced_zeros, _lift_certificate, _ReducedGram,
+from sosperturb.sos import (DEFAULT_CLIP_TOL, THETA_BIG, THETA_SMALL,
+                            GramCertificate, _forced_zeros, _gram_form,
+                            _lift_certificate, _ReducedGram, _residual,
                             approximate_on_box, epsilon_star,
                             extract_certificate, is_sos, minimal_r,
                             verify_certificate, verify_certificate_obj)
@@ -310,6 +312,32 @@ class TestExtraction:
         res = epsilon_star(MOTZKIN, 3, Polynomial.monomial(2, (6, 0)))
         assert len(res.certificate.squares) <= 10
 
+    @pytest.mark.parametrize("f, r, n_blocks", [(CHOI_LAM, 4, 8), (MOTZKIN, 5, 4)])
+    def test_each_square_lies_in_one_block(self, f, r, n_blocks):
+        # a dense eigh of the 70 x 70 quartic Gram put all 70 monomials
+        # into every square
+        cert = epsilon_star(f, r, theta_big(f.n_vars, r)).certificate
+        count, labels = connected_components(cert.gram != 0.0, directed=False)
+        assert count == n_blocks
+        label = dict(zip(cert.basis.entries, labels))
+        for h in cert.squares:
+            assert len({label[a] for a in h.terms}) == 1
+        assert cert.residual_linf <= 1e-6
+
+    def test_squares_ordered_across_blocks(self):
+        # blocks {1, x^2} with eigenvalues 3 and 1, and {x} with 3: the tie
+        # goes to the first block; clipping is against the largest of all
+        basis = MonomialBasis.build(1, 2)
+        gram = np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 0.0], [1.0, 0.0, 2.0]])
+        squares = extract_certificate(gram, basis)
+        assert [sorted(h.terms) for h in squares] == [[(0,), (2,)], [(1,)], [(0,), (2,)]]
+        assert [sum(c * c for c in h.terms.values()) for h in squares] == pytest.approx(
+            [3.0, 3.0, 1.0])
+        tiny = np.diag([1.0, 0.5 * DEFAULT_CLIP_TOL, 0.0])
+        assert [h.terms for h in extract_certificate(tiny, basis)] == [{(0,): 1.0}]
+        with pytest.raises(NotPsdError):
+            extract_certificate(np.diag([1.0, -1.0, 1.0]), basis)
+
 
 class TestVerify:
     def test_exact_match(self):
@@ -330,6 +358,35 @@ class TestVerify:
         with pytest.raises(DimensionMismatchError):
             verify_certificate(Polynomial.constant(1, 1.0),
                                [Polynomial.constant(2, 1.0)])
+
+    def test_zero_skipping_gram_form_matches_dense_pairs(self):
+        def dense_gram_form(product, exponents, gram):
+            # every one of the n^2 pairs, zero or not
+            n = product.n_vars
+            exponents = np.asarray(exponents, dtype=np.int64).reshape(-1, n)
+            shifts = np.array(list(product.terms), dtype=np.int64).reshape(-1, n)
+            weights = np.array(list(product.terms.values()))
+            pairs = exponents[:, None, :] + exponents[None, :, :]
+            return (shifts[:, None, None, :] + pairs[None],
+                    weights[:, None, None] * gram[None])
+
+        rng = np.random.default_rng(7)
+        basis = MonomialBasis.build(2, 2)
+        blocks = [[0, 3, 5], [1], [2], [4]]   # parity cosets of 1, x1, x2, x1*x2
+        gram = np.zeros((6, 6))
+        for idx in blocks:
+            a = rng.standard_normal((len(idx), len(idx)))
+            gram[np.ix_(idx, idx)] = a @ a.T / 3.0
+        one = Polynomial.constant(2, 1.0)
+        cusp = parse("(1 - x1^2 - x2^2)^3", 2)
+        target = parse("1 + 1/3*x1^2 - 2/7*x2^4 + 3/11*x1^2*x2^2", 2)
+        terms = [(one, gram), (cusp, gram[::-1, ::-1].copy())]
+        sparse = [_gram_form(g, basis.entries, q) for g, q in terms]
+        dense = [dense_gram_form(g, basis.entries, q) for g, q in terms]
+        assert [v.size for _, v in sparse] == [
+            len(g.terms) * np.count_nonzero(q) for g, q in terms]
+        assert _residual(target, sparse) == _residual(target, dense)
+        assert _residual(target, sparse) > 0.0
 
 
 class TestMinimalR:
@@ -377,6 +434,26 @@ class TestMinimalR:
         res = minimal_r(ONE_MINUS_SQ, 0.25, THETA_SMALL, 8)
         assert res.min_eps <= 0.25 + 1e-7
         assert res.certificate.residual_linf <= 1e-6
+        assert res.warnings == []
+        assert "warnings" not in res.to_obj()
+
+    def test_certificate_that_does_not_verify_warns(self, monkeypatch):
+        # the odd monomial rules out the diagonal lift; the lift's re-solve
+        # ends undecided, so it falls back to the minimal-weight Gram, which
+        # misses the target by 0.5 * (eps - min_eps) * p
+        def undecided(*args, **kwargs):
+            raise SolverFailureError("undecided", None)
+
+        monkeypatch.setattr(sos, "is_sos", undecided)
+        fam = lambda n, r: Polynomial(n, {(0,): 2.0, (1,): 1.0, (2 * r,): 1.0})
+        res = minimal_r(ONE_MINUS_SQ, 0.5, fam, 10)
+        assert res.r == 2
+        residual = res.certificate.residual_linf
+        assert residual > 1e-6
+        assert res.warnings == [
+            f"reconstruction residual {residual:.3e} exceeds 1e-06: the monomial "
+            "certificate does not re-verify at the default tolerance"]
+        assert res.to_obj()["warnings"] == res.warnings
 
 
 class TestApproximateOnBox:
@@ -398,6 +475,7 @@ class TestApproximateOnBox:
         f = parse("4 - x1^2", 1)
         res = approximate_on_box(f, 0.2, 2.0, 10)
         assert res.certificate.residual_linf <= 1e-6
+        assert res.warnings == []
         # reconstruction certifies f + eps * (1 + (x/2)^(2r))
         perturbation = Polynomial(
             1, {(0,): 1.0, (2 * res.r,): 2.0 ** (-2 * res.r)})
@@ -434,6 +512,21 @@ class TestSerializedCertificates:
         res = epsilon_star(ONE_MINUS_SQ, 2, Polynomial.monomial(1, (4,)))
         with pytest.raises(DimensionMismatchError):
             verify_certificate_obj(res.to_obj(), Polynomial.constant(2, 1.0))
+
+    def test_dense_squares_still_accepted(self):
+        # squares from one eigh of the whole Gram matrix, as certificates
+        # were written before extraction went block by block
+        res = epsilon_star(MOTZKIN, 4, theta_big(2, 4))
+        basis, gram = res.certificate.basis, res.certificate.gram
+        w, Q = np.linalg.eigh(gram)
+        squares = [
+            Polynomial(2, {a: math.sqrt(w[k]) * Q[i, k]
+                           for i, a in enumerate(basis.entries) if Q[i, k] != 0.0})
+            for k in range(len(w) - 1, -1, -1) if w[k] > DEFAULT_CLIP_TOL * w[-1]]
+        assert max(len(h.terms) for h in squares) == len(basis)
+        obj = {**res.to_obj(), "squares": [h.to_obj() for h in squares]}
+        out = verify_certificate_obj(obj, MOTZKIN + theta_big(2, 4).scale(res.min_eps))
+        assert out["residual_linf"] <= 1e-6
 
 
 class TestConvergenceTrend:

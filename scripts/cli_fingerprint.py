@@ -15,13 +15,14 @@ The list: the five acceptance commands of `tests/test_acceptance.py`
 (`--json`), the human output of `check-sos`, `minimal-r` and
 `degree-probe`, `preorder-membership` of 1 - x1^2 on the cusp
 (1 - x1^2)^3 >= 0 at eps 0.5 and 0.1, `minimal-r --r-max 6 -o` and
-`verify` of the file it writes, a sweep that finds nothing (exit 1), the
-lift of a custom perturbation with an odd monomial, two bivariate
-certificates whose Gram matrices split into several sign-symmetry blocks
-(`epsilon-star` of the Motzkin polynomial at r = 4 and `check-sos` of the
-sum of squares (x1^2 - x2^2)^2 + (x1*x2 - 1)^2, both `--json`), and the
-error paths: a parse error, no polynomial source, a degree too low, an `-o`
-in a missing directory and two malformed certificate files.
+`verify` of the file it writes, a sweep that finds nothing (exit 1),
+`minimal-r` with a custom perturbation that has an odd monomial and with
+theta-small at eps 0.25 (both `--json`), two bivariate certificates whose
+Gram matrices split into several sign-symmetry blocks (`epsilon-star` of
+the Motzkin polynomial at r = 4 and `check-sos` of the sum of squares
+(x1^2 - x2^2)^2 + (x1*x2 - 1)^2, both `--json`), and the error paths: a
+parse error, no polynomial source, a degree too low, an `-o` in a missing
+directory and two malformed certificate files.
 """
 
 import hashlib
@@ -68,6 +69,8 @@ COMMANDS = [
      None),
     ("odd custom lift", ["minimal-r", *ONE, "--eps", "0.5",
                          "--perturbation", "custom:odd.txt", "--json"], None),
+    ("theta-small minimal-r", ["minimal-r", *ONE, "--eps", "0.25",
+                               "--perturbation", "theta-small", "--json"], None),
     ("multi-block epsilon-star", ["epsilon-star", *MOTZKIN, "-r", "4", "--json"], None),
     ("multi-block check-sos", ["check-sos", "-n", "2", "-f",
                                "(x1^2 - x2^2)^2 + (x1*x2 - 1)^2", "--json"], None),

@@ -56,7 +56,10 @@ class NotFoundWithinRMaxError(RuntimeError):
     """The degree sweep exhausted r_max. Carries the trajectory: one
     {r, min_eps, status} entry per degree, with min_eps None for a degree
     that has no minimal weight (status "degree-too-low", "infeasible" or
-    "solver-failed")."""
+    "solver-failed").  A degree whose minimal weight eps covers but whose
+    feasibility re-solve gave no decomposition keeps its min_eps, with
+    status "weight-ok-decomposition-failed"; every other degree with a
+    minimal weight has status "ok"."""
 
     def __init__(self, message: str, trajectory):
         super().__init__(message)

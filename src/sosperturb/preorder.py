@@ -42,7 +42,7 @@ from . import chebyshev
 from .errors import DimensionMismatchError, TooManyGeneratorsError
 from .parsing import parse, unparse
 from .polynomials import MonomialBasis, Polynomial
-from .sdp import SdpProblem, SolveStatus, solve
+from .sdp import SdpProblem, solve
 from .sos import (ApproximationResult, GramCertificate, Matching,
                   PerturbationKind, THETA_BIG, THETA_SMALL, _ReducedGram,
                   _gram_form, _products, _residual, _residual_warnings,
@@ -281,8 +281,9 @@ def membership(
     The degree sweep of `sos._sweep` over `epsilon_star_preorder`; at the
     first degree whose minimal weight is covered by eps, the feasibility
     program for the requested weight (that of `build_preorder_sdp`) is
-    re-solved and per-product square decompositions are extracted.  A
-    re-solve that does not end Optimal marks the degree
+    re-solved by `sos._ReducedGram.feasible_grams`, the decomposition step
+    `sos.minimal_r` shares, and per-product square decompositions are
+    extracted.  A re-solve that does not end Optimal marks the degree
     "weight-ok-decomposition-failed" and the sweep goes on.
     """
     warnings: List[str] = []
@@ -294,15 +295,12 @@ def membership(
     def decompose(base: ApproximationResult, p: Polynomial) -> Optional[PreorderCertificate]:
         r = base.r
         reduced = _ReducedGram(f, p, r, eps, CHEBYSHEV, system.generators)
-        if reduced.problem is None:
-            return None
-        sol = solve(reduced.problem)
-        if sol.status is not SolveStatus.OPTIMAL:
+        grams = reduced.feasible_grams()
+        if grams is None:
             return None
         terms = [PreorderTerm(e, product, _sigma_certificate(basis, gram_t))
                  for (e, product), basis, gram_t in zip(
-                     enumerate_products(system, 2 * r), reduced.bases,
-                     reduced.expand_gram(sol.primal_blocks))]
+                     enumerate_products(system, 2 * r), reduced.bases, grams)]
         residual = _residual(f + p.scale(eps),
                              [_squares_form(t.product, t.sigma.squares) for t in terms])
         warnings.extend(_residual_warnings(residual))

@@ -21,7 +21,9 @@ and in `preorder`.  Only its matching rule differs: plain programs match
 monomial coefficients (`MONOMIAL`), preorder programs tensor Chebyshev
 coefficients (`preorder.CHEBYSHEV`).  Both get the same forced-zero
 pruning and sign-symmetry split (see `symmetry`), the same check of a
-weight solve, the degree sweep (`_sweep`) and the certificate residual
+weight solve, the degree sweep (`_sweep`), the decomposition step at the
+covered degree, which re-solves the feasibility program for f + eps*p
+(`_ReducedGram.feasible_grams`), and the certificate residual
 (`_residual`).
 
 eps is modeled as a 1x1 PSD block rather than a sign-free scalar: the
@@ -409,6 +411,18 @@ class _ReducedGram:
         return [scatter(len(basis), ((idx, blocks[bi]) for bi, idx in parts)) / scale
                 for basis, parts, scale in zip(self.bases, self.parts, self.scales)]
 
+    def feasible_grams(self) -> Optional[List[np.ndarray]]:
+        """Solve the program and return `expand_gram` of its solution, or
+        None when pruning leaves no program or the solve does not end
+        Optimal: the decomposition step of both degree sweeps, for the
+        feasibility program of f + eps*p."""
+        if self.problem is None:
+            return None
+        sol = solve(self.problem)
+        if sol.status is not SolveStatus.OPTIMAL:
+            return None
+        return self.expand_gram(sol.primal_blocks)
+
     def weight_result(self, sol: SdpSolution, program: str) -> ApproximationResult:
         """Minimal weight, gap and moments of a solved weight program, with
         no certificate.  The solve must end Optimal with the squares-side
@@ -601,52 +615,6 @@ def is_sos(f: Polynomial) -> Tuple[bool, Optional[GramCertificate]]:
     return True, certificate
 
 
-def _even_square_form(p: Polynomial, r: int) -> Optional[Dict[Multidegree, float]]:
-    """If p is a nonnegative combination of even monomials X^(2 delta) with
-    |delta| <= r, return {delta: coefficient}; otherwise None.
-
-    Such perturbations embed diagonally into a degree-r Gram matrix, which
-    lets a certificate at the minimal weight be lifted to any larger weight
-    without another solve.
-    """
-    out: Dict[Multidegree, float] = {}
-    for alpha, c in p.terms.items():
-        if c < 0.0 or any(e % 2 for e in alpha):
-            return None
-        half = tuple(e // 2 for e in alpha)
-        if sum(half) > r:
-            return None
-        out[half] = c
-    return out
-
-
-def _lift_certificate(
-    base: ApproximationResult,
-    f: Polynomial,
-    p: Polynomial,
-    eps: float,
-) -> GramCertificate:
-    """Certificate for f + eps*p from the minimal-weight solve at the same r."""
-    extra = max(0.0, eps - base.min_eps)
-    target = f + p.scale(eps)
-    diag = _even_square_form(p, base.r)
-    basis = base.certificate.basis
-    if diag is not None:
-        gram = base.certificate.gram.copy()
-        for half, c in diag.items():
-            idx = basis.index_of(half)
-            gram[idx, idx] += extra * c
-        return GramCertificate.from_gram(basis, gram, target)
-    try:
-        ok, cert = is_sos(target)
-    except SolverFailureError:
-        ok = False
-    if ok:
-        return cert
-    # fall back to the minimal-weight gram; the residual stays honest
-    return GramCertificate.from_gram(basis, base.certificate.gram, target)
-
-
 def _sweep(
     f: Polynomial,
     eps: float,
@@ -711,16 +679,29 @@ def minimal_r(
 ) -> ApproximationResult:
     """Smallest r <= r_max at which eps covers the minimal weight.
 
-    The degree sweep of `_sweep` over `epsilon_star`; the trajectory rides
-    along on the result.  The certificate is lifted from the minimal
-    weight to eps (see `_lift_certificate`); when its residual exceeds
-    DEFAULT_RESIDUAL_TOL the result carries a warning.
+    The degree sweep of `_sweep` over the weight program, with no
+    certificate at the degrees it passes; the trajectory rides along on
+    the result.  At the first covered degree the feasibility program for
+    f + eps*p_r is re-solved (`_ReducedGram.feasible_grams`, as in
+    `preorder.membership`) and the squares are extracted from its Gram
+    matrix; a re-solve that does not end Optimal marks the degree
+    "weight-ok-decomposition-failed" and the sweep goes on.  When the
+    certificate's residual exceeds DEFAULT_RESIDUAL_TOL the result carries
+    a warning.
     """
-    def lift(base: ApproximationResult, p: Polynomial) -> ApproximationResult:
-        return replace(base, certificate=_lift_certificate(base, f, p, eps))
+    def weight(r: int, p: Polynomial) -> ApproximationResult:
+        reduced = _ReducedGram(f, p, r)
+        return reduced.weight_result(solve(reduced.program()), "weight program")
 
-    res, trajectory = _sweep(
-        f, eps, kind, r_max, lambda r, p: epsilon_star(f, r, p), lift)
+    def decompose(base: ApproximationResult, p: Polynomial) -> Optional[ApproximationResult]:
+        reduced = _ReducedGram(f, p, base.r, eps)
+        grams = reduced.feasible_grams()
+        if grams is None:
+            return None
+        return replace(base, certificate=GramCertificate.from_gram(
+            reduced.bases[0], grams[0], f + p.scale(eps)))
+
+    res, trajectory = _sweep(f, eps, kind, r_max, weight, decompose)
     return replace(res, trajectory=trajectory,
                    warnings=_residual_warnings(res.certificate.residual_linf))
 
@@ -733,8 +714,9 @@ def approximate_on_box(
 ) -> ApproximationResult:
     """Certify f on the box [-l, l]^n via the unit-box pipeline.
 
-    Runs the degree sweep on x -> f(l*x), then transports the certificate
-    back: the reported squares and Gram matrix certify
+    Runs the degree sweep of `minimal_r` on x -> f(l*x), whose certificate
+    comes from the feasibility re-solve at the covered degree, then
+    transports it back: the reported squares and Gram matrix certify
     f + eps*(1 + sum_j (x_j / l)^(2r)) for the original variables, and the
     moment functional is rescaled to match.  The warnings are those of the
     transported certificate.

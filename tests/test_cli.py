@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,6 @@ from click.testing import CliRunner
 import sosperturb
 from sosperturb import sos
 from sosperturb.cli import main
-from sosperturb.errors import SolverFailureError
 
 MOTZKIN = "1 + x1^2*x2^2*(x1^2 + x2^2 - 3)"
 
@@ -147,13 +147,18 @@ class TestMinimalR:
 
     def test_certificate_that_does_not_verify_exit_two(self, runner, tmp_path,
                                                          monkeypatch):
-        # the odd monomial rules out the diagonal lift; the lift's re-solve
-        # ends undecided, so it falls back to the minimal-weight Gram, which
-        # misses the target by 0.5 * (eps - min_eps) * p
-        def undecided(*args, **kwargs):
-            raise SolverFailureError("undecided", None)
+        # the re-solve at the covered degree returns its Gram blocks plus
+        # 0.5 * I, which miss the target by 0.5 on the even monomials
+        real = sos.solve
 
-        monkeypatch.setattr(sos, "is_sos", undecided)
+        def off_by_half(problem):
+            sol = real(problem)
+            if any(c.any() for c in problem.C):
+                return sol
+            return dataclasses.replace(sol, primal_blocks=[
+                x + 0.5 * np.eye(len(x)) for x in sol.primal_blocks])
+
+        monkeypatch.setattr(sos, "solve", off_by_half)
         fam = tmp_path / "fam.txt"
         fam.write_text("2 + x1 + x1^{2r}")
         res = invoke(runner, [

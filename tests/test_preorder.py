@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from sosperturb import preorder, sdp
+from sosperturb import preorder, sdp, sos
 from sosperturb.errors import (DimensionMismatchError, NotFoundWithinRMaxError,
                                TooManyGeneratorsError)
 from sosperturb.moments import moment_matrix, psd_check
@@ -121,7 +121,7 @@ class TestBuildPreorderSdp:
             problems.append(problem)
             return solve(problem)
 
-        monkeypatch.setattr(preorder, "solve", recording)
+        monkeypatch.setattr(sos, "solve", recording)
         cert = membership(ONE_MINUS_SQ, 0.1, THETA_SMALL, CUSP, 12)
         assert cert.r == 3
         built = build_preorder_sdp(ONE_MINUS_SQ, 0.1, theta_small(1, 3), CUSP, 3)
@@ -358,9 +358,8 @@ class TestSweepStatuses:
                                 for r in (1, 2)]
 
     def test_weight_ok_decomposition_failed(self, monkeypatch):
-        # only membership re-solves; minimal_r lifts the certificate of
-        # its weight solve, which always gives one
-        real = preorder.solve
+        # both sweeps re-solve the feasibility program at a covered degree
+        real = sos.solve
 
         def failing(problem):
             sol = real(problem)
@@ -368,11 +367,14 @@ class TestSweepStatuses:
                 return dataclasses.replace(sol, status=SolveStatus.ITERATION_LIMIT)
             return sol
 
-        monkeypatch.setattr(preorder, "solve", failing)
-        with pytest.raises(NotFoundWithinRMaxError) as err:
-            membership(ONE_MINUS_SQ, 0.5, THETA_SMALL, CUSP, 3)
-        trajectory = err.value.trajectory
-        assert [t["status"] for t in trajectory] == [
-            "ok", "weight-ok-decomposition-failed", "weight-ok-decomposition-failed"]
-        assert trajectory[0]["min_eps"] > 0.5
-        assert trajectory[1]["min_eps"] == pytest.approx(math.sqrt(5.0) - 2.0, abs=1e-6)
+        monkeypatch.setattr(sos, "solve", failing)
+        for sweep in (lambda: minimal_r(ONE_MINUS_SQ, 0.5, THETA_SMALL, 3),
+                      lambda: membership(ONE_MINUS_SQ, 0.5, THETA_SMALL, CUSP, 3)):
+            with pytest.raises(NotFoundWithinRMaxError) as err:
+                sweep()
+            trajectory = err.value.trajectory
+            assert [t["status"] for t in trajectory] == [
+                "ok", "weight-ok-decomposition-failed", "weight-ok-decomposition-failed"]
+            assert trajectory[0]["min_eps"] > 0.5
+            assert trajectory[1]["min_eps"] == pytest.approx(
+                math.sqrt(5.0) - 2.0, abs=1e-6)

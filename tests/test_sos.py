@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from sosperturb.polynomials import MonomialBasis, Polynomial, theta_big
 from sosperturb.sdp import SolveStatus, solve
 from sosperturb.sos import (DEFAULT_CLIP_TOL, THETA_BIG, THETA_SMALL,
                             GramCertificate, _forced_zeros, _gram_form,
-                            _lift_certificate, _ReducedGram, _residual,
+                            _ReducedGram, _residual,
                             approximate_on_box, epsilon_star,
                             extract_certificate, is_sos, minimal_r,
                             verify_certificate, verify_certificate_obj)
@@ -24,6 +25,18 @@ from reference_programs import build_gram_system, build_moment_system
 ONE_MINUS_SQ = parse("1 - x1^2", 1)
 MOTZKIN = parse("1 + x1^2*x2^2*(x1^2 + x2^2 - 3)", 2)
 CHOI_LAM = parse("x1^2*x2^2 + x1^2*x3^2 + x2^2*x3^2 + x4^4 - 4*x1*x2*x3*x4", 4)
+
+
+def gram_off_by_half(real):
+    """A solve whose zero-objective (feasibility) solutions carry every
+    Gram block plus 0.5 * I, so the certificate misses its target."""
+    def solve_off(problem):
+        sol = real(problem)
+        if any(c.any() for c in problem.C):
+            return sol
+        return dataclasses.replace(sol, primal_blocks=[
+            x + 0.5 * np.eye(len(x)) for x in sol.primal_blocks])
+    return solve_off
 
 
 def monomial_weight(r):
@@ -262,18 +275,6 @@ class TestIsSos:
             is_sos(parse("1 - x1^2 + 1/4*x1^4", 1))
         assert info.value.solution.status is SolveStatus.ITERATION_LIMIT
 
-    def test_lift_treats_undecided_as_not_ok(self, monkeypatch):
-        # an odd monomial in p rules out the diagonal lift, so the lift
-        # re-solves, ends undecided and falls back to the minimal-weight Gram
-        p = parse("2 + x1 + x1^4", 1)
-        base = epsilon_star(ONE_MINUS_SQ, 2, p)
-        eps = base.min_eps + 0.5
-        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
-        cert = _lift_certificate(base, ONE_MINUS_SQ, p, eps)
-        assert np.array_equal(cert.gram, base.certificate.gram)
-        # the residual honestly shows the extra 0.5 * p, largest at its constant 2
-        assert cert.residual_linf == pytest.approx(0.5 * 2.0, rel=1e-6)
-
 
 class TestExtraction:
     def test_identity_gram(self):
@@ -438,13 +439,9 @@ class TestMinimalR:
         assert "warnings" not in res.to_obj()
 
     def test_certificate_that_does_not_verify_warns(self, monkeypatch):
-        # the odd monomial rules out the diagonal lift; the lift's re-solve
-        # ends undecided, so it falls back to the minimal-weight Gram, which
-        # misses the target by 0.5 * (eps - min_eps) * p
-        def undecided(*args, **kwargs):
-            raise SolverFailureError("undecided", None)
-
-        monkeypatch.setattr(sos, "is_sos", undecided)
+        # the re-solve at the covered degree returns its Gram blocks plus
+        # 0.5 * I, which miss the target by 0.5 on the even monomials
+        monkeypatch.setattr(sos, "solve", gram_off_by_half(sos.solve))
         fam = lambda n, r: Polynomial(n, {(0,): 2.0, (1,): 1.0, (2 * r,): 1.0})
         res = minimal_r(ONE_MINUS_SQ, 0.5, fam, 10)
         assert res.r == 2
@@ -454,6 +451,25 @@ class TestMinimalR:
             f"reconstruction residual {residual:.3e} exceeds 1e-06: the monomial "
             "certificate does not re-verify at the default tolerance"]
         assert res.to_obj()["warnings"] == res.warnings
+
+
+    def test_last_solve_is_the_feasibility_program(self, monkeypatch):
+        # the certificate comes from the feasibility program for f + eps*p_r
+        # at the covered degree, the program membership re-solves
+        problems = []
+
+        def recording(problem):
+            problems.append(problem)
+            return solve(problem)
+
+        monkeypatch.setattr(sos, "solve", recording)
+        res = minimal_r(ONE_MINUS_SQ, 0.3, THETA_BIG, 6)
+        built = _ReducedGram(ONE_MINUS_SQ, theta_big(1, res.r), res.r, 0.3).problem
+        resolved = problems[-1]
+        assert built.block_sizes == resolved.block_sizes
+        assert [a.tobytes() for a in built.A] == [a.tobytes() for a in resolved.A]
+        assert built.b.tobytes() == resolved.b.tobytes()
+        assert [c.tobytes() for c in built.C] == [c.tobytes() for c in resolved.C]
 
 
 class TestApproximateOnBox:

@@ -201,9 +201,10 @@ def _sweep_command(fields, r_max, sweep, details, tail=None):
 
     sweep() returns the result; details(result) gives its certificate
     residual and the human lines after the weight.  Nothing found within
-    r_max is code 1 with the trajectory.  A certificate whose residual
-    exceeds DEFAULT_RESIDUAL_TOL is no membership: `verify` would reject
-    it, so the verdict is numerically undecided and the code is 2.
+    r_max is code 1 with the trajectory.  A certificate whose residual is
+    not within DEFAULT_RESIDUAL_TOL (NaN included) is no membership:
+    `verify` would reject it, so the verdict is numerically undecided and
+    the code is 2.
     Otherwise the result follows the fields, then tail, with code 0.
     """
     try:
@@ -214,7 +215,7 @@ def _sweep_command(fields, r_max, sweep, details, tail=None):
         human.extend(_trajectory_lines(exc.trajectory))
         return report, human, 1
     residual, lines = details(res)
-    if residual > DEFAULT_RESIDUAL_TOL:
+    if not residual <= DEFAULT_RESIDUAL_TOL:
         report = {**fields, "found": False, "status": "certificate-does-not-verify",
                   "r": res.r, "min_eps": res.min_eps, "residual_linf": residual}
         human = [

@@ -11,11 +11,14 @@
 multiplication is not allowed.  Rational literals like 4/27 are evaluated as
 one float quotient.  Whitespace is insignificant.  Terms combine with the
 ordinary `Polynomial` arithmetic, which keeps every coefficient the user
-wrote, however small; only exact zeros (say from x1 - x1) disappear.
+wrote, however small; only exact zeros (say from x1 - x1) disappear.  An
+expression with a coefficient that overflows a double (a 400-digit
+literal, say) is a ParseError, not an infinite coefficient.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from typing import List, NamedTuple
 
@@ -151,6 +154,9 @@ def parse(text: str, n_vars: int) -> Polynomial:
     trailing = parser._peek()
     if trailing is not None:
         raise ParseError(f"trailing input {trailing.text!r}", trailing.pos)
+    for c in poly.terms.values():
+        if not math.isfinite(c):
+            raise ParseError(f"a coefficient is {c}: the expression overflows a double", 0)
     return poly
 
 

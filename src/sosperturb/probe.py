@@ -14,6 +14,7 @@ shifts are counted and flagged per row, never silently absorbed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -122,8 +123,8 @@ def run_probe(
 ) -> ProbeReport:
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     rng = SplitMix64(seed)
     report = ProbeReport(n, d, coeff_bound, eps, samples, seed, r_max)
 

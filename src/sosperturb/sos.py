@@ -542,9 +542,10 @@ class ApproximationResult:
 
 
 def _residual_warnings(residual: float) -> List[str]:
-    """The warning of a certificate whose residual exceeds
-    DEFAULT_RESIDUAL_TOL, which `verify` would reject, or none."""
-    if residual > DEFAULT_RESIDUAL_TOL:
+    """The warning of a certificate whose residual is not within
+    DEFAULT_RESIDUAL_TOL (NaN included), which `verify` would reject, or
+    none."""
+    if not residual <= DEFAULT_RESIDUAL_TOL:
         return [f"reconstruction residual {residual:.3e} exceeds "
                 f"{DEFAULT_RESIDUAL_TOL:g}: the monomial certificate does not "
                 "re-verify at the default tolerance"]
@@ -634,8 +635,8 @@ def _sweep(
     answer and the trajectory; the failure exception carries the
     trajectory too, so callers can inspect the trend.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     r_start = max((f.degree() + 1) // 2, 0)
     if kind == THETA_BIG:
         r_start = max(r_start, 1)
@@ -721,8 +722,8 @@ def approximate_on_box(
     moment functional is rescaled to match.  The warnings are those of the
     transported certificate.
     """
-    if l <= 0:
-        raise ValueError(f"box scale must be positive, got {l}")
+    if not (l > 0 and math.isfinite(l)):
+        raise ValueError(f"box scale must be finite and positive, got {l}")
     g = scale_box(f, l)
     res = minimal_r(g, eps, THETA_BIG, r_max)
     if l == 1.0:

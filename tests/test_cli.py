@@ -83,6 +83,31 @@ class TestUnwritableReport:
         assert not missing.exists()
 
 
+class TestNonFiniteInput:
+    """A non-finite weight, box scale or coefficient is a usage error: exit
+    2 with an error line and no report, never an answer."""
+
+    ONE = ["-n", "1", "-f", "1 - x1^2"]
+
+    @pytest.mark.parametrize("args", [
+        ["minimal-r", *ONE, "--eps", "nan"],
+        ["minimal-r", *ONE, "--eps", "inf"],
+        ["degree-probe", "-n", "1", "-d", "2", "-N", "1.0", "--eps", "nan",
+         "--samples", "6", "--seed", "42"],
+        ["preorder-membership", "-f", "1 - x1^2", "--eps", "nan", "--system", "SYSTEM"],
+        ["approximate", *ONE, "--eps", "0.2", "--box-scale", "nan"],
+        ["approximate", *ONE, "--eps", "0.2", "--box-scale", "inf"],
+        ["minimal-r", "-n", "1", "-f", "1" + "0" * 400 + " - x1^2", "--eps", "0.3"],
+    ])
+    def test_exit_two(self, runner, tmp_path, args):
+        system = tmp_path / "system.txt"
+        system.write_text("nvars 1\nmoment_problem asserted\n(1 - x1^2)^3\n")
+        res = invoke(runner, [str(system) if a == "SYSTEM" else a for a in args])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: ")
+        assert res.stdout == ""
+
+
 class TestEpsilonStar:
     def test_quartic_weight(self, runner):
         res = invoke(runner, [

@@ -88,3 +88,11 @@ def test_unknown_character():
     with pytest.raises(ParseError) as err:
         parse("x1 & x1", 1)
     assert err.value.position == 3
+
+
+def test_overflowing_coefficient_rejected():
+    # a 400-digit literal, and a product of finite literals, overflow to inf
+    with pytest.raises(ParseError):
+        parse("1" + "0" * 400 + " - x1^2", 1)
+    with pytest.raises(ParseError):
+        parse("(10^200)^2 - x1^2", 1)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from sosperturb.errors import NoSamplesAcceptedError
@@ -39,6 +41,12 @@ def test_sample_count_validated():
 def test_eps_validated():
     with pytest.raises(ValueError):
         run_probe(1, 2, 1.0, -0.5, samples=1, seed=0)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_non_finite_eps_rejected(eps):
+    with pytest.raises(ValueError):
+        run_probe(1, 2, 1.0, eps, samples=1, seed=0)
 
 
 def test_report_rows_cover_all_samples():

@@ -431,6 +431,11 @@ class TestMinimalR:
         with pytest.raises(ValueError):
             minimal_r(ONE_MINUS_SQ, 0.0, THETA_BIG, 4)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_rejects_non_finite_eps(self, eps):
+        with pytest.raises(ValueError):
+            minimal_r(ONE_MINUS_SQ, eps, THETA_BIG, 4)
+
     def test_theta_small_kind(self):
         res = minimal_r(ONE_MINUS_SQ, 0.25, THETA_SMALL, 8)
         assert res.min_eps <= 0.25 + 1e-7
@@ -505,6 +510,11 @@ class TestApproximateOnBox:
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
             approximate_on_box(ONE_MINUS_SQ, 0.1, -1.0, 5)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    def test_rejects_non_finite_scale(self, scale):
+        with pytest.raises(ValueError):
+            approximate_on_box(ONE_MINUS_SQ, 0.1, scale, 5)
 
 
 class TestSerializedCertificates:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import sys
 from typing import List, Optional
@@ -347,6 +348,8 @@ def cmd_verify(nvars, poly_text, poly_file, certificate_file, eps, perturbation)
 
     Accepts when the coefficient residual is at most 1e-6
     (DEFAULT_RESIDUAL_TOL), the tolerance the degree sweeps certify at."""
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
     f = _load_poly(nvars, poly_text, poly_file)
     with open(certificate_file, "r", encoding="utf-8") as handle:
         obj = json.load(handle)

@@ -349,6 +349,17 @@ class TestVerify:
         assert res.exit_code == 2
         assert "error:" in res.output
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_exit_two(self, runner, tmp_path, eps):
+        # a non-finite claimed weight is a usage error, not a rejection
+        cert = self.make_certificate(runner, tmp_path)
+        res = invoke(runner, [
+            "verify", "-n", "1", "-f", "1 - x1^2", "--certificate", str(cert),
+            "--eps", eps])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: ")
+        assert res.stdout == ""
+
     def test_wrong_nvars_exit_two(self, runner, tmp_path):
         cert = self.make_certificate(runner, tmp_path)
         res = invoke(runner, [

@@ -680,15 +680,13 @@ def minimal_r(
 ) -> ApproximationResult:
     """Smallest r <= r_max at which eps covers the minimal weight.
 
-    The degree sweep of `_sweep` over the weight program, with no
-    certificate at the degrees it passes; the trajectory rides along on
-    the result.  At the first covered degree the feasibility program for
-    f + eps*p_r is re-solved (`_ReducedGram.feasible_grams`, as in
-    `preorder.membership`) and the squares are extracted from its Gram
-    matrix; a re-solve that does not end Optimal marks the degree
-    "weight-ok-decomposition-failed" and the sweep goes on.  When the
-    certificate's residual exceeds DEFAULT_RESIDUAL_TOL the result carries
-    a warning.
+    The degree sweep of `_sweep` over the weight program; the trajectory
+    rides along on the result.  At the first covered degree the
+    certificate comes from a re-solve of the feasibility program for
+    f + eps*p_r, as in `preorder.membership` (`_ReducedGram.feasible_grams`);
+    a re-solve that does not end Optimal marks the degree
+    "weight-ok-decomposition-failed".  When the certificate's residual
+    exceeds DEFAULT_RESIDUAL_TOL the result carries a warning.
     """
     def weight(r: int, p: Polynomial) -> ApproximationResult:
         reduced = _ReducedGram(f, p, r)

@@ -20,9 +20,12 @@ The list: the five acceptance commands of `tests/test_acceptance.py`
 theta-small at eps 0.25 (both `--json`), two bivariate certificates whose
 Gram matrices split into several sign-symmetry blocks (`epsilon-star` of
 the Motzkin polynomial at r = 4 and `check-sos` of the sum of squares
-(x1^2 - x2^2)^2 + (x1*x2 - 1)^2, both `--json`), and the error paths: a
+(x1^2 - x2^2)^2 + (x1*x2 - 1)^2, both `--json`), the error paths: a
 parse error, no polynomial source, a degree too low, an `-o` in a missing
-directory and two malformed certificate files.
+directory and two malformed certificate files, and two edge inputs:
+`degree-probe` with coefficient bound nan, and `check-sos --json` of
+10^310/10^310 * x1^2, a rational literal whose two parts overflow a double
+and whose value is 1.
 """
 
 import hashlib
@@ -37,6 +40,7 @@ import sosperturb
 CUSP = "nvars 1\nmoment_problem asserted\n(1 - x1^2)^3\n"
 ONE = ["-n", "1", "-f", "1 - x1^2"]
 MOTZKIN = ["-n", "2", "-f", "1 + x1^2*x2^2*(x1^2 + x2^2 - 3)"]
+HUGE = "1" + "0" * 310
 
 # (label, arguments, -o file or None); run in order, so `verify` reads the
 # certificate the command before it wrote
@@ -83,6 +87,10 @@ COMMANDS = [
     ("error certificate list", ["verify", *ONE, "--certificate", "list.json"], None),
     ("error certificate object squares", ["verify", *ONE, "--certificate",
                                           "objects.json", "--eps", "0.3"], None),
+    ("probe nan bound", ["degree-probe", "-n", "1", "-d", "2", "-N", "nan",
+                         "--eps", "0.5", "--samples", "3"], None),
+    ("huge rational", ["check-sos", "-n", "1", "-f", f"{HUGE}/{HUGE}*x1^2", "--json"],
+     None),
 ]
 
 

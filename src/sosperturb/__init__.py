@@ -26,8 +26,8 @@ from .preorder import (PreorderCertificate, PreorderTerm, SemialgebraicSystem,
                        verify_preorder_obj)
 from .probe import ProbeReport, run_probe
 from .rng import SplitMix64
-from .sdp import (SdpProblem, SdpSolution, SolveStatus, ConstraintRow,
-                  eigendecompose, min_eigenvalue, solve)
+from .sdp import (SdpProblem, SdpSolution, SolveStatus, eigendecompose,
+                  min_eigenvalue, solve)
 from .sos import (ApproximationResult, GramCertificate, THETA_BIG, THETA_SMALL,
                   approximate_on_box, epsilon_star, extract_certificate, is_sos,
                   minimal_r, perturbation_polynomial, verify_certificate,

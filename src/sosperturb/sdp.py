@@ -102,7 +102,10 @@ class SolveStatus(enum.Enum):
 COO_DTYPE = np.dtype([("row", np.int32), ("i", np.int32), ("j", np.int32),
                       ("v", np.float64)])
 
-Entries = Tuple[Sequence[int], Sequence[int], Sequence[float]]
+# the constraints of one block as parallel sequences (row, i, j, v): each
+# entry puts v at (i, j) and (j, i) of the coefficient matrix of constraint
+# `row`, and repeated positions add up
+Entries = Tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[float]]
 
 
 def _checked_symmetric(mat, nb: int) -> np.ndarray:
@@ -112,32 +115,6 @@ def _checked_symmetric(mat, nb: int) -> np.ndarray:
     if np.max(np.abs(mat - mat.T), initial=0.0) > _SYMMETRY_TOL * (1 + np.max(np.abs(mat), initial=0.0)):
         raise ValueError("coefficient matrix is not symmetric")
     return 0.5 * (mat + mat.T)
-
-
-@dataclass
-class ConstraintRow:
-    """One linear equality: sum_b <A_b, X_b> + free . u = rhs.
-
-    blocks maps a block index to the entries (i, j, v) of A_b, three
-    parallel sequences: each entry puts v at (i, j) and at (j, i), so A_b
-    is symmetric by construction, and repeated positions add up.
-    """
-
-    blocks: Dict[int, Entries]
-    free: Optional[np.ndarray]
-    rhs: float
-
-    @staticmethod
-    def dense(blocks: Dict[int, np.ndarray], free: Optional[np.ndarray],
-              rhs: float) -> "ConstraintRow":
-        """Row from symmetric (nb, nb) matrices, kept as the nonzero entries
-        of their upper triangles."""
-        entries = {}
-        for bi, mat in blocks.items():
-            mat = _checked_symmetric(mat, len(mat))
-            i, j = np.nonzero(np.triu(mat))
-            entries[bi] = (i, j, mat[i, j])
-        return ConstraintRow(entries, free, rhs)
 
 
 def _canonical_entries(row, i, j, v, nb: int):
@@ -156,9 +133,8 @@ def _canonical_entries(row, i, j, v, nb: int):
 class SdpProblem:
     """Immutable standard-form problem; build via from_rows."""
 
-    def __init__(self, block_sizes, n_free, A, F, b, C, d):
+    def __init__(self, block_sizes, A, F, b, C, d):
         self.block_sizes: Tuple[int, ...] = tuple(block_sizes)
-        self.n_free = int(n_free)
         self.A = A          # list over blocks of COO_DTYPE arrays, sorted by row
         self.F = F          # (m, n_free)
         self.b = b          # (m,)
@@ -169,81 +145,60 @@ class SdpProblem:
     def n_constraints(self) -> int:
         return self.b.shape[0]
 
+    @property
+    def n_free(self) -> int:
+        return self.F.shape[1]
+
     @staticmethod
     def from_rows(
         block_sizes: Sequence[int],
-        n_free: int,
-        rows: Sequence[ConstraintRow],
+        entries: Sequence[Entries],
+        rhs: Sequence[float],
         objective_blocks: Dict[int, np.ndarray],
+        free: Optional[np.ndarray] = None,
         objective_free: Optional[np.ndarray] = None,
     ) -> "SdpProblem":
-        """Validate, deduplicate and pack constraint rows as COO triples.
+        """Validate the constraints sum_b <A_(i,b), X_b> + free[i] . u =
+        rhs[i] and store them as COO triples.
 
-        Exact duplicate rows (identical coefficients and right-hand side)
-        are removed; at least one row must remain.
+        entries[b] holds block b's parallel arrays (row, i, j, v), rows
+        numbered 0..m-1 with m = len(rhs) >= 1; free is the (m, n_free)
+        matrix, None for no free variables.  Each block's triples are kept
+        with i <= j, sorted by (row, i, j), repeats summed and zeros dropped,
+        the form `_Constraints` relies on.
         """
         block_sizes = tuple(int(s) for s in block_sizes)
         if any(s < 1 for s in block_sizes):
             raise ValueError("block sizes must be positive")
-        if not rows:
+        if len(entries) != len(block_sizes):
+            raise ValueError(f"{len(entries)} entry sets for {len(block_sizes)} blocks")
+        b = np.asarray(rhs, dtype=float).reshape(-1)
+        m = b.size
+        if m == 0:
             raise ValueError("at least one constraint row is required")
-
-        parts: List[List[List[np.ndarray]]] = [[[], [], [], []] for _ in block_sizes]
-        F = np.zeros((len(rows), n_free))
-        b = np.zeros(len(rows))
-        for r, row in enumerate(rows):
-            for bi, (i, j, v) in row.blocks.items():
-                if not 0 <= bi < len(block_sizes):
-                    raise ValueError(f"block index {bi} out of range")
-                i = np.asarray(i, dtype=np.int64).reshape(-1)
-                fields = parts[bi]
-                fields[0].append(np.full(i.size, r, dtype=np.int64))
-                fields[1].append(i)
-                fields[2].append(np.asarray(j, dtype=np.int64).reshape(i.size))
-                fields[3].append(np.asarray(v, dtype=float).reshape(i.size))
-            if row.free is not None:
-                F[r] = np.asarray(row.free, dtype=float).reshape(n_free)
-            b[r] = float(row.rhs)
-
-        entries = []
-        for fields, nb in zip(parts, block_sizes):
-            arrays = [np.concatenate(f) if f else np.zeros(0, dtype=dt)
-                      for f, dt in zip(fields, (np.int64, np.int64, np.int64, float))]
-            entries.append(_canonical_entries(*arrays, nb))
-
-        # exact duplicates: same entries in every block, free part and rhs
-        bounds = [np.searchsorted(e[0], np.arange(len(rows) + 1)) for e in entries]
-        kept: List[int] = []
-        seen = set()
-        for r in range(len(rows)):
-            key = (
-                tuple(e[k][lo[r]:lo[r + 1]].tobytes()
-                      for e, lo in zip(entries, bounds) for k in (1, 2, 3)),
-                F[r].tobytes(),
-                float(b[r]).hex(),
-            )
-            if key not in seen:
-                seen.add(key)
-                kept.append(r)
-        renumber = np.full(len(rows), -1, dtype=np.int64)
-        renumber[kept] = np.arange(len(kept))
+        F = np.zeros((m, 0)) if free is None else np.asarray(free, dtype=float).reshape(m, -1)
 
         A = []
-        for row, lo, hi, v in entries:
-            keep = renumber[row] >= 0
-            coo = np.empty(int(keep.sum()), dtype=COO_DTYPE)
-            coo["row"], coo["i"], coo["j"], coo["v"] = (
-                renumber[row[keep]], lo[keep], hi[keep], v[keep])
+        for (row, i, j, v), nb in zip(entries, block_sizes):
+            row = np.asarray(row, dtype=np.int64).reshape(-1)
+            if row.size and (row.min() < 0 or row.max() >= m):
+                raise ValueError(f"row index out of range for {m} constraints")
+            i = np.asarray(i, dtype=np.int64).reshape(row.size)
+            j = np.asarray(j, dtype=np.int64).reshape(row.size)
+            v = np.asarray(v, dtype=float).reshape(row.size)
+            row, i, j, v = _canonical_entries(row, i, j, v, nb)
+            coo = np.empty(row.size, dtype=COO_DTYPE)
+            coo["row"], coo["i"], coo["j"], coo["v"] = row, i, j, v
             A.append(coo)
 
         C = []
         for bi, nb in enumerate(block_sizes):
             mat = objective_blocks.get(bi)
             C.append(_checked_symmetric(mat, nb) if mat is not None else np.zeros((nb, nb)))
-        d = np.zeros(n_free)
+        d = np.zeros(F.shape[1])
         if objective_free is not None:
-            d = np.asarray(objective_free, dtype=float).reshape(n_free)
-        return SdpProblem(block_sizes, n_free, A, F[kept], b[kept], C, d)
+            d = np.asarray(objective_free, dtype=float).reshape(F.shape[1])
+        return SdpProblem(block_sizes, A, F, b, C, d)
 
 
 @dataclass

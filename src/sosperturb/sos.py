@@ -48,8 +48,7 @@ from .errors import (DegreeTooLowError, DimensionMismatchError, NotPsdError,
 from .moments import MomentVector
 from .polynomials import (MonomialBasis, Multidegree, Polynomial,
                           multidegrees_upto, scale_box, theta_big, theta_small)
-from .sdp import (ConstraintRow, SdpProblem, SdpSolution, SolveStatus,
-                  eigendecompose, solve)
+from .sdp import SdpProblem, SdpSolution, SolveStatus, eigendecompose, solve
 from .symmetry import ParitySpan, scatter
 
 
@@ -298,9 +297,11 @@ class _ReducedGram:
     f, p and the generators (see `symmetry`), one block each, ordered by
     first kept index, then the eps block.  Equalities outside the span or
     left empty drop; an empty one with a nonzero right-hand side makes the
-    program infeasible (infeasible_gamma set, problem None).  Gram blocks
-    and dual values expand back with zeros at the dropped positions; a Gram
-    matrix, divided by its product's scales, multiplies the unscaled product.
+    program infeasible (infeasible_gamma set, problem None).  The kept
+    equalities go to the solver as each block's COO triples (row, i, j, v),
+    row the position of gamma in kept_gammas.  Gram blocks and dual values
+    expand back with zeros at the dropped positions; a Gram matrix, divided
+    by its product's scales, multiplies the unscaled product.
     """
 
     def __init__(self, f: Polynomial, p: Polynomial, r: int,
@@ -366,27 +367,27 @@ class _ReducedGram:
             objective[len(sizes)] = np.array([[1.0]])
             sizes.append(1)
 
-        rows = []
+        # entries[bi]: the lists (row, i, j, v) of block bi, where row is the
+        # position of the equality's gamma in kept_gammas
+        entries = [([], [], [], []) for _ in sizes]
         self.kept_gammas: List[Multidegree] = []
         self.infeasible_gamma: Optional[Multidegree] = None
         for gamma in gammas:
-            entries: Dict[int, Tuple[list, list, list]] = {}
-            for k, i, j, c in terms.get(gamma, ()):
-                if i in place[k] and j in place[k]:
-                    (bi, a), (_, b) = place[k][i], place[k][j]
-                    block = entries.setdefault(bi, ([], [], []))
-                    block[0].append(a)
-                    block[1].append(b)
-                    block[2].append(c)
+            row = len(self.kept_gammas)
+            kept = [(*place[k][i], place[k][j][1], c) for k, i, j, c in terms.get(gamma, ())
+                    if i in place[k] and j in place[k]]
             if eps_s.get(gamma, 0.0) != 0.0:
-                entries[len(sizes) - 1] = ([0], [0], [-eps_s[gamma]])
-            if entries:
-                rows.append(ConstraintRow(entries, None, rhs[gamma]))
+                kept.append((len(sizes) - 1, 0, 0, -eps_s[gamma]))
+            for bi, *entry in kept:
+                for column, x in zip(entries[bi], (row, *entry)):
+                    column.append(x)
+            if kept:
                 self.kept_gammas.append(gamma)
             elif rhs[gamma] != 0.0:
                 self.infeasible_gamma = gamma
-        self.problem = (SdpProblem.from_rows(sizes, 0, rows, objective)
-                        if rows and self.infeasible_gamma is None else None)
+        self.problem = (
+            SdpProblem.from_rows(sizes, entries, [rhs[g] for g in self.kept_gammas], objective)
+            if self.kept_gammas and self.infeasible_gamma is None else None)
 
     def program(self) -> SdpProblem:
         """The SDP, or, when pruning leaves none, a SolverFailureError with a

@@ -5,14 +5,31 @@ equality per monomial, without the forced-zero pruning and sign-symmetry
 split of `sos._ReducedGram`; it enumerates its own pairs, so it shares no
 assembly code with the routine it checks.  `build_moment_system` is the
 moment-side program with the moment values as free variables, an oracle
-solved independently of the squares side.
+solved independently of the squares side.  `dense_entries` turns dense
+coefficient matrices into the per-block arrays `SdpProblem.from_rows` takes.
 """
 
 import numpy as np
 
 from sosperturb.polynomials import MonomialBasis, Polynomial, multidegrees_upto
-from sosperturb.sdp import ConstraintRow, SdpProblem
+from sosperturb.sdp import SdpProblem
 from sosperturb.sos import _check_degrees
+
+
+def dense_entries(rows):
+    """Per-block arrays (row, i, j, v) for `SdpProblem.from_rows`: rows[r][b]
+    is the symmetric coefficient matrix of constraint r in block b, kept as
+    the nonzeros of its upper triangle."""
+    entries = []
+    for b in range(len(rows[0])):
+        parts = []
+        for r, row in enumerate(rows):
+            mat = np.asarray(row[b], dtype=float)
+            assert np.array_equal(mat, mat.T)
+            i, j = np.nonzero(np.triu(mat))
+            parts.append((np.full(i.size, r), i, j, mat[i, j]))
+        entries.append(tuple(np.concatenate(column) for column in zip(*parts)))
+    return entries
 
 
 def build_gram_system(f: Polynomial, p: Polynomial, r: int) -> SdpProblem:
@@ -27,16 +44,18 @@ def build_gram_system(f: Polynomial, p: Polynomial, r: int) -> SdpProblem:
     for i, a in enumerate(basis.entries):
         for j, b in enumerate(basis.entries[i:], i):
             pairs.setdefault(tuple(x + y for x, y in zip(a, b)), []).append((i, j))
-    rows = []
-    for gamma in multidegrees_upto(f.n_vars, 2 * r):
-        i, j = zip(*pairs[gamma])
-        blocks = {0: (i, j, [1.0] * len(i))}
-        p_coeff = p.coeff(gamma)
-        if p_coeff != 0.0:
-            blocks[1] = ([0], [0], [-p_coeff])
-        rows.append(ConstraintRow(blocks, None, f.coeff(gamma)))
+    gram, eps = ([], [], [], []), ([], [], [], [])
+    gammas = multidegrees_upto(f.n_vars, 2 * r)
+    for row, gamma in enumerate(gammas):
+        for i, j in pairs[gamma]:
+            for column, x in zip(gram, (row, i, j, 1.0)):
+                column.append(x)
+        if p.coeff(gamma) != 0.0:
+            for column, x in zip(eps, (row, 0, 0, -p.coeff(gamma))):
+                column.append(x)
     return SdpProblem.from_rows(
-        [len(basis), 1], 0, rows, objective_blocks={1: np.array([[1.0]])})
+        [len(basis), 1], [gram, eps], [f.coeff(g) for g in gammas],
+        objective_blocks={1: np.array([[1.0]])})
 
 
 def build_moment_system(f: Polynomial, p: Polynomial, r: int) -> SdpProblem:
@@ -51,22 +70,23 @@ def build_moment_system(f: Polynomial, p: Polynomial, r: int) -> SdpProblem:
     gammas = multidegrees_upto(f.n_vars, 2 * r)
     gamma_index = {g: i for i, g in enumerate(gammas)}
     n = len(basis)
-    k = len(gammas)
 
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            gamma = tuple(x + y for x, y in zip(basis.entries[i], basis.entries[j]))
-            free = np.zeros(k)
-            free[gamma_index[gamma]] = -1.0
-            entry = ([i], [j], [1.0 if i == j else 0.5])
-            rows.append(ConstraintRow({0: entry}, free, 0.0))
-    free = np.zeros(k)
+    # one row per entry (i, j), i <= j, of the moment matrix, then L(p) <= 1
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    m = len(pairs) + 1
+    free = np.zeros((m, len(gammas)))
+    for row, (i, j) in enumerate(pairs):
+        gamma = tuple(x + y for x, y in zip(basis.entries[i], basis.entries[j]))
+        free[row, gamma_index[gamma]] = -1.0
     for gamma, c in p.terms.items():
-        free[gamma_index[gamma]] = c
-    rows.append(ConstraintRow({1: ([0], [0], [1.0])}, free, 1.0))
+        free[m - 1, gamma_index[gamma]] = c
+    moment = (np.arange(len(pairs)), [i for i, _ in pairs], [j for _, j in pairs],
+              [1.0 if i == j else 0.5 for i, j in pairs])
+    slack = ([m - 1], [0], [0], [1.0])
+    rhs = np.zeros(m)
+    rhs[m - 1] = 1.0
 
-    objective_free = np.zeros(k)
+    objective_free = np.zeros(len(gammas))
     for gamma, c in f.terms.items():
         objective_free[gamma_index[gamma]] = c
-    return SdpProblem.from_rows([n, 1], k, rows, {}, objective_free)
+    return SdpProblem.from_rows([n, 1], [moment, slack], rhs, {}, free, objective_free)

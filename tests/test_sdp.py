@@ -7,34 +7,30 @@ from scipy.sparse import csr_matrix
 
 from sosperturb.parsing import parse
 from sosperturb.polynomials import Polynomial, theta_big
-from sosperturb.sdp import (GAP_TOLERANCE, MAX_BLOCK_SIZE, ConstraintRow,
-                            SdpProblem, SolveStatus, _Constraints, _factorize,
-                            _Layout, _schur_solver, eigendecompose,
-                            min_eigenvalue, solve)
+from sosperturb.sdp import (GAP_TOLERANCE, MAX_BLOCK_SIZE, SdpProblem,
+                            SolveStatus, _Constraints, _factorize, _Layout,
+                            _schur_solver, eigendecompose, min_eigenvalue,
+                            solve)
 from sosperturb.sos import _ReducedGram
 
-from reference_programs import build_gram_system, build_moment_system
+from reference_programs import build_gram_system, build_moment_system, dense_entries
 
 CHOI_LAM = parse("x1^2*x2^2 + x1^2*x3^2 + x2^2*x3^2 + x4^4 - 4*x1*x2*x3*x4", 4)
 
 
 def scalar_problem(rhs=3.0):
     return SdpProblem.from_rows(
-        [1], 0,
-        [ConstraintRow.dense({0: np.array([[1.0]])}, None, rhs)],
-        {0: np.array([[1.0]])})
+        [1], [([0], [0], [0], [1.0])], [rhs], {0: np.array([[1.0]])})
 
 
 def completion_problem():
     # min trace(X) over 2x2 PSD X with X_12 = 1
-    off = np.array([[0.0, 0.5], [0.5, 0.0]])
-    return SdpProblem.from_rows(
-        [2], 0, [ConstraintRow.dense({0: off}, None, 1.0)], {0: np.eye(2)})
+    return SdpProblem.from_rows([2], [([0], [0], [1], [0.5])], [1.0], {0: np.eye(2)})
 
 
 def random_feasible_rows(seed, sizes=(3, 2), m=4, n_free=0):
     """Rows of a problem with a known strictly feasible primal-dual pair:
-    (mats, F, rows, objective, d), with mats[i][b] the dense coefficient
+    (mats, F, rhs, objective, d), with mats[i][b] the dense coefficient
     matrix of row i in block b."""
     rng = np.random.default_rng(seed)
     mats = []
@@ -54,26 +50,22 @@ def random_feasible_rows(seed, sizes=(3, 2), m=4, n_free=0):
     y0 = rng.standard_normal(m)
     u0 = rng.standard_normal(n_free)
     F = rng.standard_normal((m, n_free)) if n_free else np.zeros((m, 0))
-    rows = []
-    for i in range(m):
-        rhs = sum(float(np.tensordot(mats[i][b], X0[b])) for b in range(len(sizes)))
-        rhs += float(F[i] @ u0)
-        rows.append(ConstraintRow.dense(
-            {b: mats[i][b] for b in range(len(sizes))},
-            F[i] if n_free else None, rhs))
+    rhs = np.array([
+        sum(float(np.tensordot(mats[i][b], X0[b])) for b in range(len(sizes)))
+        + float(F[i] @ u0) for i in range(m)])
     objective = {
         b: sum(y0[i] * mats[i][b] for i in range(m)) + S0[b]
         for b in range(len(sizes))
     }
     d = F.T @ y0 if n_free else None
-    return mats, F, rows, objective, d
+    return mats, F, rhs, objective, d
 
 
 def random_feasible_problem(seed, sizes=(3, 2), m=4, n_free=0):
     """Problem with a known strictly feasible primal-dual pair, so the
     solver must report Optimal."""
-    _, _, rows, objective, d = random_feasible_rows(seed, sizes, m, n_free)
-    return SdpProblem.from_rows(sizes, n_free, rows, objective, d)
+    mats, F, rhs, objective, d = random_feasible_rows(seed, sizes, m, n_free)
+    return SdpProblem.from_rows(sizes, dense_entries(mats), rhs, objective, F, d)
 
 
 class TestSolve:
@@ -99,11 +91,10 @@ class TestSolve:
         assert sol.status is SolveStatus.PRIMAL_LIKELY_INFEASIBLE
 
     def test_free_variables_native(self):
-        rows = [
-            ConstraintRow.dense({0: np.array([[1.0]])}, np.array([1.0]), 3.0),
-            ConstraintRow.dense({}, np.array([1.0]), 1.0),
-        ]
-        problem = SdpProblem.from_rows([1], 1, rows, {0: np.array([[1.0]])})
+        # X + u = 3 and u = 1
+        problem = SdpProblem.from_rows(
+            [1], [([0], [0], [0], [1.0])], [3.0, 1.0], {0: np.array([[1.0]])},
+            free=np.ones((2, 1)))
         sol = solve(problem)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.free_values[0] == pytest.approx(1.0, abs=1e-7)
@@ -111,8 +102,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_feasible_always_optimal(self, seed):
-        mats, _, rows, _, _ = random_feasible_rows(seed)
-        rhs = np.array([row.rhs for row in rows])
+        mats, _, rhs, _, _ = random_feasible_rows(seed)
         sol = solve(random_feasible_problem(seed))
         assert sol.status is SolveStatus.OPTIMAL
         residual = rhs - np.array([
@@ -143,8 +133,7 @@ class TestSolve:
     def test_block_size_cap(self):
         size = MAX_BLOCK_SIZE + 1
         problem = SdpProblem.from_rows(
-            [size], 0, [ConstraintRow({0: ([0], [0], [1.0])}, None, 1.0)],
-            {0: np.eye(size)})
+            [size], [([0], [0], [0], [1.0])], [1.0], {0: np.eye(size)})
         with pytest.raises(ValueError, match="exceeds cap"):
             solve(problem)
 
@@ -163,8 +152,7 @@ class TestSolve:
         # twenty iterations and the solve ends NumericalTrouble, with no
         # numpy RuntimeWarning on the way
         problem = SdpProblem.from_rows(
-            [2], 0, [ConstraintRow.dense({0: np.diag([0.0, 1.0])}, None, 1.0)],
-            {0: np.diag([-1.0, 0.0])})
+            [2], [([0], [1], [1], [1.0])], [1.0], {0: np.diag([-1.0, 0.0])})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve(problem)
@@ -185,32 +173,46 @@ class TestSolve:
                 assert pobj >= dobj - 1e-7
 
 
+def twice_x(rhs):
+    """X = rhs[0] and X = rhs[1] over one 1x1 block, minimizing X."""
+    return SdpProblem.from_rows(
+        [1], [([0, 1], [0, 0], [0, 0], [1.0, 1.0])], rhs, {0: np.array([[1.0]])})
+
+
 class TestProblemConstruction:
-    def test_duplicate_rows_removed(self):
-        row = ConstraintRow.dense({0: np.array([[1.0]])}, None, 3.0)
-        dup = ConstraintRow.dense({0: np.array([[1.0]])}, None, 3.0)
-        problem = SdpProblem.from_rows([1], 0, [row, dup], {0: np.array([[1.0]])})
-        assert problem.n_constraints == 1
+    def test_duplicate_row_still_optimal(self):
+        # the copy makes the Schur matrix singular; the ridge ladder absorbs it
+        problem = twice_x([3.0, 3.0])
+        assert problem.n_constraints == 2
+        sol = solve(problem)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.primal_objective == pytest.approx(solve(scalar_problem()).primal_objective,
+                                                     abs=1e-7)
 
     def test_contradictory_rows_kept(self):
-        rows = [
-            ConstraintRow.dense({0: np.array([[1.0]])}, None, 3.0),
-            ConstraintRow.dense({0: np.array([[1.0]])}, None, 4.0),
-        ]
-        problem = SdpProblem.from_rows([1], 0, rows, {0: np.array([[1.0]])})
+        problem = twice_x([3.0, 4.0])
         assert problem.n_constraints == 2
         assert solve(problem).status is not SolveStatus.OPTIMAL
 
     def test_asymmetric_matrix_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not symmetric"):
             SdpProblem.from_rows(
-                [2], 0,
-                [ConstraintRow.dense({0: np.array([[0.0, 1.0], [0.0, 0.0]])}, None, 1.0)],
-                {})
+                [2], [([0], [0], [1], [1.0])], [1.0],
+                {0: np.array([[0.0, 1.0], [0.0, 0.0]])})
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):
-            SdpProblem.from_rows([1], 0, [], {})
+            SdpProblem.from_rows([1], [([], [], [], [])], [], {})
+
+    @pytest.mark.parametrize("i, j", [(0, 2), (-1, 0)])
+    def test_entry_index_out_of_range_rejected(self, i, j):
+        with pytest.raises(ValueError, match="entry index out of range"):
+            SdpProblem.from_rows([2], [([0], [i], [j], [1.0])], [1.0], {})
+
+    @pytest.mark.parametrize("row", [1, -1])
+    def test_row_index_out_of_range_rejected(self, row):
+        with pytest.raises(ValueError, match="row index out of range"):
+            SdpProblem.from_rows([2], [([0, row], [0, 0], [0, 1], [1.0, 1.0])], [1.0], {})
 
 
 def same_bits(a, b):
@@ -272,11 +274,9 @@ class TestSparseOperators:
     SIZES = (4, 3, 4, 1, 3)
 
     def fixture(self, seed):
-        mats, F, rows, objective, d = random_feasible_rows(
+        mats, F, rhs, objective, d = random_feasible_rows(
             seed, self.SIZES, m=6, n_free=2)
-        # duplicates of rows 0 and 2 are dropped by from_rows
-        problem = SdpProblem.from_rows(
-            self.SIZES, 2, rows + [rows[0], rows[2]], objective, d)
+        problem = SdpProblem.from_rows(self.SIZES, dense_entries(mats), rhs, objective, F, d)
         dense = [np.array([row[b] for row in mats]) for b in range(len(self.SIZES))]
         layout = _Layout(self.SIZES)
         op = _Constraints(problem, layout)
@@ -410,11 +410,10 @@ class TestFlatLayoutSolve:
     SIZES = TestSparseOperators.SIZES
 
     def test_primal_blocks_in_caller_order(self):
-        mats, _, rows, _, _ = random_feasible_rows(7, self.SIZES, m=6)
+        mats, _, rhs, _, _ = random_feasible_rows(7, self.SIZES, m=6)
         sol = solve(random_feasible_problem(7, self.SIZES, m=6))
         assert sol.status is SolveStatus.OPTIMAL
         assert [B.shape for B in sol.primal_blocks] == [(n, n) for n in self.SIZES]
-        rhs = np.array([row.rhs for row in rows])
         residual = rhs - np.array([
             sum(float(np.tensordot(Ab, Xb)) for Ab, Xb in zip(row, sol.primal_blocks))
             for row in mats])

@@ -98,6 +98,9 @@ def _random_polynomial(rng: SplitMix64, n: int, d: int, bound: float) -> Polynom
     return Polynomial(n, terms)
 
 
+# a sum that overflows gives inf or NaN, which the caller handles; numpy's
+# RuntimeWarnings add nothing
+@np.errstate(over="ignore", invalid="ignore")
 def _grid_minimum(f: Polynomial, n: int) -> float:
     axes = [np.linspace(-1.0, 1.0, GRID_POINTS_PER_AXIS)] * n
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -125,13 +128,17 @@ def run_probe(
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be finite and positive, got {eps}")
+    # samples are drawn as -N + 2N*u, so 2N must be finite too
+    if not math.isfinite(2.0 * coeff_bound):
+        raise ValueError(f"coefficient bound N must be finite, and so must 2N, got {coeff_bound}")
     rng = SplitMix64(seed)
     report = ProbeReport(n, d, coeff_bound, eps, samples, seed, r_max)
 
     for index in range(samples):
         f = _random_polynomial(rng, n, d, coeff_bound)
         grid_min = _grid_minimum(f, n)
-        if grid_min < 0.0:
+        # a NaN minimum (an evaluation that overflowed) is rejected too
+        if not grid_min >= 0.0:
             report.rows.append(ProbeRow(index, "rejected", grid_min))
             continue
         row = ProbeRow(index, "accepted", grid_min)

@@ -8,8 +8,9 @@
     variable := 'x' positive-integer
 
 '^' binds tightest and takes a nonnegative integer exponent.  Implicit
-multiplication is not allowed.  Rational literals like 4/27 are evaluated as
-one float quotient.  Whitespace is insignificant.  Terms combine with the
+multiplication is not allowed.  A rational literal like 4/27 is evaluated
+exactly and rounded once to a double, so 1/10^310 keeps its subnormal value
+and 10^310/10^310 is 1.  Whitespace is insignificant.  Terms combine with the
 ordinary `Polynomial` arithmetic, which keeps every coefficient the user
 wrote, however small; only exact zeros (say from x1 - x1) disappear.  An
 expression with a coefficient that overflows a double (a 400-digit
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction
 from typing import List, NamedTuple
 
 import numpy as np
@@ -122,10 +124,15 @@ class _Parser:
         tok = self._next()
         if tok.kind == "number":
             if "/" in tok.text:
-                num, den = tok.text.split("/")
-                if float(den) == 0.0:
+                num, den = (Fraction(part) for part in tok.text.split("/"))
+                if den == 0:
                     raise ParseError("division by zero in rational literal", tok.pos)
-                value = float(num) / float(den)
+                try:
+                    value = float(num / den)
+                except OverflowError:
+                    # as for a plain literal past the largest double, parse
+                    # reports the infinite coefficient
+                    value = math.inf
             else:
                 value = float(tok.text)
             return Polynomial.constant(self.n_vars, value)

@@ -98,9 +98,9 @@ def _random_polynomial(rng: SplitMix64, n: int, d: int, bound: float) -> Polynom
     return Polynomial(n, terms)
 
 
-# a sum that overflows gives inf or NaN, which the caller handles; numpy's
-# RuntimeWarnings add nothing
-@np.errstate(over="ignore", invalid="ignore")
+# near the largest double a sum can overflow to +-inf, which compares like
+# any minimum; numpy's overflow warning adds nothing
+@np.errstate(over="ignore")
 def _grid_minimum(f: Polynomial, n: int) -> float:
     axes = [np.linspace(-1.0, 1.0, GRID_POINTS_PER_AXIS)] * n
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -137,7 +137,7 @@ def run_probe(
     for index in range(samples):
         f = _random_polynomial(rng, n, d, coeff_bound)
         grid_min = _grid_minimum(f, n)
-        # a NaN minimum (an evaluation that overflowed) is rejected too
+        # not >=, so that a NaN minimum is rejected too
         if not grid_min >= 0.0:
             report.rows.append(ProbeRow(index, "rejected", grid_min))
             continue

@@ -43,7 +43,7 @@ blocks (mu and the objectives) keep one partial sum per block, added in
 the caller's block order.
 
 Constraint data stays sparse.  Each block's constraints are COO triples
-(row, i, j, value), mirrored once per solve into triples over the flat
+(row, i, j, value), as the assembly emits them, mirrored once per solve into triples over the flat
 layout, so A(X) and A^T(y) are one sparse product each: a gather, one
 product per triple and an ordered scatter-add (`_SparseMap`).  The Schur
 complement exploits the sparsity on both sides, after Fujisawa, Kojima
@@ -131,7 +131,11 @@ def _canonical_entries(row, i, j, v, nb: int):
 
 
 class SdpProblem:
-    """Immutable standard-form problem; build via from_rows."""
+    """Immutable standard-form problem; build via from_rows.
+
+    A holds one COO_DTYPE array per block, sorted by (row, i, j), and F
+    the (m, n_free) coefficients of the free variables.
+    """
 
     def __init__(self, block_sizes, A, F, b, C, d):
         self.block_sizes: Tuple[int, ...] = tuple(block_sizes)
@@ -183,8 +187,7 @@ class SdpProblem:
             row = np.asarray(row, dtype=np.int64).reshape(-1)
             if row.size and (row.min() < 0 or row.max() >= m):
                 raise ValueError(f"row index out of range for {m} constraints")
-            i = np.asarray(i, dtype=np.int64).reshape(row.size)
-            j = np.asarray(j, dtype=np.int64).reshape(row.size)
+            i, j = (np.asarray(x, dtype=np.int64).reshape(row.size) for x in (i, j))
             v = np.asarray(v, dtype=float).reshape(row.size)
             row, i, j, v = _canonical_entries(row, i, j, v, nb)
             coo = np.empty(row.size, dtype=COO_DTYPE)
@@ -195,9 +198,9 @@ class SdpProblem:
         for bi, nb in enumerate(block_sizes):
             mat = objective_blocks.get(bi)
             C.append(_checked_symmetric(mat, nb) if mat is not None else np.zeros((nb, nb)))
-        d = np.zeros(F.shape[1])
-        if objective_free is not None:
-            d = np.asarray(objective_free, dtype=float).reshape(F.shape[1])
+        n_free = F.shape[1]
+        d = (np.zeros(n_free) if objective_free is None
+             else np.asarray(objective_free, dtype=float).reshape(n_free))
         return SdpProblem(block_sizes, A, F, b, C, d)
 
 

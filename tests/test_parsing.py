@@ -21,20 +21,13 @@ def test_zero():
 def test_rational_literal():
     assert parse("4/27", 1).coeff((0,)) == 4.0 / 27.0
     assert parse("1/2*x1", 1).coeff((1,)) == 0.5
-
-
-def test_rational_literal_rounded_once():
-    # each part overflows or underflows a double; their exact quotient does not
+    assert parse("1.5/0.5", 1).coeff((0,)) == 3.0
+    # evaluated exactly, then rounded once: 10^310 overflows a double, these
+    # quotients do not
     huge = "1" + "0" * 310
     p = parse(f"1/{huge} + x1", 1)
     assert p.coeff((0,)) == 1e-310 and p.coeff((1,)) == 1.0
     assert parse(f"{huge}/{huge}*x1^2", 1).coeff((2,)) == 1.0
-    assert parse("1.5/0.5", 1).coeff((0,)) == 3.0
-
-
-def test_overflowing_rational_literal_rejected():
-    with pytest.raises(ParseError, match="overflows a double"):
-        parse("1" + "0" * 400 + "/3 - x1^2", 1)
 
 
 def test_decimal_literal():
@@ -105,8 +98,11 @@ def test_unknown_character():
 
 
 def test_overflowing_coefficient_rejected():
-    # a 400-digit literal, and a product of finite literals, overflow to inf
+    # a 400-digit literal or quotient, and a product of finite literals,
+    # overflow to inf
     with pytest.raises(ParseError):
         parse("1" + "0" * 400 + " - x1^2", 1)
+    with pytest.raises(ParseError, match="overflows a double"):
+        parse("1" + "0" * 400 + "/3 - x1^2", 1)
     with pytest.raises(ParseError):
         parse("(10^200)^2 - x1^2", 1)

@@ -52,13 +52,13 @@ def test_non_finite_eps_rejected(eps):
 
 @pytest.mark.parametrize("bound", [math.nan, math.inf, 1e308])
 def test_coefficient_bound_with_non_finite_range_rejected(bound):
-    # at 1e308 the width 2N of [-N, N] overflows and every coefficient is inf
+    # at 1e308 the width 2N of [-N, N] overflows a double
     with pytest.raises(ValueError, match="coefficient bound"):
         run_probe(1, 2, bound, 0.5, samples=3, seed=0)
 
 
 def test_nan_grid_minimum_rejected(monkeypatch):
-    # a grid evaluation that overflows to NaN proves nothing nonnegative
+    # a NaN grid minimum is no evidence of nonnegativity
     monkeypatch.setattr(probe, "_grid_minimum", lambda f, n: math.nan)
     with pytest.raises(NoSamplesAcceptedError):
         run_probe(1, 2, 1.0, 0.5, samples=3, seed=42, r_max=4)

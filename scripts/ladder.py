@@ -13,7 +13,9 @@ diff:
 
 The ladder: 1 - x1^2 with theta_big at r = 2..20 and with x1^(2r) at
 r = 2..15; the Motzkin polynomial with theta_big at r = 3..8; the Choi-Lam
-quartic at r = 4 and sextic at r = 6 with theta_big; the preorder weight
+quartic at r = 4 and 5 and sextic at r = 6 and 7 with theta_big, of which
+quartic r = 5 and sextic r = 7 run in the double-precision class of
+`sdp.solve` and every other solve in the extended class; the preorder weight
 programs of 1 - x1^2 on the cusp (1 - x1^2)^3 >= 0 at r = 2..29 step 3, of
 1 - x1^2 - x2^2 on the disk cusp at r = 2..7 and of the Motzkin polynomial
 on the box at r = 4..7, all with theta_small; is_sos of the Motzkin
@@ -60,7 +62,9 @@ def ladder():
     for r in range(3, 9):
         yield f"motzkin r={r}", lambda r=r: epsilon_star(MOTZKIN, r, theta_big(2, r))
     yield "choi-lam quartic r=4", lambda: epsilon_star(CHOI_LAM_QUARTIC, 4, theta_big(4, 4))
+    yield "choi-lam quartic r=5", lambda: epsilon_star(CHOI_LAM_QUARTIC, 5, theta_big(4, 5))
     yield "choi-lam sextic r=6", lambda: epsilon_star(CHOI_LAM_SEXTIC, 6, theta_big(3, 6))
+    yield "choi-lam sextic r=7", lambda: epsilon_star(CHOI_LAM_SEXTIC, 7, theta_big(3, 7))
     for r in range(2, 30, 3):
         yield f"cusp r={r}", lambda r=r: epsilon_star_preorder(
             ONE_MINUS_SQ, r, theta_small(1, r), CUSP)

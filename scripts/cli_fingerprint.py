@@ -22,10 +22,11 @@ Gram matrices split into several sign-symmetry blocks (`epsilon-star` of
 the Motzkin polynomial at r = 4 and `check-sos` of the sum of squares
 (x1^2 - x2^2)^2 + (x1*x2 - 1)^2, both `--json`), the error paths: a
 parse error, no polynomial source, a degree too low, an `-o` in a missing
-directory and two malformed certificate files, and two edge inputs:
-`degree-probe` with coefficient bound nan, and `check-sos --json` of
+directory and two malformed certificate files, and four edge inputs:
+`degree-probe` with coefficient bound nan, `check-sos --json` of
 10^310/10^310 * x1^2, a rational literal whose two parts overflow a double
-and whose value is 1.
+and whose value is 1, and `degree-probe` with no variables and with a
+negative degree.
 """
 
 import hashlib
@@ -91,6 +92,10 @@ COMMANDS = [
                          "--eps", "0.5", "--samples", "3"], None),
     ("huge rational", ["check-sos", "-n", "1", "-f", f"{HUGE}/{HUGE}*x1^2", "--json"],
      None),
+    ("probe no variables", ["degree-probe", "-n", "0", "-d", "2", "-N", "1",
+                            "--eps", "0.5", "--samples", "2"], None),
+    ("probe negative degree", ["degree-probe", "-n", "1", "-d", "-1", "-N", "1",
+                               "--eps", "0.5", "--samples", "2"], None),
 ]
 
 

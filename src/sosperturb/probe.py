@@ -124,6 +124,10 @@ def run_probe(
     seed: int,
     r_max: int = 10,
 ) -> ProbeReport:
+    if n < 1:
+        raise ValueError(f"number of variables must be >= 1, got {n}")
+    if d < 0:
+        raise ValueError(f"degree must be >= 0, got {d}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not (eps > 0 and math.isfinite(eps)):

@@ -100,6 +100,8 @@ class TestNonFiniteInput:
         ["minimal-r", "-n", "1", "-f", "1" + "0" * 400 + " - x1^2", "--eps", "0.3"],
         *(["degree-probe", "-n", "1", "-d", "2", "-N", bound, "--eps", "0.5",
            "--samples", "3"] for bound in ("nan", "inf", "1e308")),
+        *(["degree-probe", "-n", n, "-d", d, "-N", "1", "--eps", "0.5", "--samples", "2"]
+          for n, d in (("0", "2"), ("1", "-1"))),
     ])
     def test_exit_two(self, runner, tmp_path, args):
         system = tmp_path / "system.txt"

@@ -39,6 +39,20 @@ def test_sample_count_validated():
         run_probe(1, 2, 1.0, 0.5, samples=0, seed=0)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_no_variables_rejected(n):
+    # multidegrees_upto(0, d) would recurse without end
+    with pytest.raises(ValueError, match="number of variables"):
+        run_probe(n, 2, 1.0, 0.5, samples=2, seed=0)
+
+
+def test_negative_degree_rejected():
+    # a negative degree has no monomials: every sample would be the zero
+    # polynomial, accepted and certified at r = 1
+    with pytest.raises(ValueError, match="degree"):
+        run_probe(1, -1, 1.0, 0.5, samples=2, seed=0)
+
+
 def test_eps_validated():
     with pytest.raises(ValueError):
         run_probe(1, 2, 1.0, -0.5, samples=1, seed=0)

@@ -2,15 +2,14 @@
 
 Problem form (minimization convention):
 
-    minimize    sum_b <C_b, X_b>  +  d . u
-    subject to  sum_b <A_(i,b), X_b>  +  F[i,:] . u  =  b_i,   i = 1..m
-                X_b positive semidefinite,   u free
+    minimize    sum_b <C_b, X_b>
+    subject to  sum_b <A_(i,b), X_b>  =  b_i,   i = 1..m
+                X_b positive semidefinite
 
 and its dual
 
     maximize    b . y
-    subject to  sum_i y_i A_(i,b)  +  S_b  =  C_b,   S_b PSD
-                F^T y  =  d.
+    subject to  sum_i y_i A_(i,b)  +  S_b  =  C_b,   S_b PSD.
 
 The iteration is Mehrotra-style predictor-corrector path following with
 Nesterov-Todd scaling.  Per block the scaling matrix is
@@ -22,16 +21,14 @@ which satisfies W S W = X, and the linearized complementarity equation is
     dX + W dS W = Rc,    Rc = sigma*mu*S^{-1} - X - symm(dXa dSa S^{-1})
 
 with (dXa, dSa) the affine direction.  Eliminating dX and dS leaves the
-Schur system in (dy, du)
+Schur system in dy alone
 
-    [ M   F ] [dy]   [h1]           M_ij = sum_b <A_i, W A_j W>
-    [ F^T 0 ] [du] = [rf]
+    M dy = h,        M_ij = sum_b <A_i, W A_j W>
 
-solved by Jacobi-scaled dense Cholesky of M plus a small solve on the free
-block, so free scalar variables never pass through a PSD reformulation.
-In double the factor is numpy's LAPACK Cholesky and solves go through its
-inverse; in longdouble, which LAPACK does not cover, a column loop
-factors and substitutes.  The solver needs numpy alone.
+solved by Jacobi-scaled dense Cholesky of M and a few steps of iterative
+refinement.  In double the factor is numpy's LAPACK Cholesky and solves go
+through its inverse; in longdouble, which LAPACK does not cover, a column
+loop factors and substitutes.  The solver needs numpy alone.
 
 The iterates live in one flat vector in which blocks of equal size sit
 next to each other, so each size group is a (k, n, n) view.  Cholesky
@@ -43,19 +40,19 @@ blocks (mu and the objectives) keep one partial sum per block, added in
 the caller's block order.
 
 Constraint data stays sparse.  Each block's constraints are COO triples
-(row, i, j, value), as the assembly emits them, mirrored once per solve into triples over the flat
-layout, so A(X) and A^T(y) are one sparse product each: a gather, one
-product per triple and an ordered scatter-add (`_SparseMap`).  The Schur
-complement exploits the sparsity on both sides, after Fujisawa, Kojima
-and Nakata (Math. Prog. 79, 1997): per block, and only over the
-constraints that block touches, A_j W is a sparse product, T_j = W A_j W
-comes from one dense matrix product for many j at once, and M_ij = sum
-over the triples (p, q, v) of A_i of v * T_j[p, q].  Every sparse product
-adds its terms one by one in the order of a CSR product with sorted
-indices, starting from zero, as scipy.sparse's kernels do (the tests check
-this bit for bit): near the edge of what the iteration resolves
-(scripts/knife_edge.py) the order of these sums decides whether a program
-reaches Optimal.
+(row, i, j, value), as the assembly emits them, mirrored once per solve
+into triples over the flat layout, so A(X) and A^T(y) are one sparse
+product each: a gather, one product per triple and an ordered scatter-add
+(`_SparseMap`).  The Schur complement exploits the sparsity on both
+sides, after Fujisawa, Kojima and Nakata (Math. Prog. 79, 1997): per
+block, and only over the constraints that block touches, A_j W is a
+sparse product, T_j = W A_j W comes from one dense matrix product for
+many j at once, and M_ij = sum over the triples (p, q, v) of A_i of
+v * T_j[p, q].  Every sparse product adds its terms one by one in the
+order of a CSR product with sorted indices, starting from zero, as
+scipy.sparse's kernels do (the tests check this bit for bit): near the
+edge of what the iteration resolves (scripts/knife_edge.py) the order of
+these sums decides whether a program reaches Optimal.
 
 Everything is deterministic: fixed initialization (identity scaled by
 1 + max|b_i|), no randomization, and the same inputs take the same branch
@@ -68,7 +65,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -82,8 +79,8 @@ INFEASIBILITY_THRESHOLD = 1e8
 # largest PSD block `solve` accepts
 MAX_BLOCK_SIZE = 400
 # a solve is Optimal once the relative gap is at most GAP_TOLERANCE and the
-# scaled primal, dual and free residuals at most FEAS_TOLERANCE; it stops
-# as IterationLimit after MAX_ITERATIONS.  `solve` reads all three at call
+# scaled primal and dual residuals at most FEAS_TOLERANCE; it stops as
+# IterationLimit after MAX_ITERATIONS.  `solve` reads all three at call
 # time.
 GAP_TOLERANCE = 1e-8
 FEAS_TOLERANCE = 1e-8
@@ -133,25 +130,22 @@ def _canonical_entries(row, i, j, v, nb: int):
 class SdpProblem:
     """Immutable standard-form problem; build via from_rows.
 
-    A holds one COO_DTYPE array per block, sorted by (row, i, j), and F
-    the (m, n_free) coefficients of the free variables.
+    A holds one COO_DTYPE array per block, sorted by (row, i, j).
     """
 
-    def __init__(self, block_sizes, A, F, b, C, d):
+    def __init__(self, block_sizes, A, b, C):
         self.block_sizes: Tuple[int, ...] = tuple(block_sizes)
         self.A = A          # list over blocks of COO_DTYPE arrays, sorted by row
-        self.F = F          # (m, n_free)
         self.b = b          # (m,)
         self.C = C          # list of (nb, nb)
-        self.d = d          # (n_free,)
+        # zero-width (m, 0) placeholder: its only reader is the benchmark
+        # tracer (bench/tracing.py:58 adds problem.F.nbytes), and it goes
+        # with the benchmark's refresh (ROADMAP direction 4)
+        self.F = np.zeros((b.shape[0], 0))
 
     @property
     def n_constraints(self) -> int:
         return self.b.shape[0]
-
-    @property
-    def n_free(self) -> int:
-        return self.F.shape[1]
 
     @staticmethod
     def from_rows(
@@ -159,17 +153,14 @@ class SdpProblem:
         entries: Sequence[Entries],
         rhs: Sequence[float],
         objective_blocks: Dict[int, np.ndarray],
-        free: Optional[np.ndarray] = None,
-        objective_free: Optional[np.ndarray] = None,
     ) -> "SdpProblem":
-        """Validate the constraints sum_b <A_(i,b), X_b> + free[i] . u =
-        rhs[i] and store them as COO triples.
+        """Validate the constraints sum_b <A_(i,b), X_b> = rhs[i] and store
+        them as COO triples.
 
         entries[b] holds block b's parallel arrays (row, i, j, v), rows
-        numbered 0..m-1 with m = len(rhs) >= 1; free is the (m, n_free)
-        matrix, None for no free variables.  Each block's triples are kept
-        with i <= j, sorted by (row, i, j), repeats summed and zeros dropped,
-        the form `_Constraints` relies on.
+        numbered 0..m-1 with m = len(rhs) >= 1.  Each block's triples are
+        kept with i <= j, sorted by (row, i, j), repeats summed and zeros
+        dropped, the form `_Constraints` relies on.
         """
         block_sizes = tuple(int(s) for s in block_sizes)
         if any(s < 1 for s in block_sizes):
@@ -180,7 +171,6 @@ class SdpProblem:
         m = b.size
         if m == 0:
             raise ValueError("at least one constraint row is required")
-        F = np.zeros((m, 0)) if free is None else np.asarray(free, dtype=float).reshape(m, -1)
 
         A = []
         for (row, i, j, v), nb in zip(entries, block_sizes):
@@ -198,17 +188,13 @@ class SdpProblem:
         for bi, nb in enumerate(block_sizes):
             mat = objective_blocks.get(bi)
             C.append(_checked_symmetric(mat, nb) if mat is not None else np.zeros((nb, nb)))
-        n_free = F.shape[1]
-        d = (np.zeros(n_free) if objective_free is None
-             else np.asarray(objective_free, dtype=float).reshape(n_free))
-        return SdpProblem(block_sizes, A, F, b, C, d)
+        return SdpProblem(block_sizes, A, b, C)
 
 
 @dataclass
 class SdpSolution:
     status: SolveStatus
     primal_blocks: List[np.ndarray]
-    free_values: np.ndarray
     dual_vector: np.ndarray
     primal_objective: float
     dual_objective: float
@@ -476,10 +462,7 @@ def _schur_solver(M: np.ndarray):
     for ridge in _RIDGES:
         factor = _factorize(Msc + ridge * np.eye(len(M), dtype=M.dtype))
         if factor is not None:
-            def solve_scaled(rhs):
-                scale = D if rhs.ndim == 1 else D[:, None]
-                return factor(rhs / scale) / scale
-            return ridge, solve_scaled
+            return ridge, lambda rhs: factor(rhs / D) / D
     return None
 
 
@@ -492,9 +475,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
         raise ValueError(
             f"largest block {max(problem.block_sizes)} exceeds cap {MAX_BLOCK_SIZE}")
 
-    F, b, d = problem.F, problem.b, problem.d
+    b = problem.b
     m = problem.n_constraints
-    k = problem.n_free
     sizes = problem.block_sizes
     layout = _Layout(sizes)
     op = _Constraints(problem, layout)
@@ -503,19 +485,16 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
     b_scale = 1.0 + np.max(np.abs(b), initial=0.0)
     c_scale = 1.0 + np.max(np.abs(C), initial=0.0)
-    d_scale = 1.0 + np.max(np.abs(d), initial=0.0)
 
     eta = b_scale
     X = eta * layout.eye
     S = eta * layout.eye
     y = np.zeros(m)
-    u = np.zeros(k)
 
     # extended-precision direction algebra for small systems; larger ones
     # stay in double where LAPACK-backed routines dominate the cost
     use_extended = m <= 96 and max(sizes) <= 28
     work_dtype = np.longdouble if use_extended else np.float64
-    F_w = F.astype(work_dtype)
 
     trace: List[Tuple[float, float]] = []
     status = SolveStatus.ITERATION_LIMIT
@@ -525,9 +504,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     factors = None
 
     def objectives() -> Tuple[float, float]:
-        pobj = layout.dot(C, X) + float(d @ u)
-        dobj = float(b @ y)
-        return pobj, dobj
+        return layout.dot(C, X), float(b @ y)
 
     def rel_gap(pobj: float, dobj: float) -> float:
         return abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
@@ -546,25 +523,22 @@ def solve(problem: SdpProblem) -> SdpSolution:
         return -1.0 / lam
 
     for iterations in range(1, MAX_ITERATIONS + 1):
-        rp = b - op.apply(X) - F @ u
+        rp = b - op.apply(X)
         Rd = C - op.adjoint(y) - S
-        rf = d - F.T @ y
 
         pobj, dobj = objectives()
         trace.append((pobj, dobj))
 
         prim_res = np.max(np.abs(rp)) / b_scale
         dual_res = np.max(np.abs(Rd), initial=0.0) / c_scale
-        free_res = np.max(np.abs(rf), initial=0.0) / d_scale
         gap = rel_gap(pobj, dobj)
 
-        log.debug("iter %d pobj=%.9g dobj=%.9g prim=%.2e dual=%.2e free=%.2e",
-                  iterations, pobj, dobj, prim_res, dual_res, free_res)
+        log.debug("iter %d pobj=%.9g dobj=%.9g prim=%.2e dual=%.2e",
+                  iterations, pobj, dobj, prim_res, dual_res)
 
         if (gap <= GAP_TOLERANCE
                 and prim_res <= FEAS_TOLERANCE
-                and dual_res <= FEAS_TOLERANCE
-                and free_res <= FEAS_TOLERANCE):
+                and dual_res <= FEAS_TOLERANCE):
             status = SolveStatus.OPTIMAL
             break
         if dobj > INFEASIBILITY_THRESHOLD:
@@ -603,34 +577,18 @@ def solve(problem: SdpProblem) -> SdpSolution:
             break
         _, m_solve = factored
 
-        def solve_kkt(h1, h2) -> Tuple[np.ndarray, np.ndarray]:
-            def once(r1, r2):
-                if k == 0:
-                    return m_solve(r1), np.zeros(0, dtype=work_dtype)
-                Z = m_solve(F_w)
-                G = F_w.T @ Z
-                try:
-                    du = np.linalg.solve(
-                        G.astype(float), np.asarray(Z.T @ r1 - r2, dtype=float))
-                except np.linalg.LinAlgError:
-                    raise _KktFailure()
-                dy = m_solve(r1 - F_w @ du)
-                return dy, du.astype(work_dtype)
-
-            dy, du = once(h1, h2)
+        def solve_kkt(h: np.ndarray) -> np.ndarray:
+            """M dy = h, with up to three steps of iterative refinement."""
+            dy = m_solve(h)
             for _ in range(3):
-                r1 = h1 - Mmat @ dy - (F_w @ du if k else 0.0)
-                r2 = (h2 - F_w.T @ dy) if k else np.zeros(0, dtype=work_dtype)
-                if np.max(np.abs(r1), initial=0.0) <= 1e-15 * (1.0 + np.max(np.abs(h1), initial=0.0)):
+                r = h - Mmat @ dy
+                if np.max(np.abs(r), initial=0.0) <= 1e-15 * (1.0 + np.max(np.abs(h), initial=0.0)):
                     break
-                ddy, ddu = once(r1, r2)
-                dy = dy + ddy
-                du = du + ddu
-            return dy, du
+                dy = dy + m_solve(r)
+            return dy
 
         # W Rd W is shared by the predictor and the corrector
         rp_w = rp.astype(work_dtype)
-        rf_w = rf.astype(work_dtype)
         Rd_w = Rd.astype(work_dtype)
         WRdW = layout.sym(layout.product(W_w, Rd_w, W_w))
 
@@ -640,17 +598,17 @@ def solve(problem: SdpProblem) -> SdpSolution:
             # iteration resolves (scripts/knife_edge.py) the rounding of
             # these sums, like the blockwise order of mu and the Schur
             # sums, decides whether a program reaches Optimal
-            dy, du = solve_kkt(rp_w - op.apply(Rc_w) + op.apply(WRdW), rf_w)
+            dy = solve_kkt(rp_w - op.apply(Rc_w) + op.apply(WRdW))
             dS_w = layout.sym(Rd_w - op.adjoint(dy))
             dX_w = layout.sym(Rc_w - layout.product(W_w, dS_w, W_w))
             return (np.asarray(dX_w, dtype=float), np.asarray(dS_w, dtype=float),
-                    np.asarray(dy, dtype=float), np.asarray(du, dtype=float))
+                    np.asarray(dy, dtype=float))
 
         mu = layout.dot(X, S) / nu
 
         try:
             # predictor (affine scaling)
-            dXa, dSa, _, _ = direction(-X)
+            dXa, dSa, _ = direction(-X)
             ap_aff = min(1.0, max_step(Lxi, dXa))
             ad_aff = min(1.0, max_step(Lsi, dSa))
             mu_aff = layout.dot(X + ap_aff * dXa, S + ad_aff * dSa) / nu
@@ -660,7 +618,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
             # corrector with Mehrotra second-order term
             Rc = sigma * mu * Sinv - X - layout.sym(layout.product(dXa, dSa, Sinv))
-            dX, dS, dy, du = direction(Rc)
+            dX, dS, dy = direction(Rc)
             ap_raw = max_step(Lxi, dX)
             ad_raw = max_step(Lsi, dS)
 
@@ -668,10 +626,10 @@ def solve(problem: SdpProblem) -> SdpSolution:
             # step badly, fall back to a centered first-order direction
             if min(ap_raw, ad_raw) < 0.2 * min(ap_aff, ad_aff):
                 sigma = max(sigma, 0.5)
-                dX, dS, dy, du = direction(sigma * mu * Sinv - X)
+                dX, dS, dy = direction(sigma * mu * Sinv - X)
                 ap_raw = max_step(Lxi, dX)
                 ad_raw = max_step(Lsi, dS)
-        except (_KktFailure, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             # also a step-length eigvalsh that fails once S^-1 overflows
             status = SolveStatus.NUMERICAL_TROUBLE
             break
@@ -702,7 +660,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
             break
 
         X = Xn
-        u = u + ap * du
         y = y + ad * dy
         S = Sn
 
@@ -710,7 +667,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
     return SdpSolution(
         status=status,
         primal_blocks=layout.blocks(X),
-        free_values=u,
         dual_vector=y,
         primal_objective=pobj,
         dual_objective=dobj,
@@ -718,10 +674,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
         iterations=iterations,
         trace=trace,
     )
-
-
-class _KktFailure(Exception):
-    pass
 
 
 # -- dense symmetric eigen helpers -------------------------------------------

@@ -395,7 +395,7 @@ class _ReducedGram:
         if self.problem is None:
             sol = SdpSolution(
                 status=SolveStatus.PRIMAL_LIKELY_INFEASIBLE,
-                primal_blocks=[], free_values=np.zeros(0), dual_vector=np.zeros(0),
+                primal_blocks=[], dual_vector=np.zeros(0),
                 primal_objective=float("nan"), dual_objective=float("nan"),
                 gap=float("nan"), iterations=0)
             what = (f"coefficient {self.infeasible_gamma} cannot be matched"

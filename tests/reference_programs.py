@@ -4,9 +4,10 @@
 equality per monomial, without the forced-zero pruning and sign-symmetry
 split of `sos._ReducedGram`; it enumerates its own pairs, so it shares no
 assembly code with the routine it checks.  `build_moment_system` is the
-moment-side program with the moment values as free variables, an oracle
-solved independently of the squares side.  `dense_entries` turns dense
-coefficient matrices into the per-block arrays `SdpProblem.from_rows` takes.
+moment-side program in standard form, the moment matrix as its PSD block
+with Hankel ties as equalities, an oracle solved independently of the
+squares side.  `dense_entries` turns dense coefficient matrices into the
+per-block arrays `SdpProblem.from_rows` takes.
 """
 
 import numpy as np
@@ -61,32 +62,46 @@ def build_gram_system(f: Polynomial, p: Polynomial, r: int) -> SdpProblem:
 def build_moment_system(f: Polynomial, p: Polynomial, r: int) -> SdpProblem:
     """Moment-side SDP: minimize L(f) with L(p) <= 1 and PSD moment matrix.
 
-    The moment values y_gamma are free scalars tied to the entries of the
-    PSD moment-matrix block; the slack of L(p) <= 1 is a 1x1 block.  Its
-    optimal value must be the negative of the squares-side value.
+    Block 0 is the moment matrix X = M_r(y); the first pair (i, j), i <= j,
+    of each gamma holds y_gamma, and every other pair of gamma is tied to it
+    by the equality X_ij - X_rep(gamma) = 0.  The last row is L(p) + s = 1
+    with the slack s a 1x1 block.  Its optimal value must be the negative of
+    the squares-side value.
     """
     _check_degrees(f, p, r)
     basis = MonomialBasis.build(f.n_vars, r)
-    gammas = multidegrees_upto(f.n_vars, 2 * r)
-    gamma_index = {g: i for i, g in enumerate(gammas)}
     n = len(basis)
 
-    # one row per entry (i, j), i <= j, of the moment matrix, then L(p) <= 1
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    m = len(pairs) + 1
-    free = np.zeros((m, len(gammas)))
-    for row, (i, j) in enumerate(pairs):
-        gamma = tuple(x + y for x, y in zip(basis.entries[i], basis.entries[j]))
-        free[row, gamma_index[gamma]] = -1.0
-    for gamma, c in p.terms.items():
-        free[m - 1, gamma_index[gamma]] = c
-    moment = (np.arange(len(pairs)), [i for i, _ in pairs], [j for _, j in pairs],
-              [1.0 if i == j else 0.5 for i, j in pairs])
-    slack = ([m - 1], [0], [0], [1.0])
-    rhs = np.zeros(m)
-    rhs[m - 1] = 1.0
+    # a COO entry at (i, j) sits at (j, i) too: weight 1/2 off the diagonal
+    # puts coefficient 1 on X_ij
+    def weight(i, j):
+        return 1.0 if i == j else 0.5
 
-    objective_free = np.zeros(len(gammas))
+    rep = {}
+    moment = ([], [], [], [])
+    row = 0
+    for i in range(n):
+        for j in range(i, n):
+            gamma = tuple(x + y for x, y in zip(basis.entries[i], basis.entries[j]))
+            if gamma not in rep:
+                rep[gamma] = (i, j)
+                continue
+            ri, rj = rep[gamma]
+            for column, x in zip(moment, (row, i, j, weight(i, j))):
+                column.append(x)
+            for column, x in zip(moment, (row, ri, rj, -weight(ri, rj))):
+                column.append(x)
+            row += 1
+    for gamma, c in p.terms.items():
+        ri, rj = rep[gamma]
+        for column, x in zip(moment, (row, ri, rj, c * weight(ri, rj))):
+            column.append(x)
+    slack = ([row], [0], [0], [1.0])
+    rhs = np.zeros(row + 1)
+    rhs[row] = 1.0
+
+    objective = np.zeros((n, n))
     for gamma, c in f.terms.items():
-        objective_free[gamma_index[gamma]] = c
-    return SdpProblem.from_rows([n, 1], [moment, slack], rhs, {}, free, objective_free)
+        ri, rj = rep[gamma]
+        objective[ri, rj] = objective[rj, ri] = c * weight(ri, rj)
+    return SdpProblem.from_rows([n, 1], [moment, slack], rhs, {0: objective})

@@ -28,10 +28,10 @@ def completion_problem():
     return SdpProblem.from_rows([2], [([0], [0], [1], [0.5])], [1.0], {0: np.eye(2)})
 
 
-def random_feasible_rows(seed, sizes=(3, 2), m=4, n_free=0):
+def random_feasible_rows(seed, sizes=(3, 2), m=4):
     """Rows of a problem with a known strictly feasible primal-dual pair:
-    (mats, F, rhs, objective, d), with mats[i][b] the dense coefficient
-    matrix of row i in block b."""
+    (mats, rhs, objective), with mats[i][b] the dense coefficient matrix of
+    row i in block b."""
     rng = np.random.default_rng(seed)
     mats = []
     for _ in range(m):
@@ -48,24 +48,21 @@ def random_feasible_rows(seed, sizes=(3, 2), m=4, n_free=0):
         raw = rng.standard_normal((nb, nb))
         S0.append(raw @ raw.T + 0.1 * np.eye(nb))
     y0 = rng.standard_normal(m)
-    u0 = rng.standard_normal(n_free)
-    F = rng.standard_normal((m, n_free)) if n_free else np.zeros((m, 0))
     rhs = np.array([
         sum(float(np.tensordot(mats[i][b], X0[b])) for b in range(len(sizes)))
-        + float(F[i] @ u0) for i in range(m)])
+        for i in range(m)])
     objective = {
         b: sum(y0[i] * mats[i][b] for i in range(m)) + S0[b]
         for b in range(len(sizes))
     }
-    d = F.T @ y0 if n_free else None
-    return mats, F, rhs, objective, d
+    return mats, rhs, objective
 
 
-def random_feasible_problem(seed, sizes=(3, 2), m=4, n_free=0):
+def random_feasible_problem(seed, sizes=(3, 2), m=4):
     """Problem with a known strictly feasible primal-dual pair, so the
     solver must report Optimal."""
-    mats, F, rhs, objective, d = random_feasible_rows(seed, sizes, m, n_free)
-    return SdpProblem.from_rows(sizes, dense_entries(mats), rhs, objective, F, d)
+    mats, rhs, objective = random_feasible_rows(seed, sizes, m)
+    return SdpProblem.from_rows(sizes, dense_entries(mats), rhs, objective)
 
 
 class TestSolve:
@@ -90,19 +87,9 @@ class TestSolve:
         sol = solve(problem)
         assert sol.status is SolveStatus.PRIMAL_LIKELY_INFEASIBLE
 
-    def test_free_variables_native(self):
-        # X + u = 3 and u = 1
-        problem = SdpProblem.from_rows(
-            [1], [([0], [0], [0], [1.0])], [3.0, 1.0], {0: np.array([[1.0]])},
-            free=np.ones((2, 1)))
-        sol = solve(problem)
-        assert sol.status is SolveStatus.OPTIMAL
-        assert sol.free_values[0] == pytest.approx(1.0, abs=1e-7)
-        assert sol.primal_blocks[0][0, 0] == pytest.approx(2.0, abs=1e-6)
-
     @pytest.mark.parametrize("seed", range(8))
     def test_random_feasible_always_optimal(self, seed):
-        mats, _, rhs, _, _ = random_feasible_rows(seed)
+        mats, rhs, _ = random_feasible_rows(seed)
         sol = solve(random_feasible_problem(seed))
         assert sol.status is SolveStatus.OPTIMAL
         residual = rhs - np.array([
@@ -111,11 +98,6 @@ class TestSolve:
         assert np.max(np.abs(residual)) <= 1e-8 * (1 + np.max(np.abs(rhs)))
         for block in sol.primal_blocks:
             assert min_eigenvalue(block) >= -1e-8
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_random_feasible_with_free_vars(self, seed):
-        sol = solve(random_feasible_problem(seed, n_free=2))
-        assert sol.status is SolveStatus.OPTIMAL
 
     def test_gap_within_tolerance_when_optimal(self):
         sol = solve(completion_problem())
@@ -274,9 +256,8 @@ class TestSparseOperators:
     SIZES = (4, 3, 4, 1, 3)
 
     def fixture(self, seed):
-        mats, F, rhs, objective, d = random_feasible_rows(
-            seed, self.SIZES, m=6, n_free=2)
-        problem = SdpProblem.from_rows(self.SIZES, dense_entries(mats), rhs, objective, F, d)
+        mats, rhs, objective = random_feasible_rows(seed, self.SIZES, m=6)
+        problem = SdpProblem.from_rows(self.SIZES, dense_entries(mats), rhs, objective)
         dense = [np.array([row[b] for row in mats]) for b in range(len(self.SIZES))]
         layout = _Layout(self.SIZES)
         op = _Constraints(problem, layout)
@@ -285,7 +266,7 @@ class TestSparseOperators:
         for nb in self.SIZES:
             raw = rng.standard_normal((nb, nb))
             sym.append(raw @ raw.T + np.eye(nb))
-        return problem, F, dense, layout, op, sym, rng.standard_normal(6)
+        return problem, dense, layout, op, sym, rng.standard_normal(6)
 
     def test_layout_groups_equal_sizes(self):
         layout = _Layout(self.SIZES)
@@ -305,9 +286,8 @@ class TestSparseOperators:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_apply_and_adjoint_match_dense(self, seed):
-        problem, F, dense, layout, op, X, y = self.fixture(seed)
+        problem, dense, layout, op, X, y = self.fixture(seed)
         assert problem.n_constraints == 6
-        assert np.array_equal(problem.F, F)
         expected = sum(np.einsum("ijk,jk->i", Ab, Xb) for Ab, Xb in zip(dense, X))
         assert np.allclose(op.apply(layout.flatten(X)), expected, rtol=1e-13, atol=1e-13)
         for got, Ab in zip(layout.blocks(op.adjoint(y)), dense):
@@ -319,7 +299,7 @@ class TestSparseOperators:
     def test_schur_matches_dense(self, monkeypatch, chunk, dtype):
         import sosperturb.sdp as sdp
         monkeypatch.setattr(sdp, "_SCHUR_CHUNK", chunk)
-        problem, _, dense, layout, _, W, _ = self.fixture(4)
+        problem, dense, layout, _, W, _ = self.fixture(4)
         m = problem.n_constraints
         op = _Constraints(problem, layout)
         if chunk == 16:
@@ -339,7 +319,7 @@ class TestSparseOperators:
         # Choi-Lam program each block touches only some of the constraints
         import sosperturb.sdp as sdp
         monkeypatch.setattr(sdp, "_SCHUR_CHUNK", chunk)
-        problem, _, _, layout, _, W, y = self.fixture(6)
+        problem, _, layout, _, W, y = self.fixture(6)
         if split:
             problem = _ReducedGram(CHOI_LAM, theta_big(4, 4), 4).problem
             layout = _Layout(problem.block_sizes)
@@ -361,7 +341,7 @@ class TestSparseOperators:
                         reason="longdouble is double on this platform")
     def test_longdouble_operands_stay_extended(self):
         # 1 + 2^-56 rounds to 1 in double and is exact in longdouble
-        problem, _, dense, layout, op, _, _ = self.fixture(5)
+        problem, dense, layout, op, _, _ = self.fixture(5)
         tiny = np.longdouble(2) ** -56
         eye = layout.eye.astype(np.longdouble)
         diff = (op.apply((1 + tiny) * eye) - op.apply(eye)) / tiny
@@ -396,9 +376,6 @@ class TestSchurFactor:
         want = np.linalg.solve(ridged, rhs)
         got = np.asarray(solve_m(rhs.astype(dtype)), dtype=float)
         assert np.allclose(got, want, rtol=1e-10, atol=0.0)
-        # two right-hand sides at once, as for the free variables
-        got = np.asarray(solve_m(np.stack([rhs, 2 * rhs], axis=1).astype(dtype)), dtype=float)
-        assert np.allclose(got, np.stack([want, 2 * want], axis=1), rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     def test_indefinite_matrix_not_factored(self, dtype):
@@ -410,7 +387,7 @@ class TestFlatLayoutSolve:
     SIZES = TestSparseOperators.SIZES
 
     def test_primal_blocks_in_caller_order(self):
-        mats, _, rhs, _, _ = random_feasible_rows(7, self.SIZES, m=6)
+        mats, rhs, _ = random_feasible_rows(7, self.SIZES, m=6)
         sol = solve(random_feasible_problem(7, self.SIZES, m=6))
         assert sol.status is SolveStatus.OPTIMAL
         assert [B.shape for B in sol.primal_blocks] == [(n, n) for n in self.SIZES]
@@ -430,14 +407,13 @@ class TestFlatLayoutSolve:
         assert all(np.array_equal(B, A) for B, A in zip(blocks[1:], before[1:]))
 
     def test_repeat_solves_bitwise_equal(self):
-        problem = random_feasible_problem(8, self.SIZES, m=6, n_free=1)
+        problem = random_feasible_problem(8, self.SIZES, m=6)
         a = solve(problem)
         b = solve(problem)
         assert a.status is b.status and a.iterations == b.iterations
         for Xa, Xb in zip(a.primal_blocks, b.primal_blocks):
             assert Xa.tobytes() == Xb.tobytes()
         assert a.dual_vector.tobytes() == b.dual_vector.tobytes()
-        assert a.free_values.tobytes() == b.free_values.tobytes()
         assert (a.primal_objective, a.dual_objective) == (b.primal_objective, b.dual_objective)
         assert a.trace == b.trace
 

@@ -103,7 +103,7 @@ class TestBuildGramSystem:
         problem = _ReducedGram(CHOI_LAM, theta_big(4, 4), 4).problem
         assert problem.n_constraints == 85
         assert problem.block_sizes == (16, 6, 6, 6, 6, 10, 10, 10, 1)
-        assert sum(a.nbytes for a in problem.A) + problem.F.nbytes < 2 ** 20
+        assert sum(a.nbytes for a in problem.A) < 2 ** 20
 
     def test_split_program_matches_full_program(self):
         p = theta_big(4, 4)
@@ -210,6 +210,18 @@ class TestEpsilonStar:
         p = Polynomial.monomial(1, (4,))
         gram_res = epsilon_star(ONE_MINUS_SQ, 2, p)
         sol = solve(build_moment_system(ONE_MINUS_SQ, p, 2))
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.primal_objective == pytest.approx(-gram_res.min_eps, abs=1e-6)
+
+    @pytest.mark.parametrize("name, r", [
+        *(("one_minus_sq", r) for r in range(2, 8)),
+        *(("motzkin", r) for r in range(3, 7)),
+    ])
+    def test_independent_moment_side_agrees_with_theta_big(self, name, r):
+        f = {"one_minus_sq": ONE_MINUS_SQ, "motzkin": MOTZKIN}[name]
+        p = theta_big(f.n_vars, r)
+        gram_res = epsilon_star(f, r, p)
+        sol = solve(build_moment_system(f, p, r))
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.primal_objective == pytest.approx(-gram_res.min_eps, abs=1e-6)
 

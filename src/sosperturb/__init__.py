@@ -21,13 +21,11 @@ from .polynomials import (MonomialBasis, Multidegree, Polynomial, basis_size,
                           grlex_key, multidegrees_upto, scale_box, theta_big,
                           theta_small)
 from .preorder import (PreorderCertificate, PreorderTerm, SemialgebraicSystem,
-                       build_preorder_sdp, dump_system, enumerate_products,
-                       epsilon_star_preorder, load_system, membership,
-                       verify_preorder_obj)
+                       build_preorder_sdp, epsilon_star_preorder, load_system,
+                       membership, verify_preorder_obj)
 from .probe import ProbeReport, run_probe
 from .rng import SplitMix64
-from .sdp import (SdpProblem, SdpSolution, SolveStatus, eigendecompose,
-                  min_eigenvalue, solve)
+from .sdp import SdpProblem, SdpSolution, SolveStatus, solve
 from .sos import (ApproximationResult, GramCertificate, THETA_BIG, THETA_SMALL,
                   approximate_on_box, epsilon_star, extract_certificate, is_sos,
                   minimal_r, perturbation_polynomial, verify_certificate,

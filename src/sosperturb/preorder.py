@@ -40,7 +40,7 @@ import numpy as np
 
 from . import chebyshev
 from .errors import DimensionMismatchError, TooManyGeneratorsError
-from .parsing import parse, unparse
+from .parsing import parse
 from .polynomials import MonomialBasis, Polynomial
 from .sdp import SdpProblem, solve
 from .sos import (ApproximationResult, GramCertificate, Matching,
@@ -108,15 +108,6 @@ def load_system(text: str) -> SemialgebraicSystem:
         rest = rest[1:]
     generators = [parse(ln, n_vars) for ln in rest]
     return SemialgebraicSystem(generators, flag == "asserted", note)
-
-
-def dump_system(system: SemialgebraicSystem) -> str:
-    lines = [f"nvars {system.n_vars}",
-             f"moment_problem {'asserted' if system.assert_moment_problem else 'unknown'}"]
-    if system.note:
-        lines.append(f"note {system.note}")
-    lines.extend(unparse(g) for g in system.generators)
-    return "\n".join(lines) + "\n"
 
 
 def enumerate_products(

@@ -7,11 +7,11 @@ from sosperturb import preorder, sdp, sos
 from sosperturb.errors import (DimensionMismatchError, NotFoundWithinRMaxError,
                                TooManyGeneratorsError)
 from sosperturb.moments import moment_matrix, psd_check
-from sosperturb.parsing import parse
+from sosperturb.parsing import parse, unparse
 from sosperturb.polynomials import Polynomial, theta_big, theta_small
 from sosperturb.preorder import (CHEBYSHEV, SemialgebraicSystem,
-                                 build_preorder_sdp, dump_system,
-                                 enumerate_products, epsilon_star_preorder,
+                                 build_preorder_sdp, enumerate_products,
+                                 epsilon_star_preorder,
                                  load_system, membership, verify_preorder_obj)
 from sosperturb.sdp import SolveStatus, min_eigenvalue, solve
 from sosperturb.sos import THETA_BIG, THETA_SMALL, _ReducedGram, minimal_r
@@ -20,6 +20,16 @@ INTERVAL = SemialgebraicSystem([parse("x1", 1), parse("1 - x1", 1)], True)
 CUSP = SemialgebraicSystem([parse("(1 - x1^2)^3", 1)], True)
 SHIFTED_RAY = SemialgebraicSystem([parse("x1 - 2", 1)], True)
 ONE_MINUS_SQ = parse("1 - x1^2", 1)
+
+
+def dump_system(system: SemialgebraicSystem) -> str:
+    """The text `load_system` reads back as the same system."""
+    lines = [f"nvars {system.n_vars}",
+             f"moment_problem {'asserted' if system.assert_moment_problem else 'unknown'}"]
+    if system.note:
+        lines.append(f"note {system.note}")
+    lines.extend(unparse(g) for g in system.generators)
+    return "\n".join(lines) + "\n"
 
 
 class TestSystem:

@@ -213,12 +213,11 @@ class TestEpsilonStar:
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.primal_objective == pytest.approx(-gram_res.min_eps, abs=1e-6)
 
-    @pytest.mark.parametrize("name, r", [
-        *(("one_minus_sq", r) for r in range(2, 8)),
-        *(("motzkin", r) for r in range(3, 7)),
+    @pytest.mark.parametrize("f, r", [
+        *(pytest.param(ONE_MINUS_SQ, r, id=f"one_minus_sq-{r}") for r in range(2, 8)),
+        *(pytest.param(MOTZKIN, r, id=f"motzkin-{r}") for r in range(3, 7)),
     ])
-    def test_independent_moment_side_agrees_with_theta_big(self, name, r):
-        f = {"one_minus_sq": ONE_MINUS_SQ, "motzkin": MOTZKIN}[name]
+    def test_independent_moment_side_agrees_with_theta_big(self, f, r):
         p = theta_big(f.n_vars, r)
         gram_res = epsilon_star(f, r, p)
         sol = solve(build_moment_system(f, p, r))

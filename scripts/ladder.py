@@ -26,7 +26,10 @@ r = 3, each solved as built; and the preorder memberships of the benchmark
 with theta_small, whose weight solves and feasibility re-solves are both
 printed: 1 - x1^2 on the cusp at eps = 0.0102 (r_max 12), 1 - x1^2 - x2^2
 on the disk cusp at eps = 0.08 (r_max 8) and the Motzkin polynomial on the
-box at eps = 0.01 (r_max 8).
+box at eps = 0.01 (r_max 8); and the plain degree sweeps, whose weight solves
+and feasibility re-solve are printed the same way: `minimal_r` of 1 - x1^2
+with theta_big at eps = 0.022 (r_max 20), the benchmark's `minimal-r` job,
+and `approximate_on_box` of 4 - x1^2 on [-2, 2] at eps = 0.2 (r_max 10).
 """
 
 import hashlib
@@ -34,9 +37,10 @@ import sys
 
 import numpy as np
 
-from sosperturb import (THETA_SMALL, Polynomial, SemialgebraicSystem,
-                        build_preorder_sdp, epsilon_star, epsilon_star_preorder,
-                        is_sos, membership, parse, sdp, theta_big, theta_small)
+from sosperturb import (THETA_BIG, THETA_SMALL, Polynomial, SemialgebraicSystem,
+                        approximate_on_box, build_preorder_sdp, epsilon_star,
+                        epsilon_star_preorder, is_sos, membership, minimal_r,
+                        parse, sdp, theta_big, theta_small)
 from sosperturb.errors import SolverFailureError
 
 ONE_MINUS_SQ = parse("1 - x1^2", 1)
@@ -89,6 +93,9 @@ def ladder():
         DISK, 0.08, THETA_SMALL, DISK_CUSP, 8)
     yield "membership motzkin box eps=0.01", lambda: membership(
         MOTZKIN, 0.01, THETA_SMALL, BOX, 8)
+    yield "minimal-r eps=0.022", lambda: minimal_r(ONE_MINUS_SQ, 0.022, THETA_BIG, 20)
+    yield "approximate box 2 eps=0.2", lambda: approximate_on_box(
+        parse("4 - x1^2", 1), 0.2, 2.0, 10)
 
 
 def fingerprint(sol) -> str:

@@ -25,8 +25,11 @@ parse error, no polynomial source, a degree too low, an `-o` in a missing
 directory and two malformed certificate files, and four edge inputs:
 `degree-probe` with coefficient bound nan, `check-sos --json` of
 10^310/10^310 * x1^2, a rational literal whose two parts overflow a double
-and whose value is 1, and `degree-probe` with no variables and with a
-negative degree.
+and whose value is 1, `degree-probe` with no variables and with a
+negative degree, two sweeps whose weight covers eps at the last degree by
+a few 1e-10 while its feasibility re-solve fails (`minimal-r` of 1 - x1^2
+at r = 10, `preorder-membership` on the cusp at r = 9) and `approximate`
+with box scale 1e200, which overflows a double.
 """
 
 import hashlib
@@ -96,6 +99,14 @@ COMMANDS = [
                             "--eps", "0.5", "--samples", "2"], None),
     ("probe negative degree", ["degree-probe", "-n", "1", "-d", "-1", "-N", "1",
                                "--eps", "0.5", "--samples", "2"], None),
+    ("decomposition failed minimal-r", ["minimal-r", *ONE, "--eps", "0.0297559442",
+                                        "--r-max", "10"], None),
+    ("decomposition failed cusp", ["preorder-membership", "-f", "1 - x1^2",
+                                   "--eps", "0.0057424826", "--perturbation",
+                                   "theta-small", "--system", "cusp.txt",
+                                   "--r-max", "9"], None),
+    ("box scale 1e200", ["approximate", "-n", "1", "-f", "4 - x1^2", "--eps", "0.2",
+                         "--box-scale", "1e200"], None),
 ]
 
 

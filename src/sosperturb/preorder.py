@@ -34,7 +34,7 @@ ones of the plain engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -45,8 +45,8 @@ from .polynomials import MonomialBasis, Polynomial
 from .sdp import SdpProblem, solve
 from .sos import (ApproximationResult, GramCertificate, Matching,
                   PerturbationKind, THETA_BIG, THETA_SMALL, _ReducedGram,
-                  _gram_form, _products, _residual, _residual_warnings,
-                  _squares_form, _sweep, _verify_terms, extract_certificate)
+                  _gram_form, _residual, _residual_warnings, _squares_form,
+                  _sweep, _verify_terms, extract_certificate)
 
 MAX_GENERATORS = 10
 
@@ -108,25 +108,6 @@ def load_system(text: str) -> SemialgebraicSystem:
         rest = rest[1:]
     generators = [parse(ln, n_vars) for ln in rest]
     return SemialgebraicSystem(generators, flag == "asserted", note)
-
-
-def enumerate_products(
-    system: SemialgebraicSystem, two_r: int
-) -> List[Tuple[Tuple[int, ...], Polynomial]]:
-    """Admissible exponent tuples e with deg(g^e) <= two_r and the expanded
-    products, in the assembly's order (`sos._products`): e_1 is the fastest
-    bit, so the trivial product e = 0 comes first.
-
-    Distinct tuples with identical products are kept as separate entries.
-    """
-    out: List[Tuple[Tuple[int, ...], Polynomial]] = []
-    for e in _products(system.generators, two_r):
-        product = Polynomial.constant(system.n_vars, 1.0)
-        for g, ei in zip(system.generators, e):
-            if ei:
-                product = product * g
-        out.append((e, product))
-    return out
 
 
 # the tensor Chebyshev basis as a matching rule of `sos._ReducedGram`; the
@@ -270,12 +251,13 @@ def membership(
     """Search the smallest degree at which f + eps*p_r decomposes.
 
     The degree sweep of `sos._sweep` over `epsilon_star_preorder`; at the
-    first degree whose minimal weight is covered by eps, the feasibility
-    program for the requested weight (that of `build_preorder_sdp`) is
-    re-solved by `sos._ReducedGram.feasible_grams`, the decomposition step
-    `sos.minimal_r` shares, and per-product square decompositions are
-    extracted.  A re-solve that does not end Optimal marks the degree
-    "weight-ok-decomposition-failed" and the sweep goes on.
+    first degree whose minimal weight is covered by eps, the sweep's
+    decomposition step, which `sos.minimal_r` shares, re-solves the
+    feasibility program for the requested weight (that of
+    `build_preorder_sdp`), and per-product square decompositions are
+    extracted from its Gram matrices.  A re-solve that does not end
+    Optimal marks the degree "weight-ok-decomposition-failed" and the
+    sweep goes on.
     """
     warnings: List[str] = []
     if not system.assert_moment_problem:
@@ -283,33 +265,25 @@ def membership(
             "moment problem hypothesis not asserted: the degree sweep is a "
             "best effort and may miss memberships that hold at every degree")
 
-    def decompose(base: ApproximationResult, p: Polynomial) -> Optional[PreorderCertificate]:
-        r = base.r
-        reduced = _ReducedGram(f, p, r, eps, CHEBYSHEV, system.generators)
-        grams = reduced.feasible_grams()
-        if grams is None:
-            return None
-        terms = [PreorderTerm(e, product, _sigma_certificate(basis, gram_t))
-                 for (e, product), basis, gram_t in zip(
-                     enumerate_products(system, 2 * r), reduced.bases, grams)]
-        residual = _residual(f + p.scale(eps),
-                             [_squares_form(t.product, t.sigma.squares) for t in terms])
-        warnings.extend(_residual_warnings(residual))
-        return PreorderCertificate(
-            r=r,
-            eps_star=base.eps_star,
-            min_eps=base.min_eps,
-            gap=base.gap,
-            kind=kind if isinstance(kind, str) else "custom",
-            annotation=_kind_annotation(kind, f.n_vars),
-            terms=terms,
-            residual_linf=residual,
-            warnings=warnings,
-        )
-
-    return _sweep(
-        f, eps, kind, r_max,
-        lambda r, p: epsilon_star_preorder(f, r, p, system), decompose)[0]
+    base, p, reduced, grams, _ = _sweep(
+        f, eps, kind, r_max, lambda r, p: epsilon_star_preorder(f, r, p, system),
+        CHEBYSHEV, system.generators)
+    terms = [PreorderTerm(e, product, _sigma_certificate(basis, gram_t))
+             for (e, product), basis, gram_t in zip(reduced.products, reduced.bases, grams)]
+    residual = _residual(f + p.scale(eps),
+                         [_squares_form(t.product, t.sigma.squares) for t in terms])
+    warnings.extend(_residual_warnings(residual))
+    return PreorderCertificate(
+        r=base.r,
+        eps_star=base.eps_star,
+        min_eps=base.min_eps,
+        gap=base.gap,
+        kind=kind if isinstance(kind, str) else "custom",
+        annotation=_kind_annotation(kind, f.n_vars),
+        terms=terms,
+        residual_linf=residual,
+        warnings=warnings,
+    )
 
 
 def verify_preorder_obj(obj: dict, target: Polynomial) -> dict:

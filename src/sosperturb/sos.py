@@ -21,10 +21,9 @@ and in `preorder`.  Only its matching rule differs: plain programs match
 monomial coefficients (`MONOMIAL`), preorder programs tensor Chebyshev
 coefficients (`preorder.CHEBYSHEV`).  Both get the same forced-zero
 pruning and sign-symmetry split (see `symmetry`), the same check of a
-weight solve, the degree sweep (`_sweep`), the decomposition step at the
-covered degree, which re-solves the feasibility program for f + eps*p
-(`_ReducedGram.feasible_grams`), and the certificate residual
-(`_residual`).
+weight solve, the degree sweep (`_sweep`) with its decomposition step,
+which re-solves the feasibility program for f + eps*p at the covered
+degree, and the certificate residual (`_residual`).
 
 eps is modeled as a 1x1 PSD block rather than a sign-free scalar: the
 moment side keeps L(p) <= 1 as an inequality (the zero form stays feasible,
@@ -38,8 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import (Callable, Dict, List, Optional, Sequence, Tuple, TypeVar,
-                    Union)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -62,7 +60,6 @@ DEFAULT_CLIP_TOL = 1e-9
 DUALITY_GAP_TOL = 1e-6
 
 PerturbationKind = Union[str, Callable[[int, int], Polynomial]]
-T = TypeVar("T")
 
 THETA_BIG = "theta-big"
 THETA_SMALL = "theta-small"
@@ -281,16 +278,18 @@ MONOMIAL = Matching(
 class _ReducedGram:
     """The one assembly of every weight and feasibility program.
 
-    The products are the tuples e in {0,1}^s with deg g^e <= 2r of
-    `_products` (plain SOS: the empty product of no generators), over the
-    generators scaled to a largest coefficient of 1, which keeps the
-    constraint data O(1) however they were written.  Each product gets a
-    Gram matrix Q_e over the basis functions of degree <= (2r - deg g^e) //
-    2, and one equality per basis function gamma of degree <= 2r matches
-    the coefficient of gamma in sum_e (z^T Q_e z) g^e, under `matching`,
-    against the target.  With eps None this is the weight program (a 1x1
-    eps block carrying -p, objective eps, right-hand side f), with a number
-    the feasibility program for f + eps*p: zero objective, no eps block.
+    The products are the pairs (e, g^e) of `_products`, e in {0,1}^s with
+    deg g^e <= 2r and g^e multiplied out from the generators as written
+    (plain SOS: the empty product 1 of no generators).  The program is
+    built over the generators scaled to a largest coefficient of 1, which
+    keeps the constraint data O(1) however they were written.  Each
+    product gets a Gram matrix Q_e over the basis functions of degree <=
+    (2r - deg g^e) // 2, and one equality per basis function gamma of
+    degree <= 2r matches the coefficient of gamma in sum_e (z^T Q_e z) g^e,
+    under `matching`, against the target.  With eps None this is the
+    weight program (a 1x1 eps block carrying -p, objective eps, right-hand
+    side f), with a number the feasibility program for f + eps*p: zero
+    objective, no eps block.
 
     Forced-zero pruning (`_forced_zeros`) removes Gram rows first.  Each
     product's kept basis then splits into the cosets of the parity span of
@@ -313,11 +312,11 @@ class _ReducedGram:
                 raise DimensionMismatchError(
                     f"target has {f.n_vars} variables, system has {g.n_vars}")
         self.n_vars, self.r, self.matching = f.n_vars, r, matching
-        self.products = _products(generators, 2 * r)
+        self.products = _products(f.n_vars, generators, 2 * r)
         norms = [max(abs(c) for c in g.terms.values()) for g in generators]
         generators = [g.scale(1.0 / norm) for g, norm in zip(generators, norms)]
         self.scales = [math.prod(c for ei, c in zip(e, norms) if ei)
-                       for e in self.products]
+                       for e, _ in self.products]
         span = ParitySpan([f, p, *generators])
         gammas = [g for g in multidegrees_upto(f.n_vars, 2 * r) if span.contains(g)]
         f_s, p_s = matching.expand(f), matching.expand(p)
@@ -330,7 +329,7 @@ class _ReducedGram:
         terms: Dict[Multidegree, List[Tuple[int, int, int, float]]] = {}
         expanded = [matching.expand(g) for g in generators]
         self.bases: List[MonomialBasis] = []
-        for k, e in enumerate(self.products):
+        for k, (e, _) in enumerate(self.products):
             deg = sum(g.degree() for g, ei in zip(generators, e) if ei)
             basis = MonomialBasis.build(f.n_vars, (2 * r - deg) // 2)
             self.bases.append(basis)
@@ -412,18 +411,6 @@ class _ReducedGram:
         return [scatter(len(basis), ((idx, blocks[bi]) for bi, idx in parts)) / scale
                 for basis, parts, scale in zip(self.bases, self.parts, self.scales)]
 
-    def feasible_grams(self) -> Optional[List[np.ndarray]]:
-        """Solve the program and return `expand_gram` of its solution, or
-        None when pruning leaves no program or the solve does not end
-        Optimal: the decomposition step of both degree sweeps, for the
-        feasibility program of f + eps*p."""
-        if self.problem is None:
-            return None
-        sol = solve(self.problem)
-        if sol.status is not SolveStatus.OPTIMAL:
-            return None
-        return self.expand_gram(sol.primal_blocks)
-
     def weight_result(self, sol: SdpSolution, program: str) -> ApproximationResult:
         """Minimal weight, gap and moments of a solved weight program, with
         no certificate.  The solve must end Optimal with the squares-side
@@ -451,9 +438,12 @@ class _ReducedGram:
         )
 
 
-def _products(generators: Sequence[Polynomial], two_r: int) -> List[Tuple[int, ...]]:
-    """Exponent tuples e in {0,1}^s with deg(g^e) <= two_r, e_1 the fastest
-    bit, so the trivial product e = 0 comes first (no generators: ())."""
+def _products(n_vars: int, generators: Sequence[Polynomial],
+              two_r: int) -> List[Tuple[Tuple[int, ...], Polynomial]]:
+    """Exponent tuples e in {0,1}^s with deg(g^e) <= two_r, each with its
+    product g^e multiplied out, e_1 the fastest bit, so the trivial product
+    e = 0 comes first (no generators: () with the constant 1).  Distinct
+    tuples with identical products are kept as separate entries."""
     if two_r < 0:
         raise ValueError("two_r must be >= 0")
     degs = [g.degree() for g in generators]
@@ -462,7 +452,11 @@ def _products(generators: Sequence[Polynomial], two_r: int) -> List[Tuple[int, .
         e = tuple((code >> i) & 1 for i in range(len(degs)))
         # leading forms never cancel in a product, so degrees add
         if sum(d for d, ei in zip(degs, e) if ei) <= two_r:
-            out.append(e)
+            product = Polynomial.constant(n_vars, 1.0)
+            for g, ei in zip(generators, e):
+                if ei:
+                    product = product * g
+            out.append((e, product))
     return out
 
 
@@ -623,18 +617,23 @@ def _sweep(
     kind: PerturbationKind,
     r_max: int,
     weight: Callable[[int, Polynomial], ApproximationResult],
-    decompose: Callable[[ApproximationResult, Polynomial], Optional[T]],
-) -> Tuple[T, List[dict]]:
+    matching: Matching = MONOMIAL,
+    generators: Sequence[Polynomial] = (),
+) -> Tuple[ApproximationResult, Polynomial, _ReducedGram, List[np.ndarray], List[dict]]:
     """The degree sweep behind `minimal_r` and `preorder.membership`.
 
     Scans r upward from ceil(deg f / 2) one step at a time and solves the
     weight program weight(r, p_r) at every degree, recording one
     trajectory entry per degree: its minimal weight, or why it has none.
-    At the first degree whose minimal weight eps covers, decompose(base,
-    p_r) builds the answer; when it returns None the degree is marked
+    At the first degree whose minimal weight eps covers, the decomposition
+    step re-solves the feasibility program for f + eps*p_r, assembled
+    under `matching` over `generators`.  When pruning leaves no program or
+    the re-solve does not end Optimal, the degree is marked
     "weight-ok-decomposition-failed" and the sweep goes on.  Returns the
-    answer and the trajectory; the failure exception carries the
-    trajectory too, so callers can inspect the trend.
+    covered degree's weight result, p_r, the feasibility assembly, its
+    Gram matrices (`_ReducedGram.expand_gram`) and the trajectory; the
+    failure exception carries the trajectory too, so callers can inspect
+    the trend.
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be finite and positive, got {eps}")
@@ -664,11 +663,12 @@ def _sweep(
         trajectory.append({"r": r, "min_eps": base.min_eps, "status": "ok"})
         if eps < base.min_eps - SOS_DECISION_TOL:
             continue
-        found = decompose(base, p)
-        if found is None:
+        reduced = _ReducedGram(f, p, r, eps, matching, generators)
+        sol = None if reduced.problem is None else solve(reduced.problem)
+        if sol is None or sol.status is not SolveStatus.OPTIMAL:
             trajectory[-1]["status"] = "weight-ok-decomposition-failed"
             continue
-        return found, trajectory
+        return base, p, reduced, reduced.expand_gram(sol.primal_blocks), trajectory
     raise NotFoundWithinRMaxError(
         f"no degree r <= {r_max} admits weight eps={eps}", trajectory)
 
@@ -682,28 +682,20 @@ def minimal_r(
     """Smallest r <= r_max at which eps covers the minimal weight.
 
     The degree sweep of `_sweep` over the weight program; the trajectory
-    rides along on the result.  At the first covered degree the
-    certificate comes from a re-solve of the feasibility program for
-    f + eps*p_r, as in `preorder.membership` (`_ReducedGram.feasible_grams`);
-    a re-solve that does not end Optimal marks the degree
-    "weight-ok-decomposition-failed".  When the certificate's residual
-    exceeds DEFAULT_RESIDUAL_TOL the result carries a warning.
+    rides along on the result.  The certificate is extracted from the Gram
+    matrix of the sweep's decomposition step, the re-solve of the
+    feasibility program for f + eps*p_r at the first covered degree, as in
+    `preorder.membership`.  When its residual exceeds DEFAULT_RESIDUAL_TOL
+    the result carries a warning.
     """
     def weight(r: int, p: Polynomial) -> ApproximationResult:
         reduced = _ReducedGram(f, p, r)
         return reduced.weight_result(solve(reduced.program()), "weight program")
 
-    def decompose(base: ApproximationResult, p: Polynomial) -> Optional[ApproximationResult]:
-        reduced = _ReducedGram(f, p, base.r, eps)
-        grams = reduced.feasible_grams()
-        if grams is None:
-            return None
-        return replace(base, certificate=GramCertificate.from_gram(
-            reduced.bases[0], grams[0], f + p.scale(eps)))
-
-    res, trajectory = _sweep(f, eps, kind, r_max, weight, decompose)
-    return replace(res, trajectory=trajectory,
-                   warnings=_residual_warnings(res.certificate.residual_linf))
+    base, p, reduced, grams, trajectory = _sweep(f, eps, kind, r_max, weight)
+    certificate = GramCertificate.from_gram(reduced.bases[0], grams[0], f + p.scale(eps))
+    return replace(base, certificate=certificate, trajectory=trajectory,
+                   warnings=_residual_warnings(certificate.residual_linf))
 
 
 def approximate_on_box(

@@ -10,8 +10,7 @@ from sosperturb.moments import moment_matrix, psd_check
 from sosperturb.parsing import parse, unparse
 from sosperturb.polynomials import Polynomial, theta_big, theta_small
 from sosperturb.preorder import (CHEBYSHEV, SemialgebraicSystem,
-                                 build_preorder_sdp, enumerate_products,
-                                 epsilon_star_preorder,
+                                 build_preorder_sdp, epsilon_star_preorder,
                                  load_system, membership, verify_preorder_obj)
 from sosperturb.sdp import SolveStatus, min_eigenvalue, solve
 from sosperturb.sos import THETA_BIG, THETA_SMALL, _ReducedGram, minimal_r
@@ -75,7 +74,7 @@ class TestSystem:
 
 class TestEnumerateProducts:
     def test_interval_products(self):
-        prods = enumerate_products(INTERVAL, 2)
+        prods = sos._products(1, INTERVAL.generators, 2)
         assert [e for e, _ in prods] == [(0, 0), (1, 0), (0, 1), (1, 1)]
         expected = [
             {(0,): 1.0},
@@ -86,13 +85,13 @@ class TestEnumerateProducts:
         assert [p.terms for _, p in prods] == expected
 
     def test_degree_filter(self):
-        prods = enumerate_products(CUSP, 4)
+        prods = sos._products(1, CUSP.generators, 4)
         assert [e for e, _ in prods] == [(0,)]
 
     def test_duplicate_products_kept(self):
         system = SemialgebraicSystem(
             [parse("x1", 2), parse("x2", 2), parse("x1*x2", 2)], True)
-        prods = enumerate_products(system, 2)
+        prods = sos._products(2, system.generators, 2)
         assert [e for e, _ in prods] == [
             (0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
         # (1,1,0) and (0,0,1) expand to the same polynomial but stay distinct
@@ -103,7 +102,7 @@ class TestEnumerateProducts:
             [parse("x1", 2), parse("x2", 2), parse("x1*x2", 2)], True)
         reduced = _ReducedGram(parse("1 - x1^2", 2), Polynomial.zero(2), 1,
                                0.0, CHEBYSHEV, system.generators)
-        assert reduced.products == [e for e, _ in enumerate_products(system, 2)]
+        assert reduced.products == sos._products(2, system.generators, 2)
 
 
 class TestBuildPreorderSdp:

@@ -6,7 +6,8 @@ follow one contract everywhere: 0 for success or membership, 1 for a
 definite negative answer (not a sum of squares, nothing found within the
 degree cap, a failed re-verification), 2 for usage errors, malformed input
 (a certificate file included), a report that cannot be written, or
-numerical failure.  All commands are deterministic:
+numerical failure (a sweep that covers eps at a degree it cannot
+decompose included).  All commands are deterministic:
 identical invocations produce byte-identical output, and --json emits the
 same data the human rendering shows.
 """
@@ -140,8 +141,11 @@ def _trajectory_lines(trajectory) -> List[str]:
     for entry in trajectory:
         if entry["min_eps"] is None:
             lines.append(f"  r={entry['r']}: {entry['status']}")
-        else:
+        elif entry["status"] == "ok":
             lines.append(f"  r={entry['r']}: min_eps={entry['min_eps']:.9g}")
+        else:
+            lines.append(f"  r={entry['r']}: min_eps={entry['min_eps']:.9g} "
+                         f"{entry['status']}")
     return lines
 
 
@@ -202,19 +206,28 @@ def _sweep_command(fields, r_max, sweep, details, tail=None):
 
     sweep() returns the result; details(result) gives its certificate
     residual and the human lines after the weight.  Nothing found within
-    r_max is code 1 with the trajectory.  A certificate whose residual is
-    not within DEFAULT_RESIDUAL_TOL (NaN included) is no membership:
-    `verify` would reject it, so the verdict is numerically undecided and
-    the code is 2.
+    r_max is code 1 with the trajectory, unless a degree covered eps but
+    its feasibility re-solve gave no decomposition: that is a numerical
+    failure, status "decomposition-failed" with code 2.  A certificate
+    whose residual is not within DEFAULT_RESIDUAL_TOL (NaN included) is no
+    membership: `verify` would reject it, so the verdict is numerically
+    undecided and the code is 2.
     Otherwise the result follows the fields, then tail, with code 0.
     """
     try:
         res = sweep()
     except NotFoundWithinRMaxError as exc:
-        report = {**fields, "found": False, "trajectory": exc.trajectory}
-        human = [f"no degree r <= {r_max} admits eps={fields['eps']:.9g}; trajectory:"]
-        human.extend(_trajectory_lines(exc.trajectory))
-        return report, human, 1
+        failed = [t["r"] for t in exc.trajectory
+                  if t["status"] == "weight-ok-decomposition-failed"]
+        if not failed:
+            report = {**fields, "found": False, "trajectory": exc.trajectory}
+            human = [f"no degree r <= {r_max} admits eps={fields['eps']:.9g}; trajectory:"]
+            return report, human + _trajectory_lines(exc.trajectory), 1
+        report = {**fields, "found": False, "status": "decomposition-failed",
+                  "trajectory": exc.trajectory}
+        human = [f"eps={fields['eps']:.9g} is covered at r={', '.join(map(str, failed))} "
+                 f"but not decomposed there: the feasibility re-solve failed; trajectory:"]
+        return report, human + _trajectory_lines(exc.trajectory), 2
     residual, lines = details(res)
     if not residual <= DEFAULT_RESIDUAL_TOL:
         report = {**fields, "found": False, "status": "certificate-does-not-verify",

@@ -633,7 +633,8 @@ def _sweep(
     covered degree's weight result, p_r, the feasibility assembly, its
     Gram matrices (`_ReducedGram.expand_gram`) and the trajectory; the
     failure exception carries the trajectory too, so callers can inspect
-    the trend.
+    the trend.  Its message names the degrees whose decomposition failed,
+    if any: eps was covered there, so nothing found is no definite "no".
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be finite and positive, got {eps}")
@@ -669,6 +670,12 @@ def _sweep(
             trajectory[-1]["status"] = "weight-ok-decomposition-failed"
             continue
         return base, p, reduced, reduced.expand_gram(sol.primal_blocks), trajectory
+    failed = [t["r"] for t in trajectory if t["status"] == "weight-ok-decomposition-failed"]
+    if failed:
+        raise NotFoundWithinRMaxError(
+            f"weight eps={eps} is covered at r = {', '.join(map(str, failed))}, but the "
+            f"feasibility re-solve gave no decomposition there and no other degree "
+            f"r <= {r_max} admits it", trajectory)
     raise NotFoundWithinRMaxError(
         f"no degree r <= {r_max} admits weight eps={eps}", trajectory)
 

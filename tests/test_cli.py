@@ -112,6 +112,48 @@ class TestNonFiniteInput:
         assert res.stdout == ""
 
 
+class TestDecompositionFailed:
+    """A sweep that covers eps at a degree whose feasibility re-solve
+    fails, and finds nothing else, has no definite answer: exit 2 with
+    status decomposition-failed and the trajectory, never the "no" of
+    exit 1."""
+
+    @pytest.fixture
+    def failing_resolve(self, monkeypatch):
+        real = sos.solve
+
+        def failing(problem):
+            sol = real(problem)
+            if not any(c.any() for c in problem.C):  # the feasibility re-solve
+                return dataclasses.replace(sol, status=sosperturb.SolveStatus.ITERATION_LIMIT)
+            return sol
+
+        monkeypatch.setattr(sos, "solve", failing)
+
+    @pytest.mark.parametrize("args", [
+        ["minimal-r", "-n", "1", "-f", "1 - x1^2"],
+        ["preorder-membership", "-f", "1 - x1^2", "--system", "SYSTEM"],
+    ])
+    def test_exit_two(self, runner, tmp_path, failing_resolve, args):
+        system = tmp_path / "system.txt"
+        system.write_text("nvars 1\nmoment_problem asserted\n(1 - x1^2)^3\n")
+        args = [str(system) if a == "SYSTEM" else a for a in args] + [
+            "--eps", "0.5", "--perturbation", "theta-small", "--r-max", "3"]
+        res = invoke(runner, args + ["--json"])
+        assert res.exit_code == 2
+        report = json.loads(res.output)
+        assert report["found"] is False
+        assert report["status"] == "decomposition-failed"
+        assert [t["status"] for t in report["trajectory"]] == [
+            "ok", "weight-ok-decomposition-failed", "weight-ok-decomposition-failed"]
+        res = invoke(runner, args)
+        assert res.exit_code == 2
+        lines = res.output.splitlines()
+        assert lines[0].startswith("eps=0.5 is covered at r=2, 3 but not decomposed")
+        assert lines[2].startswith("  r=2: min_eps=")
+        assert lines[2].endswith(" weight-ok-decomposition-failed")
+
+
 class TestEpsilonStar:
     def test_quartic_weight(self, runner):
         res = invoke(runner, [

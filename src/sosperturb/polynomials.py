@@ -216,11 +216,16 @@ def scale_box(f: Polynomial, l: float) -> Polynomial:
 
     Certifying f on [-l, l]^n reduces to certifying g on the unit box.
     Rescaling cancels nothing, so every coefficient is kept however small;
-    only one that underflows to exactly zero disappears.
+    only one that underflows to exactly zero disappears.  A power l^|alpha|
+    beyond the range of a double raises ValueError.
     """
     if l <= 0:
         raise ValueError(f"box scale must be positive, got {l}")
-    return Polynomial(f.n_vars, {a: c * l ** sum(a) for a, c in f.terms.items()})
+    try:
+        return Polynomial(f.n_vars, {a: c * l ** sum(a) for a, c in f.terms.items()})
+    except OverflowError:
+        raise ValueError(f"box scale {l!r} is out of range: a power of it up to "
+                         f"degree {f.degree()} overflows a double") from None
 
 
 # -- monomial bases ----------------------------------------------------------

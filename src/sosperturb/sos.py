@@ -718,7 +718,8 @@ def approximate_on_box(
     transports it back: the reported squares and Gram matrix certify
     f + eps*(1 + sum_j (x_j / l)^(2r)) for the original variables, and the
     moment functional is rescaled to match.  The warnings are those of the
-    transported certificate.
+    transported certificate.  A box scale whose powers overflow a double,
+    on the way to the unit box or back, raises ValueError.
     """
     if not (l > 0 and math.isfinite(l)):
         raise ValueError(f"box scale must be finite and positive, got {l}")
@@ -728,14 +729,17 @@ def approximate_on_box(
         return res
     r = res.r
     basis = res.certificate.basis
-    perturbation = scale_box(theta_big(f.n_vars, r), 1.0 / l)
+    try:
+        perturbation = scale_box(theta_big(f.n_vars, r), 1.0 / l)
+        scale_vec = np.array([l ** (-sum(a)) for a in basis.entries])
+        moment_values = {a: v * l ** sum(a) for a, v in res.dual_moments.values.items()}
+    except (OverflowError, ValueError):
+        raise ValueError(f"box scale {l!r} is out of range: the certificate at r={r} "
+                         "overflows a double on its way back to the box") from None
     target = f + perturbation.scale(eps)
-    scale_vec = np.array([l ** (-sum(a)) for a in basis.entries])
     gram = res.certificate.gram * np.outer(scale_vec, scale_vec)
     certificate = GramCertificate.from_gram(basis, gram, target)
-    moments = MomentVector(
-        f.n_vars, 2 * r,
-        {a: v * l ** sum(a) for a, v in res.dual_moments.values.items()})
+    moments = MomentVector(f.n_vars, 2 * r, moment_values)
     return replace(res, certificate=certificate, dual_moments=moments,
                    warnings=_residual_warnings(certificate.residual_linf))
 

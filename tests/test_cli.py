@@ -112,6 +112,20 @@ class TestNonFiniteInput:
         assert res.stdout == ""
 
 
+class TestBoxScaleOverflow:
+    """A box scale whose powers overflow a double, on the way to the unit
+    box (1e200) or back (1e-200), is a usage error: exit 2 with an error
+    line that names it, never a traceback."""
+
+    @pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+    def test_exit_two(self, runner, scale):
+        res = invoke(runner, ["approximate", "-n", "1", "-f", "4 - x1^2", "--eps", "0.2",
+                              "--box-scale", scale])
+        assert res.exit_code == 2
+        assert res.stderr.startswith(f"error: box scale {float(scale)!r} is out of range")
+        assert res.stdout == ""
+
+
 class TestDecompositionFailed:
     """A sweep that covers eps at a degree whose feasibility re-solve
     fails, and finds nothing else, has no definite answer: exit 2 with

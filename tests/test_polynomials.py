@@ -128,6 +128,11 @@ class TestScaleBox:
         with pytest.raises(ValueError):
             scale_box(Polynomial.constant(1, 1.0), 0.0)
 
+    def test_overflowing_power_rejected(self):
+        # 1e200^2 overflows a double
+        with pytest.raises(ValueError, match=r"box scale 1e\+200 is out of range"):
+            scale_box(parse("4 - x1^2", 1), 1e200)
+
     def test_roundtrip_keeps_tiny_coefficient(self):
         # falsifying case drawn once by test_roundtrip: 8.1e-12 * l^3 is
         # about 8.5e-15, below the arithmetic drop tolerance

@@ -217,15 +217,18 @@ def scale_box(f: Polynomial, l: float) -> Polynomial:
     Certifying f on [-l, l]^n reduces to certifying g on the unit box.
     Rescaling cancels nothing, so every coefficient is kept however small;
     only one that underflows to exactly zero disappears.  A power l^|alpha|
-    beyond the range of a double raises ValueError.
+    or a coefficient beyond the range of a double raises ValueError.
     """
     if l <= 0:
         raise ValueError(f"box scale must be positive, got {l}")
     try:
-        return Polynomial(f.n_vars, {a: c * l ** sum(a) for a, c in f.terms.items()})
+        g = Polynomial(f.n_vars, {a: c * l ** sum(a) for a, c in f.terms.items()})
     except OverflowError:
-        raise ValueError(f"box scale {l!r} is out of range: a power of it up to "
-                         f"degree {f.degree()} overflows a double") from None
+        g = None
+    if g is None or not all(math.isfinite(c) for c in g.terms.values()):
+        raise ValueError(f"box scale {l!r} is out of range: a coefficient of f(l*x) "
+                         "overflows a double")
+    return g
 
 
 # -- monomial bases ----------------------------------------------------------

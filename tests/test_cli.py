@@ -114,12 +114,15 @@ class TestNonFiniteInput:
 
 class TestBoxScaleOverflow:
     """A box scale whose powers overflow a double, on the way to the unit
-    box (1e200) or back (1e-200), is a usage error: exit 2 with an error
-    line that names it, never a traceback."""
+    box (1e200) or back (1e-200), or that takes a coefficient past the
+    largest double (10^300 * 1e10^2), is a usage error: exit 2 with an
+    error line that names it, never a traceback or a "no"."""
 
-    @pytest.mark.parametrize("scale", ["1e200", "1e-200"])
-    def test_exit_two(self, runner, scale):
-        res = invoke(runner, ["approximate", "-n", "1", "-f", "4 - x1^2", "--eps", "0.2",
+    @pytest.mark.parametrize("poly, scale", [
+        ("4 - x1^2", "1e200"), ("4 - x1^2", "1e-200"),
+        ("1 + 1" + "0" * 300 + "*x1^2", "1e10")], ids=["1e200", "1e-200", "coefficient"])
+    def test_exit_two(self, runner, poly, scale):
+        res = invoke(runner, ["approximate", "-n", "1", "-f", poly, "--eps", "0.2",
                               "--box-scale", scale])
         assert res.exit_code == 2
         assert res.stderr.startswith(f"error: box scale {float(scale)!r} is out of range")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -128,10 +129,11 @@ class TestScaleBox:
         with pytest.raises(ValueError):
             scale_box(Polynomial.constant(1, 1.0), 0.0)
 
-    def test_overflowing_power_rejected(self):
-        # 1e200^2 overflows a double
-        with pytest.raises(ValueError, match=r"box scale 1e\+200 is out of range"):
-            scale_box(parse("4 - x1^2", 1), 1e200)
+    @pytest.mark.parametrize("c, l", [(1.0, 1e200), (1e300, 1e10)])
+    def test_overflow_rejected(self, c, l):
+        # 1e200^2 overflows a double, and so does 1e300 * 1e10^2
+        with pytest.raises(ValueError, match=re.escape(f"box scale {l!r} is out of range")):
+            scale_box(Polynomial.monomial(1, (2,), c) + Polynomial.constant(1, 4.0), l)
 
     def test_roundtrip_keeps_tiny_coefficient(self):
         # falsifying case drawn once by test_roundtrip: 8.1e-12 * l^3 is

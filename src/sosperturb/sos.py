@@ -674,8 +674,8 @@ def _sweep(
     if failed:
         raise NotFoundWithinRMaxError(
             f"weight eps={eps} is covered at r = {', '.join(map(str, failed))}, but the "
-            f"feasibility re-solve gave no decomposition there and no other degree "
-            f"r <= {r_max} admits it", trajectory)
+            f"feasibility re-solve gave no decomposition there, and no certificate was "
+            f"found at any degree r <= {r_max}", trajectory)
     raise NotFoundWithinRMaxError(
         f"no degree r <= {r_max} admits weight eps={eps}", trajectory)
 

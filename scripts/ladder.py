@@ -17,9 +17,12 @@ quartic at r = 4 and 5 and sextic at r = 6 and 7 with theta_big, of which
 quartic r = 5 and sextic r = 7 run in the double-precision class of
 `sdp.solve` and every other solve in the extended class; the preorder weight
 programs of 1 - x1^2 on the cusp (1 - x1^2)^3 >= 0 at r = 2..29 step 3, of
-1 - x1^2 - x2^2 on the disk cusp at r = 2..7 and of the Motzkin polynomial
-on the box at r = 4..7, all with theta_small; is_sos of the Motzkin
-polynomial and of the SOS quartic (x1^2 - x2^2)^2 + (x1*x2 - 1)^2; the
+1 - x1^2 - x2^2 on the disk cusp at r = 2..7, of the Motzkin polynomial
+on the box at r = 4..7 and of 1 - x1^2 on the cusp and parabola
+(1 - x1^2)^3 >= 0, 1 + 3*x1 + 1/7*x1^2 >= 0 at r = 3..9, whose product
+of the two generators is not exact in binary, all with theta_small; is_sos
+of the Motzkin polynomial and of the SOS quartic
+(x1^2 - x2^2)^2 + (x1*x2 - 1)^2; the
 feasibility programs of `build_preorder_sdp` for x1 and for x1*(1 - x1) on
 the interval x1 >= 0, 1 - x1 >= 0 at r = 1 and for 1 - x1^2 on the cusp at
 r = 3, each solved as built; and the preorder memberships of the benchmark
@@ -54,6 +57,8 @@ CUSP = SemialgebraicSystem([parse("(1 - x1^2)^3", 1)], True)
 DISK_CUSP = SemialgebraicSystem([parse("(1 - x1^2 - x2^2)^3", 2)], True)
 BOX = SemialgebraicSystem([parse("1 - x1^2", 2), parse("1 - x2^2", 2)], True)
 INTERVAL = SemialgebraicSystem([parse("x1", 1), parse("1 - x1", 1)], True)
+CUSP_PARABOLA = SemialgebraicSystem(
+    [parse("(1 - x1^2)^3", 1), parse("1 + 3*x1 + 1/7*x1^2", 1)], True)
 
 
 def ladder():
@@ -78,6 +83,9 @@ def ladder():
     for r in range(4, 8):
         yield f"motzkin box r={r}", lambda r=r: epsilon_star_preorder(
             MOTZKIN, r, theta_small(2, r), BOX)
+    for r in range(3, 10):
+        yield f"cusp and parabola r={r}", lambda r=r: epsilon_star_preorder(
+            ONE_MINUS_SQ, r, theta_small(1, r), CUSP_PARABOLA)
     yield "is_sos motzkin", lambda: is_sos(MOTZKIN)
     yield "is_sos sos quartic", lambda: is_sos(SOS_QUARTIC)
     for label, f, system, r in (("x1 interval", parse("x1", 1), INTERVAL, 1),

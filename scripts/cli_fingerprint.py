@@ -28,8 +28,9 @@ directory and two malformed certificate files, and four edge inputs:
 and whose value is 1, `degree-probe` with no variables and with a
 negative degree, two sweeps whose weight covers eps at the last degree by
 a few 1e-10 while its feasibility re-solve fails (`minimal-r` of 1 - x1^2
-at r = 10, `preorder-membership` on the cusp at r = 9) and `approximate`
-with box scale 1e200, which overflows a double.
+at r = 10, `preorder-membership` on the cusp at r = 9), `approximate`
+with box scale 1e200, which overflows a double, and `approximate` of
+1 + x1 with box scale 1e200, whose every degree ends solver-failed.
 """
 
 import hashlib
@@ -107,6 +108,8 @@ COMMANDS = [
                                    "--r-max", "9"], None),
     ("box scale 1e200", ["approximate", "-n", "1", "-f", "4 - x1^2", "--eps", "0.2",
                          "--box-scale", "1e200"], None),
+    ("all degrees solver-failed", ["approximate", "-n", "1", "-f", "1 + x1",
+                                   "--eps", "0.2", "--box-scale", "1e200"], None),
 ]
 
 

@@ -17,13 +17,14 @@ reported and their agreement (the duality gap) is checked, never assumed.
 
 Plain sums of squares are the preordering with the one product 1, so one
 assembly, `_ReducedGram`, builds every weight and feasibility program here
-and in `preorder`.  Only its matching rule differs: plain programs match
-monomial coefficients (`MONOMIAL`), preorder programs tensor Chebyshev
-coefficients (`preorder.CHEBYSHEV`).  Both get the same forced-zero
-pruning and sign-symmetry split (see `symmetry`), the same check of a
-weight solve, the degree sweep (`_sweep`) with its decomposition step,
-which re-solves the feasibility program for f + eps*p at the covered
-degree, and the certificate residual (`_residual`).
+and in `preorder`, from the products g^e that `_products` multiplies out
+once.  Only its matching rule differs: plain programs match monomial
+coefficients (`MONOMIAL`), preorder programs tensor Chebyshev coefficients
+(`preorder.CHEBYSHEV`).  Both get the same forced-zero pruning and
+sign-symmetry split (see `symmetry`), the same check of a weight solve,
+the degree sweep (`_sweep`) with its decomposition step, which re-solves
+the feasibility program for f + eps*p at the covered degree, and the
+certificate residual (`_residual`).
 
 eps is modeled as a 1x1 PSD block rather than a sign-free scalar: the
 moment side keeps L(p) <= 1 as an inequality (the zero form stays feasible,
@@ -279,9 +280,9 @@ class _ReducedGram:
     """The one assembly of every weight and feasibility program.
 
     The products are the pairs (e, g^e) of `_products`, e in {0,1}^s with
-    deg g^e <= 2r and g^e multiplied out from the generators as written
-    (plain SOS: the empty product 1 of no generators).  The program is
-    built over the generators scaled to a largest coefficient of 1, which
+    deg g^e <= 2r, each multiplied out once (plain SOS: the empty product
+    1 of no generators).  The program matches g^e divided by its scale,
+    the product of its generators' largest absolute coefficients, which
     keeps the constraint data O(1) however they were written.  Each
     product gets a Gram matrix Q_e over the basis functions of degree <=
     (2r - deg g^e) // 2, and one equality per basis function gamma of
@@ -300,7 +301,7 @@ class _ReducedGram:
     equalities go to the solver as each block's COO triples (row, i, j, v),
     row the position of gamma in kept_gammas.  Gram blocks and dual values
     expand back with zeros at the dropped positions; a Gram matrix, divided
-    by its product's scales, multiplies the unscaled product.
+    by its product's scale, multiplies the unscaled product.
     """
 
     def __init__(self, f: Polynomial, p: Polynomial, r: int,
@@ -314,7 +315,6 @@ class _ReducedGram:
         self.n_vars, self.r, self.matching = f.n_vars, r, matching
         self.products = _products(f.n_vars, generators, 2 * r)
         norms = [max(abs(c) for c in g.terms.values()) for g in generators]
-        generators = [g.scale(1.0 / norm) for g, norm in zip(generators, norms)]
         self.scales = [math.prod(c for ei, c in zip(e, norms) if ei)
                        for e, _ in self.products]
         span = ParitySpan([f, p, *generators])
@@ -327,16 +327,11 @@ class _ReducedGram:
         # entries (product, i, j, coefficient) of each equality, i <= j in
         # one coset; times gives each gamma once per (i, j)
         terms: Dict[Multidegree, List[Tuple[int, int, int, float]]] = {}
-        expanded = [matching.expand(g) for g in generators]
         self.bases: List[MonomialBasis] = []
-        for k, (e, _) in enumerate(self.products):
-            deg = sum(g.degree() for g, ei in zip(generators, e) if ei)
-            basis = MonomialBasis.build(f.n_vars, (2 * r - deg) // 2)
+        for k, (_, product) in enumerate(self.products):
+            basis = MonomialBasis.build(f.n_vars, (2 * r - product.degree()) // 2)
             self.bases.append(basis)
-            series: Series = {(0,) * f.n_vars: 1.0}
-            for g, ei in zip(expanded, e):
-                if ei:
-                    series = _multiply(matching.times, series, g)
+            series = matching.expand(product.scale(1.0 / self.scales[k]))
             shifted = [matching.times(a, series) for a in basis.entries]
             for idx in span.split(basis.entries):
                 for pos, i in enumerate(idx):
@@ -406,7 +401,7 @@ class _ReducedGram:
 
     def expand_gram(self, blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
         """One Gram matrix per product over its full basis, from the
-        solved coset blocks, divided by the product's generator scales; a
+        solved coset blocks, divided by the product's scale; a
         trailing eps block is ignored."""
         return [scatter(len(basis), ((idx, blocks[bi]) for bi, idx in parts)) / scale
                 for basis, parts, scale in zip(self.bases, self.parts, self.scales)]
@@ -443,7 +438,8 @@ def _products(n_vars: int, generators: Sequence[Polynomial],
     """Exponent tuples e in {0,1}^s with deg(g^e) <= two_r, each with its
     product g^e multiplied out, e_1 the fastest bit, so the trivial product
     e = 0 comes first (no generators: () with the constant 1).  Distinct
-    tuples with identical products are kept as separate entries."""
+    tuples with identical products are kept as separate entries.  The
+    certificate and the assembly both take g^e from here."""
     if two_r < 0:
         raise ValueError("two_r must be >= 0")
     degs = [g.degree() for g in generators]
@@ -457,17 +453,6 @@ def _products(n_vars: int, generators: Sequence[Polynomial],
                 if ei:
                     product = product * g
             out.append((e, product))
-    return out
-
-
-def _multiply(times: Callable[[Multidegree, Series], Series],
-              a: Series, b: Series) -> Series:
-    """Product of two series, one basis function of a at a time, with the
-    `times` of a matching rule."""
-    out: Series = {}
-    for alpha, c in a.items():
-        for gamma, v in times(alpha, b).items():
-            out[gamma] = out.get(gamma, 0.0) + c * v
     return out
 
 

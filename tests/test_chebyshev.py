@@ -6,7 +6,6 @@ from sosperturb.chebyshev import (monomial_matrix, monomial_to_chebyshev,
                                   moments_to_monomials, times_t, to_chebyshev)
 from sosperturb.parsing import parse
 from sosperturb.polynomials import MonomialBasis, Polynomial, multidegrees_upto
-from sosperturb.sos import _multiply
 
 
 def series_vector(series, degree):
@@ -33,7 +32,7 @@ class TestOneVariable:
     def test_product_rule(self):
         a = {(3,): 1.0, (1,): -2.0}
         b = {(2,): 0.5, (0,): 4.0}
-        got = series_vector(_multiply(times_t, a, b), 5)
+        got = sum(c * series_vector(times_t(alpha, b), 5) for alpha, c in a.items())
         want = npcheb.chebmul(series_vector(a, 3), series_vector(b, 2))
         assert np.allclose(got, want, atol=0.0, rtol=1e-15)
 

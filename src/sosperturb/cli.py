@@ -7,7 +7,8 @@ definite negative answer (not a sum of squares, nothing found within the
 degree cap, a failed re-verification), 2 for usage errors, malformed input
 (a certificate file included), a report that cannot be written, or
 numerical failure (a sweep that covers eps at a degree it cannot
-decompose included).  All commands are deterministic:
+decompose, or finds nothing while the weight solve failed at some degree,
+included).  All commands are deterministic:
 identical invocations produce byte-identical output, and --json emits the
 same data the human rendering shows.
 """
@@ -206,9 +207,11 @@ def _sweep_command(fields, r_max, sweep, details, tail=None):
 
     sweep() returns the result; details(result) gives its certificate
     residual and the human lines after the weight.  Nothing found within
-    r_max is code 1 with the trajectory, unless a degree covered eps but
-    its feasibility re-solve gave no decomposition: that is a numerical
-    failure, status "decomposition-failed" with code 2.  A certificate
+    r_max is code 1 with the trajectory, unless it is a numerical failure
+    with code 2: status "decomposition-failed" when a degree covered eps
+    but its feasibility re-solve gave no decomposition, else
+    "solver-failed" when the weight solve failed at some degree, which
+    eps might have covered.  A certificate
     whose residual is not within DEFAULT_RESIDUAL_TOL (NaN included) is no
     membership: `verify` would reject it, so the verdict is numerically
     undecided and the code is 2.
@@ -217,16 +220,24 @@ def _sweep_command(fields, r_max, sweep, details, tail=None):
     try:
         res = sweep()
     except NotFoundWithinRMaxError as exc:
-        failed = [t["r"] for t in exc.trajectory
-                  if t["status"] == "weight-ok-decomposition-failed"]
-        if not failed:
+        def degrees(status):
+            return ", ".join(str(t["r"]) for t in exc.trajectory if t["status"] == status)
+
+        eps = fields["eps"]
+        failed, unsolved = degrees("weight-ok-decomposition-failed"), degrees("solver-failed")
+        if failed:
+            status = "decomposition-failed"
+            human = [f"eps={eps:.9g} is covered at r={failed} but not decomposed there: "
+                     f"the feasibility re-solve failed; trajectory:"]
+        elif unsolved:
+            status = "solver-failed"
+            human = [f"eps={eps:.9g} is covered at no solved degree r <= {r_max}, and "
+                     f"the weight solve failed at r={unsolved}; trajectory:"]
+        else:
             report = {**fields, "found": False, "trajectory": exc.trajectory}
-            human = [f"no degree r <= {r_max} admits eps={fields['eps']:.9g}; trajectory:"]
+            human = [f"no degree r <= {r_max} admits eps={eps:.9g}; trajectory:"]
             return report, human + _trajectory_lines(exc.trajectory), 1
-        report = {**fields, "found": False, "status": "decomposition-failed",
-                  "trajectory": exc.trajectory}
-        human = [f"eps={fields['eps']:.9g} is covered at r={', '.join(map(str, failed))} "
-                 f"but not decomposed there: the feasibility re-solve failed; trajectory:"]
+        report = {**fields, "found": False, "status": status, "trajectory": exc.trajectory}
         return report, human + _trajectory_lines(exc.trajectory), 2
     residual, lines = details(res)
     if not residual <= DEFAULT_RESIDUAL_TOL:

@@ -620,6 +620,8 @@ def _sweep(
     failure exception carries the trajectory too, so callers can inspect
     the trend.  Its message names the degrees whose decomposition failed,
     if any: eps was covered there, so nothing found is no definite "no".
+    Failing that, it names the degrees whose weight solve failed, if any,
+    for the same reason: eps may be covered there.
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be finite and positive, got {eps}")
@@ -661,6 +663,12 @@ def _sweep(
             f"weight eps={eps} is covered at r = {', '.join(map(str, failed))}, but the "
             f"feasibility re-solve gave no decomposition there, and no certificate was "
             f"found at any degree r <= {r_max}", trajectory)
+    unsolved = [t["r"] for t in trajectory if t["status"] == "solver-failed"]
+    if unsolved:
+        raise NotFoundWithinRMaxError(
+            f"weight eps={eps} is covered at no solved degree r <= {r_max}, but the "
+            f"weight program failed at r = {', '.join(map(str, unsolved))}, so nothing "
+            f"found is no definite answer", trajectory)
     raise NotFoundWithinRMaxError(
         f"no degree r <= {r_max} admits weight eps={eps}", trajectory)
 

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import sosperturb
-from sosperturb import sos
+from sosperturb import sdp, sos
 from sosperturb.cli import main
 
 MOTZKIN = "1 + x1^2*x2^2*(x1^2 + x2^2 - 3)"
@@ -169,6 +169,34 @@ class TestDecompositionFailed:
         assert lines[0].startswith("eps=0.5 is covered at r=2, 3 but not decomposed")
         assert lines[2].startswith("  r=2: min_eps=")
         assert lines[2].endswith(" weight-ok-decomposition-failed")
+
+
+class TestSolverFailed:
+    """A sweep that covers eps at no solved degree while the weight solve
+    failed at some degree has no definite answer: exit 2 with status
+    solver-failed and the trajectory, never the "no" of exit 1."""
+
+    @pytest.mark.parametrize("args", [
+        ["minimal-r", "-n", "1", "-f", "1 - x1^2"],
+        ["preorder-membership", "-f", "1 - x1^2", "--system", "SYSTEM"],
+    ])
+    def test_exit_two(self, runner, tmp_path, monkeypatch, args):
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
+        system = tmp_path / "system.txt"
+        system.write_text("nvars 1\nmoment_problem asserted\n(1 - x1^2)^3\n")
+        args = [str(system) if a == "SYSTEM" else a for a in args] + [
+            "--eps", "0.5", "--perturbation", "theta-small", "--r-max", "3"]
+        res = invoke(runner, args + ["--json"])
+        assert res.exit_code == 2
+        report = json.loads(res.output)
+        assert report["found"] is False
+        assert report["status"] == "solver-failed"
+        assert [t["status"] for t in report["trajectory"]] == ["solver-failed"] * 3
+        res = invoke(runner, args)
+        assert res.exit_code == 2
+        assert res.output.splitlines()[0] == (
+            "eps=0.5 is covered at no solved degree r <= 3, and the weight solve "
+            "failed at r=1, 2, 3; trajectory:")
 
 
 class TestEpsilonStar:

@@ -365,6 +365,11 @@ class TestSweepStatuses:
         plain, pre = both_sweeps(ONE_MINUS_SQ, 0.5, THETA_BIG, 2)
         assert plain == pre == [{"r": r, "min_eps": None, "status": "solver-failed"}
                                 for r in (1, 2)]
+        # eps may be covered at a failed degree, so the failure claims no "no"
+        with pytest.raises(NotFoundWithinRMaxError) as err:
+            minimal_r(ONE_MINUS_SQ, 0.5, THETA_BIG, 2)
+        assert "weight program failed at r = 1, 2" in str(err.value)
+        assert "no degree" not in str(err.value)
 
     def test_weight_ok_decomposition_failed(self, monkeypatch):
         # both sweeps re-solve the feasibility program at a covered degree

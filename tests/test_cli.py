@@ -40,6 +40,15 @@ class TestCheckSos:
         assert res.exit_code == 2
         assert "error" in res.output
 
+    def test_poly_file_same_as_inline(self, runner, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("(1 - x1)^2\n")
+        from_file = invoke(runner, ["check-sos", "-n", "1", "--poly-file", str(path),
+                                    "--json"])
+        inline = invoke(runner, ["check-sos", "-n", "1", "-f", "(1 - x1)^2", "--json"])
+        assert from_file.exit_code == inline.exit_code == 0
+        assert from_file.output == inline.output
+
     def test_json_certificate(self, runner):
         res = invoke(runner, ["check-sos", "-n", "1", "-f", "(1 - x1)^2", "--json"])
         assert res.exit_code == 0

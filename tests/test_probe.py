@@ -82,3 +82,15 @@ def test_report_rows_cover_all_samples():
     report = run_probe(2, 2, 1.0, 1.0, samples=4, seed=1, r_max=6)
     assert len(report.rows) == 4
     assert [row.index for row in report.rows] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("r_max, found_r", [(3, None), (4, 4)])
+def test_shift_retry(r_max, found_r):
+    # sample 2 of seed 1 (grid minimum 0.28) needs r = 5 as drawn; lifted by
+    # its grid minimum it needs r = 4
+    report = run_probe(1, 2, 1.0, 0.01, samples=4, seed=1, r_max=r_max)
+    row = report.rows[2]
+    assert row.status == "accepted"
+    assert row.grid_min == pytest.approx(0.27958, abs=1e-5)
+    assert row.shifted and row.found_r == found_r
+    assert report.counts()["unresolved"] == (found_r is None)

@@ -224,6 +224,16 @@ class TestEpsilonStar:
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.primal_objective == pytest.approx(-gram_res.min_eps, abs=1e-6)
 
+    def test_duality_gap_raises(self, monkeypatch):
+        # an Optimal status does not stand in for agreement of the two sides
+        def shifted(problem):
+            sol = solve(problem)
+            return dataclasses.replace(sol, dual_objective=sol.dual_objective + 1e-3)
+
+        monkeypatch.setattr(sos, "solve", shifted)
+        with pytest.raises(SolverFailureError, match="optima disagree by 1.000e-03"):
+            epsilon_star(ONE_MINUS_SQ, 2, theta_big(1, 2))
+
     def test_degree_guard(self):
         with pytest.raises(DegreeTooLowError):
             epsilon_star(MOTZKIN, 2, Polynomial.zero(2))
@@ -278,6 +288,26 @@ class TestIsSos:
         assert ok
         assert [p.block_sizes for p in problems] == [(4, 2)]
         assert all(not c.any() for c in problems[0].C)
+
+    def test_pruned_infeasible_is_not(self, monkeypatch):
+        # forced-zero pruning leaves no entry for the coefficient of x1,
+        # so the answer is "no" without a solve
+        calls = []
+        monkeypatch.setattr(sos, "solve", lambda problem: calls.append(problem))
+        assert is_sos(parse("x1^2*x2^2 + x1", 2)) == (False, None)
+        assert calls == []
+
+    def test_indefinite_gram_is_not(self, monkeypatch):
+        def negated(problem):
+            sol = solve(problem)
+            return dataclasses.replace(sol, primal_blocks=[-x for x in sol.primal_blocks])
+
+        monkeypatch.setattr(sos, "solve", negated)
+        assert is_sos(parse("1 + x1^2", 1)) == (False, None)
+
+    def test_certificate_that_misses_is_not(self, monkeypatch):
+        monkeypatch.setattr(sos, "solve", gram_off_by_half(solve))
+        assert is_sos(parse("1 + x1^2", 1)) == (False, None)
 
     def test_undecided_solve_raises(self, monkeypatch):
         # an iteration cap of 2 ends the solve undecided, which is not "no"

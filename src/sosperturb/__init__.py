@@ -14,12 +14,11 @@ from .errors import (ConvergenceFailureError, DegreeTooLowError,
                      NotFoundWithinRMaxError, NotPsdError, ParseError,
                      SolverFailureError, TooManyGeneratorsError,
                      VariableOutOfRangeError)
-from .moments import (MomentMatrix, MomentVector, cauchy_schwarz_check,
-                      check_lemma1, check_lemma3, moment_matrix, psd_check)
+from .moments import (MomentVector, cauchy_schwarz_check, check_lemma1,
+                      check_lemma3, moment_matrix, psd_check)
 from .parsing import parse, unparse
-from .polynomials import (MonomialBasis, Multidegree, Polynomial, basis_size,
-                          grlex_key, multidegrees_upto, scale_box, theta_big,
-                          theta_small)
+from .polynomials import (MonomialBasis, Multidegree, Polynomial, grlex_key,
+                          multidegrees_upto, scale_box, theta_big, theta_small)
 from .preorder import (PreorderCertificate, PreorderTerm, SemialgebraicSystem,
                        build_preorder_sdp, epsilon_star_preorder, load_system,
                        membership, verify_preorder_obj)

@@ -21,7 +21,7 @@ for genuinely PSD input a conclusion failure indicates a numerical bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,26 +53,6 @@ class MomentVector:
     def __getitem__(self, alpha: Multidegree) -> float:
         return self.values[tuple(alpha)]
 
-    @staticmethod
-    def from_atoms(
-        n_vars: int,
-        order: int,
-        atoms: Iterable[Tuple[Iterable[float], float]],
-    ) -> "MomentVector":
-        """Moments of a finite atomic measure: sum_j w_j * delta(point_j)."""
-        atoms = [(tuple(pt), float(w)) for pt, w in atoms]
-        values: Dict[Multidegree, float] = {}
-        for alpha in multidegrees_upto(n_vars, order):
-            total = 0.0
-            for pt, w in atoms:
-                term = w
-                for x, e in zip(pt, alpha):
-                    if e:
-                        term *= x ** e
-                total += term
-            values[alpha] = total
-        return MomentVector(n_vars, order, values)
-
     def to_obj(self) -> dict:
         return {
             "order": self.order,
@@ -89,19 +69,13 @@ class MomentVector:
         return MomentVector(int(obj["nvars"]), int(obj["order"]), values)
 
 
-@dataclass
-class MomentMatrix:
-    """M[alpha, beta] = y_{alpha+beta} over the degree-r basis.
+def moment_matrix(y: MomentVector, r: int) -> np.ndarray:
+    """M[alpha, beta] = y_{alpha+beta} over the degree-r basis, in its
+    graded-lex order.
 
     Entries that share alpha+beta are the identical float, so the matrix is
     Hankel-consistent by construction.
     """
-
-    basis: MonomialBasis
-    matrix: np.ndarray
-
-
-def moment_matrix(y: MomentVector, r: int) -> MomentMatrix:
     if y.order < 2 * r:
         raise IncompleteMomentsError(
             f"moment vector of order {y.order} cannot fill a degree-{r} matrix")
@@ -114,11 +88,11 @@ def moment_matrix(y: MomentVector, r: int) -> MomentMatrix:
             v = y[tuple(x + z for x, z in zip(a, b))]
             mat[i, j] = v
             mat[j, i] = v
-    return MomentMatrix(basis, mat)
+    return mat
 
 
-def psd_check(M: MomentMatrix, tol: float = DEFAULT_LEMMA_TOL) -> bool:
-    return min_eigenvalue(M.matrix) >= -tol
+def psd_check(M: np.ndarray, tol: float = DEFAULT_LEMMA_TOL) -> bool:
+    return min_eigenvalue(M) >= -tol
 
 
 def check_lemma1(y: MomentVector, r: int, tol: float = DEFAULT_LEMMA_TOL) -> bool:

@@ -261,8 +261,3 @@ class MonomialBasis:
 
     def to_obj(self) -> List[List[int]]:
         return [list(a) for a in self.entries]
-
-
-def basis_size(n: int, r: int) -> int:
-    """C(n + r, n), the dimension of the degree-<=r monomial space."""
-    return math.comb(n + r, n)

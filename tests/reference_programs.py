@@ -7,11 +7,14 @@ assembly code with the routine it checks.  `build_moment_system` is the
 moment-side program in standard form, the moment matrix as its PSD block
 with Hankel ties as equalities, an oracle solved independently of the
 squares side.  `dense_entries` turns dense coefficient matrices into the
-per-block arrays `SdpProblem.from_rows` takes.
+per-block arrays `SdpProblem.from_rows` takes.  `atomic_moments` is the
+moment vector of a finite atomic measure, a PSD input for the moment
+verifiers.
 """
 
 import numpy as np
 
+from sosperturb.moments import MomentVector
 from sosperturb.polynomials import MonomialBasis, Polynomial, multidegrees_upto
 from sosperturb.sdp import SdpProblem
 from sosperturb.sos import _check_degrees
@@ -105,3 +108,20 @@ def build_moment_system(f: Polynomial, p: Polynomial, r: int) -> SdpProblem:
         ri, rj = rep[gamma]
         objective[ri, rj] = objective[rj, ri] = c * weight(ri, rj)
     return SdpProblem.from_rows([n, 1], [moment, slack], rhs, {0: objective})
+
+
+def atomic_moments(n_vars, order, atoms) -> MomentVector:
+    """Moments of a finite atomic measure sum_j w_j * delta(point_j), atoms
+    the pairs (point_j, w_j), up to the given order."""
+    atoms = [(tuple(pt), float(w)) for pt, w in atoms]
+    values = {}
+    for alpha in multidegrees_upto(n_vars, order):
+        total = 0.0
+        for pt, w in atoms:
+            term = w
+            for x, e in zip(pt, alpha):
+                if e:
+                    term *= x ** e
+            total += term
+        values[alpha] = total
+    return MomentVector(n_vars, order, values)

@@ -13,9 +13,8 @@ import pytest
 from click.testing import CliRunner
 
 from sosperturb.cli import main as cli_main
-from sosperturb.moments import (MomentVector, cauchy_schwarz_check,
-                                check_lemma1, check_lemma3, moment_matrix,
-                                psd_check)
+from sosperturb.moments import (cauchy_schwarz_check, check_lemma1,
+                                check_lemma3, moment_matrix, psd_check)
 from sosperturb.parsing import parse
 from sosperturb.polynomials import Polynomial, theta_big, theta_small
 from sosperturb.preorder import (SemialgebraicSystem, build_preorder_sdp,
@@ -24,6 +23,8 @@ from sosperturb.rng import SplitMix64
 from sosperturb.sdp import SolveStatus, solve
 from sosperturb.sos import (THETA_BIG, THETA_SMALL, epsilon_star, is_sos,
                             verify_certificate)
+
+from reference_programs import atomic_moments
 
 ONE_MINUS_SQ = parse("1 - x1^2", 1)
 MOTZKIN = parse("1 + x1^2*x2^2*(x1^2 + x2^2 - 3)", 2)
@@ -166,7 +167,7 @@ def test_criterion_6(duality_fixture_suite):
         total = sum(w for _, w in atoms)
         if total > 1.0:
             atoms = [(pt, w / total) for pt, w in atoms]
-        y = MomentVector.from_atoms(n, 2 * r, atoms)
+        y = atomic_moments(n, 2 * r, atoms)
         assert psd_check(moment_matrix(y, r), tol=1e-7)
         assert check_lemma3(y, r, tau=1.0, tol=1e-7)
         ok, _ = cauchy_schwarz_check(y, r, tol=1e-7)

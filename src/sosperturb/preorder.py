@@ -10,12 +10,13 @@ general from intersecting the full preordering with the degree-2r space.
 Membership of f + eps*p is one block-diagonal SDP with a Gram block per
 admissible exponent tuple e, sized to the degree budget left after g^e.
 It is built by the one assembly of plain sums of squares,
-`sos._ReducedGram`, which lists the products, scales each generator to
-unit max coefficient and applies its forced-zero pruning and sign-symmetry
-split, under the matching rule `CHEBYSHEV`: Gram blocks are indexed by the
-tensor Chebyshev basis T_alpha of the box (see `chebyshev`), and one constraint
-per T_gamma with |gamma| <= 2r matches Chebyshev coefficients, linked
-through T_a * T_b = (T_{a+b} + T_{|a-b|}) / 2 in each coordinate.
+`sos._ReducedGram`, which multiplies out each product once, scales it by
+its generators' largest coefficients and applies its forced-zero pruning
+and sign-symmetry split, under the matching rule `CHEBYSHEV`: Gram blocks
+are indexed by the tensor Chebyshev basis T_alpha of the box (see
+`chebyshev`), and one constraint per T_gamma with |gamma| <= 2r matches
+Chebyshev coefficients, linked through T_a * T_b = (T_{a+b} +
+T_{|a-b|}) / 2 in each coordinate.
 Matching monomial coefficients instead gives Hankel-type localizing blocks
 whose conditioning grows exponentially with r and stalls the solver.
 
@@ -129,7 +130,7 @@ def build_preorder_sdp(
     """Feasibility program: does f + eps*p decompose at degree 2r?
 
     Zero objective; the Gram blocks of every admissible product, in the
-    tensor Chebyshev basis, on generators scaled to unit max coefficient:
+    tensor Chebyshev basis, each product scaled as in `sos._ReducedGram`:
     the program `membership` re-solves at a covered degree.  Raises the
     PrimalLikelyInfeasible SolverFailureError of `sos._ReducedGram.program`,
     without a solve, when forced-zero pruning already leaves the program
@@ -146,11 +147,11 @@ def epsilon_star_preorder(
 ) -> ApproximationResult:
     """Minimal weight eps putting f + eps*p in the degree-2r truncation.
 
-    The one assembly lists the products and scales the generators to unit
-    max coefficient, as for `build_preorder_sdp` and the re-solve of
-    `membership`; the program matches Chebyshev coefficients.  Its dual is
-    the moment-side problem: minimize L(f) over functionals with L(p) <= 1
-    whose localizing matrix for every admissible product is PSD; its value
+    The one assembly lists and scales the products as for
+    `build_preorder_sdp` and the re-solve of `membership`; the program
+    matches Chebyshev coefficients.  Its dual is the moment-side problem:
+    minimize L(f) over functionals with L(p) <= 1 whose localizing matrix
+    for every admissible product is PSD; its value
     is reported as eps_star and cross-checked against the primal optimum.
     The dual vector holds -L(T_gamma); it is mapped exactly to the monomial
     moments L(x^beta) reported in dual_moments.  No certificate is attached

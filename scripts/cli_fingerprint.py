@@ -30,7 +30,9 @@ negative degree, two sweeps whose weight covers eps at the last degree by
 a few 1e-10 while its feasibility re-solve fails (`minimal-r` of 1 - x1^2
 at r = 10, `preorder-membership` on the cusp at r = 9), `approximate`
 with box scale 1e200, which overflows a double, and `approximate` of
-1 + x1 with box scale 1e200, whose every degree ends solver-failed.
+1 + x1 with box scale 1e200, whose every degree ends solver-failed, and
+`verify` of a forged preorder certificate whose one stored product is the
+target x1 - 1 itself and names no generators.
 """
 
 import hashlib
@@ -110,6 +112,8 @@ COMMANDS = [
                          "--box-scale", "1e200"], None),
     ("all degrees solver-failed", ["approximate", "-n", "1", "-f", "1 + x1",
                                    "--eps", "0.2", "--box-scale", "1e200"], None),
+    ("verify forged preorder", ["verify", "-n", "1", "-f", "x1 - 1", "--certificate",
+                                "forged.json"], None),
 ]
 
 
@@ -125,6 +129,12 @@ def write_inputs(workdir: str) -> None:
         # one square written as its term objects instead of a list of them
         "objects.json": json.dumps({"r": 1, "basis": [[0], [1]], "gram": [1.0, 0.0, 1.0],
                                     "squares": [{"exponents": [0], "coeff": 1.0}]}),
+        # x1 - 1 = 1^2 * (x1 - 1): a product that is no product of generators
+        "forged.json": json.dumps({"r": 1, "terms": [{
+            "e": [1],
+            "product": [{"exponents": [0], "coeff": -1.0}, {"exponents": [1], "coeff": 1.0}],
+            "sigma": {"basis": [[0]], "gram": [1.0],
+                      "squares": [[{"exponents": [0], "coeff": 1.0}]]}}]}),
     }
     for name, text in files.items():
         with open(os.path.join(workdir, name), "w", encoding="utf-8") as handle:

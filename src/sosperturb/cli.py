@@ -207,11 +207,10 @@ def _sweep_command(fields, r_max, sweep, details, tail=None):
 
     sweep() returns the result; details(result) gives its certificate
     residual and the human lines after the weight.  Nothing found within
-    r_max is code 1 with the trajectory, unless it is a numerical failure
-    with code 2: status "decomposition-failed" when a degree covered eps
-    but its feasibility re-solve gave no decomposition, else
-    "solver-failed" when the weight solve failed at some degree, which
-    eps might have covered.  A certificate
+    r_max is code 1 with the trajectory when the sweep's verdict is a
+    definite "no", else code 2 with the sweep's status
+    ("decomposition-failed" or "solver-failed", see
+    `NotFoundWithinRMaxError`).  A certificate
     whose residual is not within DEFAULT_RESIDUAL_TOL (NaN included) is no
     membership: `verify` would reject it, so the verdict is numerically
     undecided and the code is 2.
@@ -220,25 +219,18 @@ def _sweep_command(fields, r_max, sweep, details, tail=None):
     try:
         res = sweep()
     except NotFoundWithinRMaxError as exc:
-        def degrees(status):
-            return ", ".join(str(t["r"]) for t in exc.trajectory if t["status"] == status)
-
-        eps = fields["eps"]
-        failed, unsolved = degrees("weight-ok-decomposition-failed"), degrees("solver-failed")
-        if failed:
-            status = "decomposition-failed"
-            human = [f"eps={eps:.9g} is covered at r={failed} but not decomposed there: "
-                     f"the feasibility re-solve failed; trajectory:"]
-        elif unsolved:
-            status = "solver-failed"
-            human = [f"eps={eps:.9g} is covered at no solved degree r <= {r_max}, and "
-                     f"the weight solve failed at r={unsolved}; trajectory:"]
-        else:
-            report = {**fields, "found": False, "trajectory": exc.trajectory}
-            human = [f"no degree r <= {r_max} admits eps={eps:.9g}; trajectory:"]
-            return report, human + _trajectory_lines(exc.trajectory), 1
-        report = {**fields, "found": False, "status": status, "trajectory": exc.trajectory}
-        return report, human + _trajectory_lines(exc.trajectory), 2
+        eps, at = fields["eps"], ", ".join(map(str, exc.degrees))
+        first = {
+            None: f"no degree r <= {r_max} admits eps={eps:.9g}",
+            "decomposition-failed": f"eps={eps:.9g} is covered at r={at} but not "
+                                    f"decomposed there: the feasibility re-solve failed",
+            "solver-failed": f"eps={eps:.9g} is covered at no solved degree r <= {r_max}, "
+                             f"and the weight solve failed at r={at}",
+        }[exc.status]
+        status = {} if exc.status is None else {"status": exc.status}
+        report = {**fields, "found": False, **status, "trajectory": exc.trajectory}
+        return (report, [f"{first}; trajectory:", *_trajectory_lines(exc.trajectory)],
+                1 if exc.status is None else 2)
     residual, lines = details(res)
     if not residual <= DEFAULT_RESIDUAL_TOL:
         report = {**fields, "found": False, "status": "certificate-does-not-verify",

@@ -59,11 +59,18 @@ class NotFoundWithinRMaxError(RuntimeError):
     "solver-failed").  A degree whose minimal weight eps covers but whose
     feasibility re-solve gave no decomposition keeps its min_eps, with
     status "weight-ok-decomposition-failed"; every other degree with a
-    minimal weight has status "ok"."""
+    minimal weight has status "ok".
 
-    def __init__(self, message: str, trajectory):
+    status is the sweep's verdict, with the degrees it rests on: None, and
+    no degrees, for a definite "no"; "decomposition-failed" or
+    "solver-failed" when eps was covered, or may have been, at degrees
+    that failed to decompose or whose weight solve failed."""
+
+    def __init__(self, message: str, trajectory, status=None, degrees=()):
         super().__init__(message)
         self.trajectory = list(trajectory)
+        self.status = status
+        self.degrees = list(degrees)
 
 
 class NoSamplesAcceptedError(RuntimeError):

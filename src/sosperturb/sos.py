@@ -618,10 +618,11 @@ def _sweep(
     covered degree's weight result, p_r, the feasibility assembly, its
     Gram matrices (`_ReducedGram.expand_gram`) and the trajectory; the
     failure exception carries the trajectory too, so callers can inspect
-    the trend.  Its message names the degrees whose decomposition failed,
-    if any: eps was covered there, so nothing found is no definite "no".
-    Failing that, it names the degrees whose weight solve failed, if any,
-    for the same reason: eps may be covered there.
+    the trend, and the verdict with the degrees it rests on.  Nothing
+    found is no definite "no" when a degree's decomposition failed
+    (status "decomposition-failed": eps was covered there) or, failing
+    that, when a degree's weight solve failed (status "solver-failed":
+    eps may be covered there); otherwise the status is None.
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be finite and positive, got {eps}")
@@ -662,13 +663,13 @@ def _sweep(
         raise NotFoundWithinRMaxError(
             f"weight eps={eps} is covered at r = {', '.join(map(str, failed))}, but the "
             f"feasibility re-solve gave no decomposition there, and no certificate was "
-            f"found at any degree r <= {r_max}", trajectory)
+            f"found at any degree r <= {r_max}", trajectory, "decomposition-failed", failed)
     unsolved = [t["r"] for t in trajectory if t["status"] == "solver-failed"]
     if unsolved:
         raise NotFoundWithinRMaxError(
             f"weight eps={eps} is covered at no solved degree r <= {r_max}, but the "
             f"weight program failed at r = {', '.join(map(str, unsolved))}, so nothing "
-            f"found is no definite answer", trajectory)
+            f"found is no definite answer", trajectory, "solver-failed", unsolved)
     raise NotFoundWithinRMaxError(
         f"no degree r <= {r_max} admits weight eps={eps}", trajectory)
 

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
+
+import numpy as np
 
 from .errors import DimensionMismatchError
 
@@ -151,18 +153,21 @@ class Polynomial:
             result = result * self
         return result
 
-    def eval(self, point: Sequence[float]) -> float:
-        if len(point) != self.n_vars:
+    def eval(self, points) -> np.ndarray:
+        """Values at points of shape (..., n_vars), one per point: the terms
+        summed in graded-lex order, starting from zero."""
+        points = np.asarray(points, dtype=float)
+        if points.shape[-1:] != (self.n_vars,):
             raise DimensionMismatchError(
-                f"point has {len(point)} coordinates, polynomial has {self.n_vars} variables")
-        total = 0.0
+                f"points of shape {points.shape} do not have {self.n_vars} coordinates")
+        values = np.zeros(points.shape[:-1])
         for alpha, c in self.sorted_terms():
-            term = c
-            for x, e in zip(point, alpha):
+            term = np.full(points.shape[:-1], c)
+            for i, e in enumerate(alpha):
                 if e:
-                    term *= x ** e
-            total += term
-        return total
+                    term = term * points[..., i] ** e
+            values += term
+        return values
 
     # -- serialization ------------------------------------------------------
 

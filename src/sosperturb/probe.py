@@ -15,7 +15,7 @@ shifts are counted and flagged per row, never silently absorbed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -36,16 +36,6 @@ class ProbeRow:
     shifted: bool = False
     found_r: Optional[int] = None
     min_eps: Optional[float] = None
-
-    def to_obj(self) -> dict:
-        return {
-            "index": self.index,
-            "status": self.status,
-            "grid_min": self.grid_min,
-            "shifted": self.shifted,
-            "found_r": self.found_r,
-            "min_eps": self.min_eps,
-        }
 
 
 @dataclass
@@ -84,7 +74,7 @@ class ProbeReport:
             "samples": self.samples,
             "seed": self.seed,
             "r_max": self.r_max,
-            "rows": [row.to_obj() for row in self.rows],
+            "rows": [asdict(row) for row in self.rows],
             "counts": self.counts(),
             "max_r": self.max_r,
         }
@@ -104,15 +94,7 @@ def _random_polynomial(rng: SplitMix64, n: int, d: int, bound: float) -> Polynom
 def _grid_minimum(f: Polynomial, n: int) -> float:
     axes = [np.linspace(-1.0, 1.0, GRID_POINTS_PER_AXIS)] * n
     mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
-    values = np.zeros(points.shape[0])
-    for alpha, c in f.sorted_terms():
-        term = np.full(points.shape[0], c)
-        for i, e in enumerate(alpha):
-            if e:
-                term = term * points[:, i] ** e
-        values += term
-    return float(values.min())
+    return float(f.eval(np.stack([m.ravel() for m in mesh], axis=1)).min())
 
 
 def run_probe(
@@ -146,19 +128,14 @@ def run_probe(
             report.rows.append(ProbeRow(index, "rejected", grid_min))
             continue
         row = ProbeRow(index, "accepted", grid_min)
-        try:
-            res = minimal_r(f, eps, THETA_BIG, r_max)
-            row.found_r = res.r
-            row.min_eps = res.min_eps
-        except NotFoundWithinRMaxError:
-            row.shifted = True
-            lifted = f + Polynomial.constant(n, grid_min)
+        for target in (f, f + Polynomial.constant(n, grid_min)):
             try:
-                res = minimal_r(lifted, eps, THETA_BIG, r_max)
-                row.found_r = res.r
-                row.min_eps = res.min_eps
+                res = minimal_r(target, eps, THETA_BIG, r_max)
             except NotFoundWithinRMaxError:
-                pass
+                row.shifted = True
+                continue
+            row.found_r, row.min_eps = res.r, res.min_eps
+            break
         report.rows.append(row)
 
     if not any(row.status == "accepted" for row in report.rows):

@@ -65,7 +65,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,13 +105,15 @@ COO_DTYPE = np.dtype([("row", np.int32), ("i", np.int32), ("j", np.int32),
 Entries = Tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[float]]
 
 
-def _checked_symmetric(mat, nb: int) -> np.ndarray:
+def _checked_symmetric(mat, tol: float, size: Optional[int] = None) -> np.ndarray:
+    """mat as floats, symmetrized; a ValueError unless it is size x size
+    (when a size is given) and symmetric within tol * (1 + max |mat|)."""
     mat = np.asarray(mat, dtype=float)
-    if mat.shape != (nb, nb):
-        raise ValueError(f"coefficient matrix shape {mat.shape} != ({nb},{nb})")
-    if np.max(np.abs(mat - mat.T), initial=0.0) > _SYMMETRY_TOL * (1 + np.max(np.abs(mat), initial=0.0)):
-        raise ValueError("coefficient matrix is not symmetric")
-    return 0.5 * (mat + mat.T)
+    if size is not None and mat.shape != (size, size):
+        raise ValueError(f"coefficient matrix shape {mat.shape} != ({size},{size})")
+    if np.max(np.abs(mat - mat.T), initial=0.0) > tol * (1 + np.max(np.abs(mat), initial=0.0)):
+        raise ValueError("matrix is not symmetric")
+    return _sym(mat)
 
 
 def _canonical_entries(row, i, j, v, nb: int):
@@ -187,7 +189,8 @@ class SdpProblem:
         C = []
         for bi, nb in enumerate(block_sizes):
             mat = objective_blocks.get(bi)
-            C.append(_checked_symmetric(mat, nb) if mat is not None else np.zeros((nb, nb)))
+            C.append(np.zeros((nb, nb)) if mat is None
+                     else _checked_symmetric(mat, _SYMMETRY_TOL, nb))
         return SdpProblem(block_sizes, A, b, C)
 
 
@@ -679,26 +682,13 @@ def solve(problem: SdpProblem) -> SdpSolution:
 # -- dense symmetric eigen helpers -------------------------------------------
 
 
-def _check_symmetric(mat: np.ndarray) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    scale = 1.0 + np.max(np.abs(mat), initial=0.0)
-    if np.max(np.abs(mat - mat.T), initial=0.0) > 1e-10 * scale:
-        raise ValueError("matrix is not symmetric")
-    return _sym(mat)
-
-def min_eigenvalue(mat: np.ndarray) -> float:
-    mat = _check_symmetric(mat)
-    try:
-        return float(np.linalg.eigvalsh(mat)[0])
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailureError(str(exc)) from exc
-
-
 def eigendecompose(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues ascending with orthonormal eigenvector columns."""
-    mat = _check_symmetric(mat)
     try:
-        w, Q = np.linalg.eigh(mat)
+        return np.linalg.eigh(_checked_symmetric(mat, 1e-10))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(str(exc)) from exc
-    return w, Q
+
+
+def min_eigenvalue(mat: np.ndarray) -> float:
+    return float(eigendecompose(mat)[0][0])

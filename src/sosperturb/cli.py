@@ -363,7 +363,10 @@ def cmd_verify(nvars, poly_text, poly_file, certificate_file, eps, perturbation)
     """Re-check a serialized certificate without the solver.
 
     Accepts when the coefficient residual is at most 1e-6
-    (DEFAULT_RESIDUAL_TOL), the tolerance the degree sweeps certify at."""
+    (DEFAULT_RESIDUAL_TOL), the tolerance the degree sweeps certify at,
+    and, for a preorder certificate, every stored product is g^e of the
+    stored generators.  A preorder certificate without generators is
+    undecided (exit 2)."""
     if not math.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
     f = _load_poly(nvars, poly_text, poly_file)
@@ -381,7 +384,8 @@ def cmd_verify(nvars, poly_text, poly_file, certificate_file, eps, perturbation)
         result = verify_preorder_obj(obj, target)
     else:
         result = verify_certificate_obj(obj, target)
-    ok = result["residual_linf"] <= DEFAULT_RESIDUAL_TOL
+    unmatched = result.get("unmatched_products")
+    ok = result["residual_linf"] <= DEFAULT_RESIDUAL_TOL and not unmatched
     report = {
         "command": "verify",
         "nvars": f.n_vars,
@@ -393,6 +397,8 @@ def cmd_verify(nvars, poly_text, poly_file, certificate_file, eps, perturbation)
     human = [
         f"residual (gram route): {result['residual_gram']:.3e}",
         f"residual (squares route): {result['residual_squares']:.3e}",
+        *([f"products that are not g^e of the generators: terms "
+           f"{', '.join(map(str, unmatched))}"] if unmatched else []),
         f"verdict: {'accepted' if ok else 'REJECTED'}",
     ]
     return report, human, 0 if ok else 1

@@ -34,6 +34,7 @@ ones of the plain engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -46,10 +47,15 @@ from .polynomials import MonomialBasis, Polynomial
 from .sdp import SdpProblem, solve
 from .sos import (ApproximationResult, GramCertificate, Matching,
                   PerturbationKind, THETA_BIG, THETA_SMALL, _ReducedGram,
-                  _gram_form, _residual, _residual_warnings, _squares_form,
-                  _sweep, _verify_terms, extract_certificate)
+                  _gram_form, _products, _residual, _residual_warnings,
+                  _squares_form, _sweep, _verify_terms, extract_certificate)
 
 MAX_GENERATORS = 10
+# a stored product may differ from g^e, multiplied out again from the
+# stored generators, by rounding only, relative to the product of their l1
+# norms: a generator is stored in graded-lex order, which need not be the
+# order its terms were multiplied in
+PRODUCT_TOL = 1e-12
 
 
 @dataclass
@@ -172,6 +178,8 @@ class PreorderTerm:
 class PreorderCertificate:
     """Explicit decomposition f + eps*p = sum_e sigma_e * g^e.
 
+    generators are the system's g_1..g_s, which `verify_preorder_obj`
+    multiplies out again to check every stored product g^e.
     residual_linf compares the reconstruction from the extracted squares
     of every sigma_e times its product with the target (`sos._residual`);
     nothing is taken from the solver on trust.
@@ -183,6 +191,7 @@ class PreorderCertificate:
     gap: float
     kind: str
     annotation: str
+    generators: List[Polynomial]
     terms: List[PreorderTerm]
     residual_linf: float
     warnings: List[str]
@@ -195,6 +204,7 @@ class PreorderCertificate:
             "gap": self.gap,
             "kind": self.kind,
             "annotation": self.annotation,
+            "generators": [g.to_obj() for g in self.generators],
             "terms": [
                 {
                     "e": list(t.exponents),
@@ -281,16 +291,51 @@ def membership(
         gap=base.gap,
         kind=kind if isinstance(kind, str) else "custom",
         annotation=_kind_annotation(kind, f.n_vars),
+        generators=system.generators,
         terms=terms,
         residual_linf=residual,
         warnings=warnings,
     )
 
 
+def _unmatched_products(obj: dict, n_vars: int) -> List[int]:
+    """Indices of the terms of a serialized decomposition whose e is none
+    of the exponent tuples of `sos._products` for the stored generators at
+    the stored r, or whose stored product is not that g^e (PRODUCT_TOL).
+
+    A file that names no generators (such as one written before they were
+    stored) cannot be checked, and more than MAX_GENERATORS are refused
+    before any product is multiplied out: both raise ValueError.
+    """
+    if "generators" not in obj:
+        raise ValueError("the preorder certificate names no generators, so its "
+                         "products cannot be checked: membership undecided")
+    if len(obj["generators"]) > MAX_GENERATORS:
+        raise TooManyGeneratorsError(
+            f"{len(obj['generators'])} generators exceed the cap of {MAX_GENERATORS}")
+    generators = [Polynomial.from_obj(g, n_vars) for g in obj["generators"]]
+    norms = [g.l1_norm() for g in generators]
+    products = dict(_products(n_vars, generators, 2 * int(obj["r"])))
+    unmatched = []
+    for k, term in enumerate(obj["terms"]):
+        e = tuple(term["e"])
+        if e not in products:
+            unmatched.append(k)
+            continue
+        deviation = Polynomial.from_obj(term["product"], n_vars) - products[e]
+        bound = PRODUCT_TOL * math.prod(c for c, ei in zip(norms, e) if ei)
+        if not max(map(abs, deviation.terms.values()), default=0.0) <= bound:
+            unmatched.append(k)
+    return unmatched
+
+
 def verify_preorder_obj(obj: dict, target: Polynomial) -> dict:
     """Re-check a serialized decomposition without the solver: every term's
     Gram form and squares, times its stored product, through the residual
-    of `sos._verify_terms`."""
-    return _verify_terms(target, [
+    of `sos._verify_terms`, and every stored product against the stored
+    generators (`_unmatched_products`, the indices of the terms that fail,
+    in the key "unmatched_products")."""
+    unmatched = _unmatched_products(obj, target.n_vars)
+    return {**_verify_terms(target, [
         (Polynomial.from_obj(term["product"], target.n_vars), term["sigma"])
-        for term in obj["terms"]])
+        for term in obj["terms"]]), "unmatched_products": unmatched}

@@ -472,14 +472,15 @@ class TestVerify:
         ["epsilon-star", "-n", "1", "-f", "1 - x1^2", "-r", "3"],
     ])
     def test_one_term_preorder_certificate_same_residuals(self, runner, tmp_path, args):
-        # a plain certificate is the preorder certificate with the one
-        # product 1, and verify checks both through the same residual
+        # a plain certificate is the preorder certificate of no generators,
+        # with the one product 1, and verify checks both through the same
+        # residual
         cert = tmp_path / "cert.json"
         assert invoke(runner, args + ["--json", "-o", str(cert)]).exit_code == 0
         obj = json.loads(cert.read_text())
         sigma = obj.get("certificate", obj)
         wrapped = tmp_path / "wrapped.json"
-        wrapped.write_text(json.dumps({"r": sigma["r"], "terms": [
+        wrapped.write_text(json.dumps({"r": sigma["r"], "generators": [], "terms": [
             {"e": [], "product": [{"exponents": [0], "coeff": 1.0}], "sigma": sigma}]}))
         eps = repr(obj.get("min_eps", 0.0))
         outputs = [json.loads(invoke(runner, [

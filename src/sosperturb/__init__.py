@@ -9,13 +9,11 @@ constraint data is embedded; no external SDP solver is required.
 """
 
 from .errors import (ConvergenceFailureError, DegreeTooLowError,
-                     DimensionMismatchError, HypothesisUnmetError,
-                     IncompleteMomentsError, NoSamplesAcceptedError,
-                     NotFoundWithinRMaxError, NotPsdError, ParseError,
-                     SolverFailureError, TooManyGeneratorsError,
-                     VariableOutOfRangeError)
-from .moments import (MomentVector, cauchy_schwarz_check, check_lemma1,
-                      check_lemma3, moment_matrix, psd_check)
+                     DimensionMismatchError, IncompleteMomentsError,
+                     NoSamplesAcceptedError, NotFoundWithinRMaxError,
+                     NotPsdError, ParseError, SolverFailureError,
+                     TooManyGeneratorsError, VariableOutOfRangeError)
+from .moments import MomentVector, moment_matrix, psd_check
 from .parsing import parse, unparse
 from .polynomials import (MonomialBasis, Multidegree, Polynomial, grlex_key,
                           multidegrees_upto, scale_box, theta_big, theta_small)

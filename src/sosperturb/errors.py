@@ -36,10 +36,6 @@ class IncompleteMomentsError(ValueError):
     """Moment vector does not cover every multidegree up to its order."""
 
 
-class HypothesisUnmetError(ValueError):
-    """A verifier's hypothesis (as opposed to its conclusion) failed."""
-
-
 class ConvergenceFailureError(RuntimeError):
     """Dense eigendecomposition did not converge."""
 

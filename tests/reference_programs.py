@@ -10,12 +10,32 @@ squares side.  `dense_entries` turns dense coefficient matrices into the
 per-block arrays `SdpProblem.from_rows` takes.  `atomic_moments` is the
 moment vector of a finite atomic measure, a PSD input for the moment
 verifiers.
+
+The moment verifiers check consequences of PSD-ness that bound all
+moments once the marginal even moments are bounded:
+
+  * one-variable chain bound (`check_lemma1`): y_{2k} <= max(y_0, y_{2r})
+    for k = 0..r;
+  * product bound (`check_lemma3`): if every marginal even moment y over
+    x_i^{2k} is <= tau, then |y_alpha| <= tau for all |alpha| <= 2r (any
+    number of variables);
+  * Cauchy-Schwarz (`cauchy_schwarz_check`): y_{alpha+beta}^2 <=
+    y_{2 alpha} * y_{2 beta}.
+
+They are verifiers over given vectors, not provers: a hypothesis failure is
+reported distinctly (exception) from a conclusion failure (False), because
+for genuinely PSD input a conclusion failure indicates a numerical bug.
 """
+
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from sosperturb.moments import MomentVector
-from sosperturb.polynomials import MonomialBasis, Polynomial, multidegrees_upto
+from sosperturb.errors import NotPsdError
+from sosperturb.moments import (DEFAULT_LEMMA_TOL, MomentVector, moment_matrix,
+                                psd_check)
+from sosperturb.polynomials import (MonomialBasis, Multidegree, Polynomial,
+                                    multidegrees_upto)
 from sosperturb.sdp import SdpProblem
 from sosperturb.sos import _check_degrees
 
@@ -125,3 +145,56 @@ def atomic_moments(n_vars, order, atoms) -> MomentVector:
             total += term
         values[alpha] = total
     return MomentVector(n_vars, order, values)
+
+
+class HypothesisUnmetError(ValueError):
+    """A verifier's hypothesis (as opposed to its conclusion) failed."""
+
+
+def check_lemma1(y: MomentVector, r: int, tol: float = DEFAULT_LEMMA_TOL) -> bool:
+    """One-variable even-moment chain bound y_{2k} <= max(y_0, y_{2r})."""
+    if y.n_vars != 1:
+        raise ValueError("the chain bound is a one-variable statement")
+    if not psd_check(moment_matrix(y, r), tol):
+        raise NotPsdError("moment matrix is not PSD; hypothesis unmet")
+    cap = max(y[(0,)], y[(2 * r,)])
+    return all(y[(2 * k,)] <= cap + tol for k in range(r + 1))
+
+
+def check_lemma3(
+    y: MomentVector, r: int, tau: float, tol: float = DEFAULT_LEMMA_TOL
+) -> bool:
+    """All-moment bound |y_alpha| <= tau from bounded marginal even moments.
+
+    The two-variable case of the same statement is exercised by calling this
+    with n_vars = 2; it needs no separate code path.
+    """
+    if not psd_check(moment_matrix(y, r), tol):
+        raise NotPsdError("moment matrix is not PSD; hypothesis unmet")
+    for i in range(y.n_vars):
+        for k in range(r + 1):
+            alpha = tuple(2 * k if j == i else 0 for j in range(y.n_vars))
+            if y[alpha] > tau + tol:
+                raise HypothesisUnmetError(
+                    f"marginal moment at {alpha} is {y[alpha]:.6g} > tau={tau}")
+    return all(abs(v) <= tau + tol
+               for a, v in y.values.items() if sum(a) <= 2 * r)
+
+
+def cauchy_schwarz_check(
+    y: MomentVector, r: int, tol: float = DEFAULT_LEMMA_TOL
+) -> Tuple[bool, Optional[Tuple[Multidegree, Multidegree]]]:
+    """y_{a+b}^2 <= y_{2a} y_{2b} for all |a|, |b| <= r.
+
+    Returns (True, None) or (False, (a, b)) with the first violating pair.
+    """
+    if not psd_check(moment_matrix(y, r), tol):
+        raise NotPsdError("moment matrix is not PSD; hypothesis unmet")
+    degs: List[Multidegree] = multidegrees_upto(y.n_vars, r)
+    for a in degs:
+        for b in degs:
+            lhs = y[tuple(x + z for x, z in zip(a, b))] ** 2
+            rhs = y[tuple(2 * x for x in a)] * y[tuple(2 * z for z in b)]
+            if lhs > rhs + tol:
+                return False, (a, b)
+    return True, None

@@ -13,8 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from sosperturb.cli import main as cli_main
-from sosperturb.moments import (cauchy_schwarz_check, check_lemma1,
-                                check_lemma3, moment_matrix, psd_check)
+from sosperturb.moments import moment_matrix, psd_check
 from sosperturb.parsing import parse
 from sosperturb.polynomials import Polynomial, theta_big, theta_small
 from sosperturb.preorder import (SemialgebraicSystem, build_preorder_sdp,
@@ -24,7 +23,8 @@ from sosperturb.sdp import SolveStatus, solve
 from sosperturb.sos import (THETA_BIG, THETA_SMALL, epsilon_star, is_sos,
                             verify_certificate)
 
-from reference_programs import atomic_moments
+from reference_programs import (atomic_moments, cauchy_schwarz_check,
+                                check_lemma1, check_lemma3)
 
 ONE_MINUS_SQ = parse("1 - x1^2", 1)
 MOTZKIN = parse("1 + x1^2*x2^2*(x1^2 + x2^2 - 3)", 2)

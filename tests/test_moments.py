@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sosperturb.errors import (HypothesisUnmetError, IncompleteMomentsError,
-                               NotPsdError)
-from sosperturb.moments import (MomentVector, cauchy_schwarz_check,
-                                check_lemma1, check_lemma3, moment_matrix,
-                                psd_check)
+from sosperturb.errors import IncompleteMomentsError, NotPsdError
+from sosperturb.moments import MomentVector, moment_matrix, psd_check
 from sosperturb.polynomials import MonomialBasis, multidegrees_upto
 
-from reference_programs import atomic_moments
+from reference_programs import (HypothesisUnmetError, atomic_moments,
+                                cauchy_schwarz_check, check_lemma1,
+                                check_lemma3)
 
 
 def univariate_vector(values):

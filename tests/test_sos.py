@@ -9,7 +9,7 @@ from sosperturb import sdp, sos
 from sosperturb.errors import (DegreeTooLowError, DimensionMismatchError,
                                NotFoundWithinRMaxError, NotPsdError,
                                SolverFailureError)
-from sosperturb.moments import check_lemma3, moment_matrix, psd_check
+from sosperturb.moments import moment_matrix, psd_check
 from sosperturb.parsing import parse
 from sosperturb.polynomials import MonomialBasis, Polynomial, theta_big
 from sosperturb.sdp import SolveStatus, solve
@@ -20,7 +20,7 @@ from sosperturb.sos import (DEFAULT_CLIP_TOL, THETA_BIG, THETA_SMALL,
                             extract_certificate, is_sos, minimal_r,
                             verify_certificate, verify_certificate_obj)
 
-from reference_programs import build_gram_system, build_moment_system
+from reference_programs import build_gram_system, build_moment_system, check_lemma3
 
 ONE_MINUS_SQ = parse("1 - x1^2", 1)
 MOTZKIN = parse("1 + x1^2*x2^2*(x1^2 + x2^2 - 3)", 2)

@@ -504,6 +504,83 @@ class TestVerify:
             "--eps", "0.5", "--perturbation", "theta-small", "--json"])
         assert res.exit_code == 0
 
+    def make_preorder_certificate(self, runner, tmp_path):
+        system = tmp_path / "system.txt"
+        system.write_text("nvars 1\nmoment_problem asserted\n(1 - x1^2)^3\n")
+        cert = tmp_path / "cert.json"
+        res = invoke(runner, [
+            "preorder-membership", "-f", "1 - x1^2", "--eps", "0.1",
+            "--perturbation", "theta-small", "--system", str(system),
+            "--r-max", "12", "--json", "-o", str(cert)])
+        assert res.exit_code == 0
+        return cert
+
+    def verify_preorder(self, runner, cert, *extra):
+        return invoke(runner, [
+            "verify", "-n", "1", "-f", "1 - x1^2", "--certificate", str(cert),
+            "--eps", "0.1", "--perturbation", "theta-small", *extra])
+
+    def test_preorder_certificate_names_its_generators(self, runner, tmp_path):
+        cert = self.make_preorder_certificate(runner, tmp_path)
+        obj = json.loads(cert.read_text())
+        assert obj["generators"] == [[{"exponents": [0], "coeff": 1.0},
+                                      {"exponents": [2], "coeff": -3.0},
+                                      {"exponents": [4], "coeff": 3.0},
+                                      {"exponents": [6], "coeff": -1.0}]]
+        res = self.verify_preorder(runner, cert, "--json")
+        assert res.exit_code == 0
+        assert json.loads(res.output)["unmatched_products"] == []
+
+    def test_forged_preorder_certificate_undecided(self, runner, tmp_path):
+        # x1 - 1 = 1^2 * (x1 - 1), whose one product is no product of
+        # generators: the file names none, so nothing ties it to a set
+        forged = tmp_path / "forged.json"
+        forged.write_text(json.dumps({"r": 1, "terms": [{
+            "e": [1],
+            "product": [{"exponents": [0], "coeff": -1.0}, {"exponents": [1], "coeff": 1.0}],
+            "sigma": {"basis": [[0]], "gram": [1.0],
+                      "squares": [[{"exponents": [0], "coeff": 1.0}]]}}]}))
+        res = invoke(runner, ["verify", "-n", "1", "-f", "x1 - 1",
+                              "--certificate", str(forged)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: the preorder certificate names no generators")
+
+    @pytest.mark.parametrize("tamper", [
+        lambda term: term["product"][0].update(coeff=term["product"][0]["coeff"] + 1e-3),
+        lambda term: term.update(e=[2]),
+        lambda term: term.update(e=[1, 0]),
+    ], ids=["product", "e-not-0-1", "e-wrong-length"])
+    def test_tampered_product_rejected(self, runner, tmp_path, tamper):
+        cert = self.make_preorder_certificate(runner, tmp_path)
+        obj = json.loads(cert.read_text())
+        assert [t["e"] for t in obj["terms"]] == [[0], [1]]
+        tamper(obj["terms"][1])
+        cert.write_text(json.dumps(obj))
+        res = self.verify_preorder(runner, cert, "--json")
+        assert res.exit_code == 1
+        report = json.loads(res.output)
+        assert report["unmatched_products"] == [1]
+        assert report["accepted"] is False
+        res = self.verify_preorder(runner, cert)
+        assert res.exit_code == 1
+        assert "products that are not g^e of the generators: terms 1" in res.output
+        assert "verdict: REJECTED" in res.output
+
+    def test_too_many_generators_exit_two(self, runner, tmp_path, monkeypatch):
+        cert = self.make_preorder_certificate(runner, tmp_path)
+        obj = json.loads(cert.read_text())
+        obj["generators"] *= 11
+        cert.write_text(json.dumps(obj))
+
+        def enumerate_products(*args):
+            raise AssertionError("products enumerated")
+
+        monkeypatch.setattr(sosperturb.preorder, "_products", enumerate_products)
+        res = self.verify_preorder(runner, cert)
+        assert res.exit_code == 2
+        assert "11 generators exceed the cap of 10" in res.stderr
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("args", [
@@ -529,6 +606,19 @@ class TestDeterminism:
         res = runner.invoke(main, [
             "check-sos", "-n", "1", "-f", "x1", "--poly-file", str(path)])
         assert res.exit_code == 2
+
+
+class TestUsageErrors:
+    def test_missing_nvars(self, runner):
+        res = runner.invoke(main, ["check-sos", "-f", "1 + x1^2"])
+        assert res.exit_code == 2
+        assert "-n/--nvars is required" in res.output
+
+    def test_unknown_perturbation(self, runner):
+        res = runner.invoke(main, ["epsilon-star", "-n", "1", "-f", "1 - x1^2", "-r", "2",
+                                   "--perturbation", "theta-medium"])
+        assert res.exit_code == 2
+        assert "--perturbation must be theta-big, theta-small or custom:<file>" in res.output
 
 
 class TestColdStart:

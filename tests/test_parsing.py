@@ -81,6 +81,18 @@ def test_unbalanced_parenthesis():
         parse("(1 + x1", 1)
 
 
+def test_unclosed_parenthesis_before_more_input():
+    with pytest.raises(ParseError, match="expected '\\)', found 'x1'") as err:
+        parse("(1 + x1 x1)", 1)
+    assert err.value.position == 8
+
+
+def test_rational_literal_division_by_zero():
+    with pytest.raises(ParseError, match="division by zero") as err:
+        parse("x1 + 1/0", 1)
+    assert err.value.position == 5
+
+
 def test_fractional_exponent_rejected():
     with pytest.raises(ParseError):
         parse("x1^1.5", 1)

@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,6 +72,21 @@ class TestArithmetic:
             f.eval(point) + g.eval(point), rel=1e-10, abs=1e-10 * scale)
         assert (f * g).eval(point) == pytest.approx(
             f.eval(point) * g.eval(point), rel=1e-10, abs=1e-10 * scale ** 2)
+
+
+class TestEval:
+    def test_array_of_points_equals_single_points(self):
+        f = parse("1 + x1^2*x2^2*(x1^2 + x2^2 - 3) - 0.5*x2", 2)
+        points = np.array([[0.0, 0.0], [1.0, -1.0], [0.3, 0.7], [-2.0, 0.25]])
+        values = f.eval(points)
+        assert values.shape == (4,)
+        assert values.tolist() == [f.eval(x) for x in points]
+        assert f.eval(points.reshape(2, 2, 2)).tolist() == values.reshape(2, 2).tolist()
+
+    @pytest.mark.parametrize("shape", [(4, 3), (3,), (2, 1), ()])
+    def test_wrong_last_axis_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            parse("x1 + x2", 2).eval(np.zeros(shape))
 
 
 class TestPerturbations:

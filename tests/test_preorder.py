@@ -71,6 +71,17 @@ class TestSystem:
         with pytest.raises(ValueError):
             load_system("vars 1\nmoment_problem asserted\nx1\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("nvars 1\n# no generators\nmoment_problem asserted\n",
+         "needs nvars, moment_problem and generators"),
+        ("nvars 1\nmoment asserted\nx1\n", "second line must be"),
+        ("nvars 1\nmoment_problem maybe\nx1\n",
+         "moment_problem must be asserted or unknown, got 'maybe'"),
+    ], ids=["short", "bad-second-line", "bad-flag"])
+    def test_malformed_file(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            load_system(text)
+
 
 class TestEnumerateProducts:
     def test_interval_products(self):
@@ -310,6 +321,21 @@ class TestVerifyPreorderObj:
         assert out["residual_gram"] <= 1e-6
         assert out["residual_squares"] > 1e-3
         assert out["residual_linf"] > 1e-3
+
+    def test_products_match_to_rounding(self):
+        # the generators are stored in graded-lex order, not in the order
+        # their terms were multiplied in, so g1*g2 comes out one rounding
+        # apart, and that is no mismatch
+        system = SemialgebraicSystem([parse("0.7*x1^2 - 0.7*x1 + 0.3", 1),
+                                      parse("1/7*x1^2 - 0.3*x1 + 0.2", 1)])
+        stored = [Polynomial.from_obj(g.to_obj(), 1) for g in system.generators]
+        products = sos._products(1, system.generators, 4)
+        assert products[3][1] != dict(sos._products(1, stored, 4))[(1, 1)]
+        obj = {"r": 2, "generators": [g.to_obj() for g in system.generators],
+               "terms": [{"e": list(e), "product": g.to_obj()} for e, g in products]}
+        assert preorder._unmatched_products(obj, 1) == []
+        obj["terms"][3]["product"][0]["coeff"] *= 1 + 1e-9
+        assert preorder._unmatched_products(obj, 1) == [3]
 
 
 TRIVIAL = SemialgebraicSystem([Polynomial.constant(1, 1.0)], True)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
-from sosperturb import sdp, sos
+from sosperturb import preorder, sdp, sos
 from sosperturb.errors import (DegreeTooLowError, DimensionMismatchError,
                                NotFoundWithinRMaxError, NotPsdError,
                                SolverFailureError)
@@ -594,6 +594,58 @@ class TestSerializedCertificates:
         obj = {**res.to_obj(), "squares": [h.to_obj() for h in squares]}
         out = verify_certificate_obj(obj, MOTZKIN + theta_big(2, 4).scale(res.min_eps))
         assert out["residual_linf"] <= 1e-6
+
+    @pytest.mark.parametrize("change, message", [
+        ({"basis": [[1], [0]]}, "not the graded-lex basis"),
+        ({"gram": [1.0, 0.0]}, "gram lower triangle has the wrong length"),
+    ], ids=["basis-order", "triangle-length"])
+    def test_malformed_gram_object_rejected(self, change, message):
+        obj = {"basis": [[0], [1]], "gram": [1.0, 0.0, 1.0], "squares": [], **change}
+        with pytest.raises(ValueError, match=message):
+            sos.decode_gram_obj(obj, 1)
+
+
+CUSP = preorder.SemialgebraicSystem([parse("(1 - x1^2)^3", 1)], True)
+SWEEPS = {
+    "minimal_r": lambda eps, r_max: minimal_r(ONE_MINUS_SQ, eps, THETA_SMALL, r_max),
+    "membership": lambda eps, r_max: preorder.membership(
+        ONE_MINUS_SQ, eps, THETA_SMALL, CUSP, r_max),
+}
+
+
+@pytest.mark.parametrize("sweep", SWEEPS.values(), ids=SWEEPS.keys())
+class TestSweepVerdict:
+    """The sweep's failure carries its own verdict: the status the CLI
+    reports, with the degrees it rests on."""
+
+    def test_definite_no(self, sweep):
+        with pytest.raises(NotFoundWithinRMaxError) as err:
+            sweep(1e-4, 3)
+        assert err.value.status is None
+        assert err.value.degrees == []
+        assert [t["status"] for t in err.value.trajectory] == ["ok"] * 3
+
+    def test_decomposition_failed(self, sweep, monkeypatch):
+        real = sos.solve
+
+        def failing(problem):
+            sol = real(problem)
+            if not any(c.any() for c in problem.C):  # the feasibility re-solve
+                return dataclasses.replace(sol, status=SolveStatus.ITERATION_LIMIT)
+            return sol
+
+        monkeypatch.setattr(sos, "solve", failing)
+        with pytest.raises(NotFoundWithinRMaxError) as err:
+            sweep(0.5, 3)
+        assert err.value.status == "decomposition-failed"
+        assert err.value.degrees == [2, 3]
+
+    def test_solver_failed(self, sweep, monkeypatch):
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
+        with pytest.raises(NotFoundWithinRMaxError) as err:
+            sweep(0.5, 3)
+        assert err.value.status == "solver-failed"
+        assert err.value.degrees == [1, 2, 3]
 
 
 class TestConvergenceTrend:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+`NotFoundWithinRMaxError` also carries the degree sweep's verdict, which
+the command line turns into its exit code.
+"""
 
 from __future__ import annotations
 

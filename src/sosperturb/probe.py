@@ -2,8 +2,8 @@
 
 Samples polynomials with coefficients uniform in [-N, N] on all monomials
 of degree <= d, keeps those nonnegative on a 33^n grid over the unit box (a
-cheap necessary filter, not a certificate), and runs the degree sweep on
-each.  The running maximum of the minimal degrees estimates how the
+cheap necessary filter, not a certificate, evaluated by `Polynomial.eval`),
+and runs the degree sweep on each.  The running maximum of the minimal degrees estimates how the
 required perturbation degree scales with (n, d, N, eps); no reference
 values exist for it, so the output is exploratory.
 

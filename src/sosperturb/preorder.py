@@ -11,12 +11,12 @@ Membership of f + eps*p is one block-diagonal SDP with a Gram block per
 admissible exponent tuple e, sized to the degree budget left after g^e.
 It is built by the one assembly of plain sums of squares,
 `sos._ReducedGram`, which multiplies out each product once, scales it by
-its generators' largest coefficients and applies its forced-zero pruning
-and sign-symmetry split, under the matching rule `CHEBYSHEV`: Gram blocks
-are indexed by the tensor Chebyshev basis T_alpha of the box (see
-`chebyshev`), and one constraint per T_gamma with |gamma| <= 2r matches
-Chebyshev coefficients, linked through T_a * T_b = (T_{a+b} +
-T_{|a-b|}) / 2 in each coordinate.
+its generators' largest coefficients, applies its forced-zero pruning and
+sign-symmetry split and, since there are generators, matches under
+`sos.CHEBYSHEV`: Gram blocks are indexed by the tensor Chebyshev basis
+T_alpha of the box (see `chebyshev`), and one constraint per T_gamma with
+|gamma| <= 2r matches Chebyshev coefficients, linked through T_a * T_b =
+(T_{a+b} + T_{|a-b|}) / 2 in each coordinate.
 Matching monomial coefficients instead gives Hankel-type localizing blocks
 whose conditioning grows exponentially with r and stalls the solver.
 
@@ -44,8 +44,8 @@ from . import chebyshev
 from .errors import DimensionMismatchError, TooManyGeneratorsError
 from .parsing import parse
 from .polynomials import MonomialBasis, Polynomial
-from .sdp import SdpProblem, solve
-from .sos import (ApproximationResult, GramCertificate, Matching,
+from .sdp import SdpProblem
+from .sos import (ApproximationResult, GramCertificate,
                   PerturbationKind, THETA_BIG, THETA_SMALL, _ReducedGram,
                   _gram_form, _products, _residual, _residual_warnings,
                   _squares_form, _sweep, _verify_terms, extract_certificate)
@@ -117,15 +117,6 @@ def load_system(text: str) -> SemialgebraicSystem:
     return SemialgebraicSystem(generators, flag == "asserted", note)
 
 
-# the tensor Chebyshev basis as a matching rule of `sos._ReducedGram`; the
-# functions are looked up at call time, so patches of `chebyshev` see them
-CHEBYSHEV = Matching(
-    expand=lambda poly: chebyshev.to_chebyshev(poly),
-    times=lambda alpha, series: chebyshev.times_t(alpha, series),
-    moments=lambda values, betas: chebyshev.moments_to_monomials(values, betas),
-)
-
-
 def build_preorder_sdp(
     f: Polynomial,
     eps: float,
@@ -142,7 +133,7 @@ def build_preorder_sdp(
     without a solve, when forced-zero pruning already leaves the program
     infeasible.
     """
-    return _ReducedGram(f, p, r, eps, CHEBYSHEV, system.generators).program()
+    return _ReducedGram(f, p, r, eps, system.generators).program()
 
 
 def epsilon_star_preorder(
@@ -163,8 +154,7 @@ def epsilon_star_preorder(
     moments L(x^beta) reported in dual_moments.  No certificate is attached
     here; membership() builds one for a concrete weight.
     """
-    reduced = _ReducedGram(f, p, r, None, CHEBYSHEV, system.generators)
-    return reduced.weight_result(solve(reduced.program()), "preorder weight program")
+    return _ReducedGram(f, p, r, None, system.generators).weight()
 
 
 @dataclass
@@ -278,7 +268,7 @@ def membership(
 
     base, p, reduced, grams, _ = _sweep(
         f, eps, kind, r_max, lambda r, p: epsilon_star_preorder(f, r, p, system),
-        CHEBYSHEV, system.generators)
+        system.generators)
     terms = [PreorderTerm(e, product, _sigma_certificate(basis, gram_t))
              for (e, product), basis, gram_t in zip(reduced.products, reduced.bases, grams)]
     residual = _residual(f + p.scale(eps),

@@ -18,10 +18,11 @@ reported and their agreement (the duality gap) is checked, never assumed.
 Plain sums of squares are the preordering with the one product 1, so one
 assembly, `_ReducedGram`, builds every weight and feasibility program here
 and in `preorder`, from the products g^e that `_products` multiplies out
-once.  Only its matching rule differs: plain programs match monomial
-coefficients (`MONOMIAL`), preorder programs tensor Chebyshev coefficients
-(`preorder.CHEBYSHEV`).  Both get the same forced-zero pruning and
-sign-symmetry split (see `symmetry`), the same check of a weight solve,
+once, and is the only caller of `sdp.solve`.  It picks its matching rule
+from the generators: with none it matches monomial coefficients
+(`MONOMIAL`), with some tensor Chebyshev coefficients (`CHEBYSHEV`).  Both
+get the same forced-zero pruning and sign-symmetry split (see
+`symmetry`), the same check of a weight solve (`_ReducedGram.weight`),
 the degree sweep (`_sweep`) with its decomposition step, which re-solves
 the feasibility program for f + eps*p at the covered degree, and the
 certificate residual (`_residual`).
@@ -42,6 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import chebyshev
 from .errors import (DegreeTooLowError, DimensionMismatchError, NotPsdError,
                      NotFoundWithinRMaxError, SolverFailureError)
 from .moments import MomentVector
@@ -275,6 +277,14 @@ MONOMIAL = Matching(
     moments=lambda values, betas: values,
 )
 
+# the tensor Chebyshev basis of the box; the functions are looked up at call
+# time, so patches of `chebyshev` see them
+CHEBYSHEV = Matching(
+    expand=lambda poly: chebyshev.to_chebyshev(poly),
+    times=lambda alpha, series: chebyshev.times_t(alpha, series),
+    moments=lambda values, betas: chebyshev.moments_to_monomials(values, betas),
+)
+
 
 class _ReducedGram:
     """The one assembly of every weight and feasibility program.
@@ -286,11 +296,12 @@ class _ReducedGram:
     keeps the constraint data O(1) however they were written.  Each
     product gets a Gram matrix Q_e over the basis functions of degree <=
     (2r - deg g^e) // 2, and one equality per basis function gamma of
-    degree <= 2r matches the coefficient of gamma in sum_e (z^T Q_e z) g^e,
-    under `matching`, against the target.  With eps None this is the
-    weight program (a 1x1 eps block carrying -p, objective eps, right-hand
-    side f), with a number the feasibility program for f + eps*p: zero
-    objective, no eps block.
+    degree <= 2r matches the coefficient of gamma in sum_e (z^T Q_e z) g^e
+    against the target, in tensor Chebyshev coefficients (`CHEBYSHEV`)
+    when there are generators, else in monomial ones (`MONOMIAL`).  With
+    eps None this is the weight program (a 1x1 eps block carrying -p,
+    objective eps, right-hand side f), with a number the feasibility
+    program for f + eps*p: zero objective, no eps block.
 
     Forced-zero pruning (`_forced_zeros`) removes Gram rows first.  Each
     product's kept basis then splits into the cosets of the parity span of
@@ -301,18 +312,19 @@ class _ReducedGram:
     equalities go to the solver as each block's COO triples (row, i, j, v),
     row the position of gamma in kept_gammas.  Gram blocks and dual values
     expand back with zeros at the dropped positions; a Gram matrix, divided
-    by its product's scale, multiplies the unscaled product.
+    by its product's scale, multiplies the unscaled product.  `solve` and
+    `weight` run the program; the last solution stays in `solution`.
     """
 
     def __init__(self, f: Polynomial, p: Polynomial, r: int,
-                 eps: Optional[float] = None, matching: Matching = MONOMIAL,
-                 generators: Sequence[Polynomial] = ()):
+                 eps: Optional[float] = None, generators: Sequence[Polynomial] = ()):
         _check_degrees(f, p, r)
         for g in generators:
             if g.n_vars != f.n_vars:
                 raise DimensionMismatchError(
                     f"target has {f.n_vars} variables, system has {g.n_vars}")
-        self.n_vars, self.r, self.matching = f.n_vars, r, matching
+        self.n_vars, self.r, self.solution = f.n_vars, r, None
+        self.matching = matching = CHEBYSHEV if generators else MONOMIAL
         self.products = _products(f.n_vars, generators, 2 * r)
         norms = [max(abs(c) for c in g.terms.values()) for g in generators]
         self.scales = [math.prod(c for ei, c in zip(e, norms) if ei)
@@ -406,15 +418,22 @@ class _ReducedGram:
         return [scatter(len(basis), ((idx, blocks[bi]) for bi, idx in parts)) / scale
                 for basis, parts, scale in zip(self.bases, self.parts, self.scales)]
 
-    def weight_result(self, sol: SdpSolution, program: str) -> ApproximationResult:
-        """Minimal weight, gap and moments of a solved weight program, with
-        no certificate.  The solve must end Optimal with the squares-side
-        and moment-side optima within DUALITY_GAP_TOL.  The moments are
-        -dual on the kept gammas and zero on the dropped ones, mapped to
-        monomials."""
+    def solve(self) -> Optional[SdpSolution]:
+        """The solution of the program, or None when pruning left none."""
+        self.solution = None if self.problem is None else solve(self.problem)
+        return self.solution
+
+    def weight(self) -> ApproximationResult:
+        """Solve the weight program (`program` raises when pruning left
+        none): minimal weight, gap and moments, with no certificate.  The
+        solve must end Optimal with the squares-side and moment-side optima
+        within DUALITY_GAP_TOL.  The moments are -dual on the kept gammas
+        and zero on the dropped ones, mapped to monomials."""
+        sol = self.solution = solve(self.program())
         if sol.status is not SolveStatus.OPTIMAL:
             raise SolverFailureError(
-                f"solver returned {sol.status.value} for the {program} at r={self.r}", sol)
+                f"solver returned {sol.status.value} for the weight program at r={self.r}",
+                sol)
         gap = abs(sol.primal_objective - sol.dual_objective)
         if gap > DUALITY_GAP_TOL:
             raise SolverFailureError(
@@ -552,10 +571,9 @@ def epsilon_star(f: Polynomial, r: int, p: Polynomial) -> ApproximationResult:
     constraint was trivially satisfied are reported as zero.
     """
     reduced = _ReducedGram(f, p, r)
-    sol = solve(reduced.program())
-    res = reduced.weight_result(sol, "weight program")
+    res = reduced.weight()
     return replace(res, certificate=GramCertificate.from_gram(
-        reduced.bases[0], reduced.expand_gram(sol.primal_blocks)[0],
+        reduced.bases[0], reduced.expand_gram(reduced.solution.primal_blocks)[0],
         f + p.scale(res.min_eps)))
 
 
@@ -577,10 +595,8 @@ def is_sos(f: Polynomial) -> Tuple[bool, Optional[GramCertificate]]:
     if f.degree() % 2 == 1:
         return False, None
     reduced = _ReducedGram(f, Polynomial.zero(f.n_vars), f.degree() // 2, eps=0.0)
-    if reduced.problem is None:
-        return False, None
-    sol = solve(reduced.problem)
-    if sol.status is SolveStatus.PRIMAL_LIKELY_INFEASIBLE:
+    sol = reduced.solve()
+    if sol is None or sol.status is SolveStatus.PRIMAL_LIKELY_INFEASIBLE:
         return False, None
     if sol.status is not SolveStatus.OPTIMAL:
         raise SolverFailureError(
@@ -602,7 +618,6 @@ def _sweep(
     kind: PerturbationKind,
     r_max: int,
     weight: Callable[[int, Polynomial], ApproximationResult],
-    matching: Matching = MONOMIAL,
     generators: Sequence[Polynomial] = (),
 ) -> Tuple[ApproximationResult, Polynomial, _ReducedGram, List[np.ndarray], List[dict]]:
     """The degree sweep behind `minimal_r` and `preorder.membership`.
@@ -612,7 +627,7 @@ def _sweep(
     trajectory entry per degree: its minimal weight, or why it has none.
     At the first degree whose minimal weight eps covers, the decomposition
     step re-solves the feasibility program for f + eps*p_r, assembled
-    under `matching` over `generators`.  When pruning leaves no program or
+    over `generators`.  When pruning leaves no program or
     the re-solve does not end Optimal, the degree is marked
     "weight-ok-decomposition-failed" and the sweep goes on.  Returns the
     covered degree's weight result, p_r, the feasibility assembly, its
@@ -652,8 +667,8 @@ def _sweep(
         trajectory.append({"r": r, "min_eps": base.min_eps, "status": "ok"})
         if eps < base.min_eps - SOS_DECISION_TOL:
             continue
-        reduced = _ReducedGram(f, p, r, eps, matching, generators)
-        sol = None if reduced.problem is None else solve(reduced.problem)
+        reduced = _ReducedGram(f, p, r, eps, generators)
+        sol = reduced.solve()
         if sol is None or sol.status is not SolveStatus.OPTIMAL:
             trajectory[-1]["status"] = "weight-ok-decomposition-failed"
             continue
@@ -689,11 +704,8 @@ def minimal_r(
     `preorder.membership`.  When its residual exceeds DEFAULT_RESIDUAL_TOL
     the result carries a warning.
     """
-    def weight(r: int, p: Polynomial) -> ApproximationResult:
-        reduced = _ReducedGram(f, p, r)
-        return reduced.weight_result(solve(reduced.program()), "weight program")
-
-    base, p, reduced, grams, trajectory = _sweep(f, eps, kind, r_max, weight)
+    base, p, reduced, grams, trajectory = _sweep(
+        f, eps, kind, r_max, lambda r, p: _ReducedGram(f, p, r).weight())
     certificate = GramCertificate.from_gram(reduced.bases[0], grams[0], f + p.scale(eps))
     return replace(base, certificate=certificate, trajectory=trajectory,
                    warnings=_residual_warnings(certificate.residual_linf))

@@ -9,7 +9,7 @@ from sosperturb.errors import (DimensionMismatchError, NotFoundWithinRMaxError,
 from sosperturb.moments import moment_matrix, psd_check
 from sosperturb.parsing import parse, unparse
 from sosperturb.polynomials import Polynomial, theta_big, theta_small
-from sosperturb.preorder import (CHEBYSHEV, SemialgebraicSystem,
+from sosperturb.preorder import (SemialgebraicSystem,
                                  build_preorder_sdp, epsilon_star_preorder,
                                  load_system, membership, verify_preorder_obj)
 from sosperturb.sdp import SolveStatus, min_eigenvalue, solve
@@ -112,7 +112,7 @@ class TestEnumerateProducts:
         system = SemialgebraicSystem(
             [parse("x1", 2), parse("x2", 2), parse("x1*x2", 2)], True)
         reduced = _ReducedGram(parse("1 - x1^2", 2), Polynomial.zero(2), 1,
-                               0.0, CHEBYSHEV, system.generators)
+                               0.0, system.generators)
         assert reduced.products == sos._products(2, system.generators, 2)
 
 
@@ -373,13 +373,13 @@ class TestSweepStatuses:
         # x^(2r) forces x^r, down to x, which cannot match the coefficient
         # of x1: both programs are infeasible before any solve
         calls = []
-        real = preorder.solve
+        real = sos.solve
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(preorder, "solve", counted)
+        monkeypatch.setattr(sos, "solve", counted)
         plain, pre = both_sweeps(parse("x1", 1), 0.5,
                                  lambda n, r: Polynomial.constant(n, 1.0), 3)
         assert plain == pre == [{"r": r, "min_eps": None, "status": "infeasible"}

@@ -56,10 +56,10 @@ def _setup_logging() -> None:
 class _Command(click.Command):
     """A command whose callback returns (report, human lines, exit code).
 
-    Adds --json and -o/--output, writes the report (JSON or the human
-    lines, to stdout or the -o file) and exits with the code.  A usage
-    error, malformed input or numerical failure, raised while computing or
-    writing the report, prints `error: ...` and exits 2.
+    Adds --json and -o/--output, writes the report, the command's name first
+    (JSON or the human lines, to stdout or the -o file), and exits with the
+    code.  A usage error, malformed input or numerical failure, raised while
+    computing or writing the report, prints `error: ...` and exits 2.
     """
 
     def __init__(self, *args, **kwargs):
@@ -76,6 +76,7 @@ class _Command(click.Command):
         output = ctx.params.pop("output")
         try:
             report, human, code = super().invoke(ctx)
+            report = {"command": self.name, **report}
             text = (json.dumps(report, indent=2) if as_json else "\n".join(human)) + "\n"
             if output:
                 with open(output, "w", encoding="utf-8") as handle:
@@ -119,10 +120,8 @@ def _load_poly(nvars: Optional[int], poly_text: Optional[str],
 
 def _perturbation(value: str):
     """Resolve a --perturbation value to (kind, descriptor dict)."""
-    if value == "theta-big":
-        return THETA_BIG, {"kind": "theta-big"}
-    if value == "theta-small":
-        return THETA_SMALL, {"kind": "theta-small"}
+    if value in (THETA_BIG, THETA_SMALL):
+        return value, {"kind": value}
     if value.startswith("custom:"):
         path = value[len("custom:"):]
         with open(path, "r", encoding="utf-8") as handle:
@@ -157,7 +156,6 @@ def cmd_check_sos(nvars, poly_text, poly_file):
     f = _load_poly(nvars, poly_text, poly_file)
     ok, cert = is_sos(f)
     report = {
-        "command": "check-sos",
         "nvars": f.n_vars,
         "poly": unparse(f),
         "sos": ok,
@@ -183,7 +181,6 @@ def cmd_epsilon_star(nvars, poly_text, poly_file, relaxation_r, perturbation):
     p = perturbation_polynomial(kind, f.n_vars, relaxation_r)
     res = epsilon_star(f, relaxation_r, p)
     report = {
-        "command": "epsilon-star",
         "nvars": f.n_vars,
         "poly": unparse(f),
         "perturbation": desc,
@@ -201,25 +198,33 @@ def cmd_epsilon_star(nvars, poly_text, poly_file, relaxation_r, perturbation):
     return report, human, 0
 
 
-def _sweep_command(fields, r_max, sweep, details, tail=None):
-    """Run a degree sweep and return (report, human lines, exit code), the
-    same way for every sweep; the command class writes the report and exits.
+def _plain_details(res):
+    residual = res.certificate.residual_linf
+    return residual, [f"certificate residual: {residual:.3e}", "trajectory:",
+                      *_trajectory_lines(res.trajectory or [])]
 
+
+def _sweep_command(f, desc, eps, r_max, sweep, details=_plain_details, tail=None):
+    """Run a degree sweep of f at weight eps and return (report, human
+    lines, exit code), the same way for every sweep; the command class
+    writes the report and exits.
+
+    The report opens with nvars, poly, perturbation (desc) and eps.
     sweep() returns the result; details(result) gives its certificate
-    residual and the human lines after the weight.  Nothing found within
-    r_max is code 1 with the trajectory when the sweep's verdict is a
-    definite "no", else code 2 with the sweep's status
-    ("decomposition-failed" or "solver-failed", see
-    `NotFoundWithinRMaxError`).  A certificate
-    whose residual is not within DEFAULT_RESIDUAL_TOL (NaN included) is no
-    membership: `verify` would reject it, so the verdict is numerically
-    undecided and the code is 2.
-    Otherwise the result follows the fields, then tail, with code 0.
+    residual and the human lines after the weight (by default those of
+    `minimal_r`'s result).  Nothing found within r_max is code 1 with the
+    trajectory when the sweep's verdict is a definite "no", else code 2
+    with the sweep's status ("decomposition-failed" or "solver-failed",
+    see `NotFoundWithinRMaxError`).  A certificate whose residual is not
+    within DEFAULT_RESIDUAL_TOL (NaN included) is no membership: `verify`
+    would reject it, so the verdict is numerically undecided and the code
+    is 2.  Otherwise the result follows the fields, then tail, with code 0.
     """
+    fields = {"nvars": f.n_vars, "poly": unparse(f), "perturbation": desc, "eps": eps}
     try:
         res = sweep()
     except NotFoundWithinRMaxError as exc:
-        eps, at = fields["eps"], ", ".join(map(str, exc.degrees))
+        at = ", ".join(map(str, exc.degrees))
         first = {
             None: f"no degree r <= {r_max} admits eps={eps:.9g}",
             "decomposition-failed": f"eps={eps:.9g} is covered at r={at} but not "
@@ -249,17 +254,6 @@ def _sweep_command(fields, r_max, sweep, details, tail=None):
     return report, human, 0
 
 
-def _plain_sweep_command(f, eps, desc, r_max, command, sweep, tail=None):
-    def details(res):
-        residual = res.certificate.residual_linf
-        return residual, [f"certificate residual: {residual:.3e}", "trajectory:",
-                          *_trajectory_lines(res.trajectory or [])]
-
-    fields = {"command": command, "nvars": f.n_vars, "poly": unparse(f),
-              "perturbation": desc, "eps": eps}
-    return _sweep_command(fields, r_max, sweep, details, tail)
-
-
 @main.command("minimal-r")
 @_poly_options
 @click.option("--eps", type=float, required=True, help="Perturbation weight.")
@@ -269,8 +263,7 @@ def cmd_minimal_r(nvars, poly_text, poly_file, eps, perturbation, r_max):
     """Smallest degree whose minimal weight is covered by eps."""
     f = _load_poly(nvars, poly_text, poly_file)
     kind, desc = _perturbation(perturbation)
-    return _plain_sweep_command(
-        f, eps, desc, r_max, "minimal-r", lambda: minimal_r(f, eps, kind, r_max))
+    return _sweep_command(f, desc, eps, r_max, lambda: minimal_r(f, eps, kind, r_max))
 
 
 @main.command("approximate")
@@ -282,10 +275,9 @@ def cmd_minimal_r(nvars, poly_text, poly_file, eps, perturbation, r_max):
 def cmd_approximate(nvars, poly_text, poly_file, eps, box_scale, r_max):
     """Certify nonnegativity on a box via the rescaled sweep."""
     f = _load_poly(nvars, poly_text, poly_file)
-    return _plain_sweep_command(
-        f, eps, {"kind": "theta-big"}, r_max, "approximate",
-        lambda: approximate_on_box(f, eps, box_scale, r_max),
-        {"box_scale": box_scale})
+    return _sweep_command(f, {"kind": THETA_BIG}, eps, r_max,
+                          lambda: approximate_on_box(f, eps, box_scale, r_max),
+                          tail={"box_scale": box_scale})
 
 
 @main.command("preorder-membership")
@@ -306,10 +298,6 @@ def cmd_preorder_membership(nvars, poly_text, poly_file, eps, perturbation,
         raise DimensionMismatchError(
             f"-n {nvars} disagrees with the system's nvars {system.n_vars}")
     f = _load_poly(system.n_vars, poly_text, poly_file)
-    fields = {"command": "preorder-membership", "nvars": system.n_vars,
-              "poly": unparse(f), "perturbation": {"kind": perturbation},
-              "eps": eps}
-    kind = THETA_BIG if perturbation == "theta-big" else THETA_SMALL
 
     def details(cert):
         return cert.residual_linf, [
@@ -318,8 +306,8 @@ def cmd_preorder_membership(nvars, poly_text, poly_file, eps, perturbation,
             f"note: {cert.annotation}",
             *(f"warning: {w}" for w in cert.warnings)]
 
-    return _sweep_command(
-        fields, r_max, lambda: membership(f, eps, kind, system, r_max), details)
+    return _sweep_command(f, {"kind": perturbation}, eps, r_max,
+                          lambda: membership(f, eps, perturbation, system, r_max), details)
 
 
 @main.command("degree-probe")
@@ -335,7 +323,7 @@ def cmd_preorder_membership(nvars, poly_text, poly_file, eps, perturbation,
 def cmd_degree_probe(nvars, degree, coeff_bound, eps, samples, seed, r_max):
     """Estimate the certification degree over random nonnegative samples."""
     report_data = run_probe(nvars, degree, coeff_bound, eps, samples, seed, r_max)
-    report = {"command": "degree-probe", **report_data.to_obj()}
+    report = report_data.to_obj()
     human = [
         f"samples: {samples}  seed: {seed}",
         f"{'idx':>4} {'status':>9} {'grid_min':>12} {'shifted':>8} {'r':>5}",
@@ -387,7 +375,6 @@ def cmd_verify(nvars, poly_text, poly_file, certificate_file, eps, perturbation)
     unmatched = result.get("unmatched_products")
     ok = result["residual_linf"] <= DEFAULT_RESIDUAL_TOL and not unmatched
     report = {
-        "command": "verify",
         "nvars": f.n_vars,
         "poly": unparse(f),
         "eps": eps,

@@ -32,7 +32,10 @@ at r = 10, `preorder-membership` on the cusp at r = 9), `approximate`
 with box scale 1e200, which overflows a double, and `approximate` of
 1 + x1 with box scale 1e200, whose every degree ends solver-failed, and
 `verify` of a forged preorder certificate whose one stored product is the
-target x1 - 1 itself and names no generators.
+target x1 - 1 itself and names no generators, and two inputs nested past
+the recursion limit: `check-sos --poly-file` of x1 inside 300 pairs of
+parentheses and `verify` of a certificate file of JSON arrays 100000
+deep.
 """
 
 import hashlib
@@ -48,6 +51,7 @@ CUSP = "nvars 1\nmoment_problem asserted\n(1 - x1^2)^3\n"
 ONE = ["-n", "1", "-f", "1 - x1^2"]
 MOTZKIN = ["-n", "2", "-f", "1 + x1^2*x2^2*(x1^2 + x2^2 - 3)"]
 HUGE = "1" + "0" * 310
+DEPTH = 300
 
 # (label, arguments, -o file or None); run in order, so `verify` reads the
 # certificate the command before it wrote
@@ -114,6 +118,8 @@ COMMANDS = [
                                    "--eps", "0.2", "--box-scale", "1e200"], None),
     ("verify forged preorder", ["verify", "-n", "1", "-f", "x1 - 1", "--certificate",
                                 "forged.json"], None),
+    ("deep polynomial", ["check-sos", "-n", "1", "--poly-file", "deep.txt"], None),
+    ("deep certificate", ["verify", *ONE, "--certificate", "deep.json"], None),
 ]
 
 
@@ -126,6 +132,8 @@ def write_inputs(workdir: str) -> None:
         "cusp.txt": CUSP,
         "odd.txt": "2 + x1 + x1^{2r}\n",
         "list.json": "[1, 2]\n",
+        "deep.txt": "(" * DEPTH + "x1" + ")" * DEPTH + "\n",
+        "deep.json": "[" * 100000 + "]" * 100000 + "\n",
         # one square written as its term objects instead of a list of them
         "objects.json": json.dumps({"r": 1, "basis": [[0], [1]], "gram": [1.0, 0.0, 1.0],
                                     "squares": [{"exponents": [0], "coeff": 1.0}]}),

@@ -5,12 +5,14 @@ command class, `_Command`, writes the report and exits, so the exit codes
 follow one contract everywhere: 0 for success or membership, 1 for a
 definite negative answer (not a sum of squares, nothing found within the
 degree cap, a failed re-verification), 2 for usage errors, malformed input
-(a certificate file included), a report that cannot be written, or
-numerical failure (a sweep that covers eps at a degree it cannot
-decompose, or finds nothing while the weight solve failed at some degree,
-included).  All commands are deterministic:
-identical invocations produce byte-identical output, and --json emits the
-same data the human rendering shows.
+(a certificate file included), an input too deep or too large to process
+(a polynomial or certificate nested past the recursion limit, a
+`degree-probe` grid that does not fit in memory), a report that cannot be
+written, or numerical failure (a sweep that covers eps at a degree it
+cannot decompose, or finds nothing while the weight solve failed at some
+degree, included).  All commands are deterministic: identical invocations
+produce byte-identical output, and --json emits the same data the human
+rendering shows.
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ from .sos import (DEFAULT_RESIDUAL_TOL, THETA_BIG, THETA_SMALL,
 
 # ValueError covers the input errors of `errors` (ParseError,
 # DimensionMismatchError, DegreeTooLowError, ...) and malformed JSON; KeyError
-# and TypeError a certificate file of the wrong shape
+# and TypeError a certificate file of the wrong shape; RecursionError an
+# input nested too deep to parse, MemoryError one too large to process
 _USAGE_ERRORS = (
-    ValueError, OSError, KeyError, TypeError,
+    ValueError, OSError, KeyError, TypeError, RecursionError, MemoryError,
     SolverFailureError, ConvergenceFailureError, NoSamplesAcceptedError,
 )
 

@@ -92,6 +92,47 @@ class TestUnwritableReport:
         assert not missing.exists()
 
 
+
+class TestTooDeepOrTooLarge:
+    """An input nested too deep to parse, or a grid too large to allocate,
+    is an input error: exit 2 with an error line, never a traceback and
+    the definite "no" of exit 1."""
+
+    DEEP = "(" * 1000 + "x1" + ")" * 1000
+
+    def test_deep_polynomial_exit_two(self, runner, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text(self.DEEP)
+        res = invoke(runner, ["check-sos", "-n", "1", "--poly-file", str(path)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: ")
+
+    def test_deep_generator_exit_two(self, runner, tmp_path):
+        system = tmp_path / "system.txt"
+        system.write_text(f"nvars 1\nmoment_problem asserted\n{self.DEEP}\n")
+        res = invoke(runner, ["preorder-membership", "-f", "1 - x1^2", "--eps", "0.5",
+                              "--system", str(system)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: ")
+
+    def test_deep_certificate_exit_two(self, runner, tmp_path):
+        cert = tmp_path / "cert.json"
+        cert.write_text("[" * 100000 + "]" * 100000)
+        res = invoke(runner, ["verify", "-n", "1", "-f", "x1", "--certificate", str(cert)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: ")
+
+    def test_probe_grid_too_large_exit_two(self, runner, monkeypatch):
+        # the grid of -n 6 has 33^6 points; allocating it is not attempted here
+        def too_large(f, n):
+            raise MemoryError("Unable to allocate 9.62 GiB for the probe grid")
+
+        monkeypatch.setattr(sosperturb.probe, "_grid_minimum", too_large)
+        res = invoke(runner, ["degree-probe", "-n", "6", "-d", "2", "-N", "1",
+                              "--eps", "0.5", "--samples", "1"])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: Unable to allocate")
+
 class TestNonFiniteInput:
     """A non-finite weight, box scale or coefficient is a usage error: exit
     2 with an error line and no report, never an answer."""

@@ -109,11 +109,12 @@ class GramCertificate:
         return GramCertificate(basis, gram, squares, residual)
 
     def to_obj(self) -> dict:
-        n = len(self.basis)
-        lower = [float(self.gram[i, j]) for i in range(n) for j in range(i + 1)]
+        """The gram field is the lower triangle in row-major order, the
+        layout `decode_gram_obj` reads."""
+        rows, cols = np.tril_indices(len(self.basis))
         return {
             "basis": self.basis.to_obj(),
-            "gram": lower,
+            "gram": self.gram[rows, cols].tolist(),
             "squares": [h.to_obj() for h in self.squares],
             "residual_linf": self.residual_linf,
         }
@@ -590,8 +591,8 @@ def is_sos(f: Polynomial) -> Tuple[bool, Optional[GramCertificate]]:
     limit) raises SolverFailureError.
     """
     if f.is_zero:
-        basis = MonomialBasis.build(f.n_vars, 0)
-        return True, GramCertificate(basis, np.zeros((1, 1)), [], 0.0)
+        return True, GramCertificate.from_gram(
+            MonomialBasis.build(f.n_vars, 0), np.zeros((1, 1)), f)
     if f.degree() % 2 == 1:
         return False, None
     reduced = _ReducedGram(f, Polynomial.zero(f.n_vars), f.degree() // 2, eps=0.0)

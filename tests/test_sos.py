@@ -261,6 +261,15 @@ class TestIsSos:
         ok, cert = is_sos(Polynomial.zero(2))
         assert ok and cert.squares == []
 
+    def test_zero_certificate_from_the_one_constructor(self):
+        # the 1x1 zero Gram matrix has no block to extract, and no square
+        # and no target term leave the residual nothing to sum
+        _, cert = is_sos(Polynomial.zero(2))
+        assert cert.to_obj() == {"basis": [[0, 0]], "gram": [0.0], "squares": [],
+                                 "residual_linf": 0.0}
+        assert extract_certificate(np.zeros((1, 1)), cert.basis) == []
+        assert verify_certificate(Polynomial.zero(2), []) == 0.0
+
     def test_negative_constant_is_not(self):
         ok, _ = is_sos(parse("-1", 1))
         assert not ok
@@ -594,6 +603,13 @@ class TestSerializedCertificates:
         obj = {**res.to_obj(), "squares": [h.to_obj() for h in squares]}
         out = verify_certificate_obj(obj, MOTZKIN + theta_big(2, 4).scale(res.min_eps))
         assert out["residual_linf"] <= 1e-6
+
+    def test_gram_written_as_the_triangle_decode_reads(self):
+        gram = np.array([[1.0, 2.0, 4.0], [2.0, 3.0, 5.0], [4.0, 5.0, 6.0]])
+        obj = GramCertificate(MonomialBasis.build(1, 2), gram, [], 0.0).to_obj()
+        assert obj["gram"] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert all(type(v) is float for v in obj["gram"])
+        assert np.array_equal(sos.decode_gram_obj(obj, 1)[1], gram)
 
     @pytest.mark.parametrize("change, message", [
         ({"basis": [[1], [0]]}, "not the graded-lex basis"),

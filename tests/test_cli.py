@@ -608,6 +608,16 @@ class TestVerify:
         assert "products that are not g^e of the generators: terms 1" in res.output
         assert "verdict: REJECTED" in res.output
 
+    def test_negative_degree_preorder_certificate_exit_two(self, runner, tmp_path):
+        cert = self.make_preorder_certificate(runner, tmp_path)
+        obj = json.loads(cert.read_text())
+        obj["r"] = -1
+        cert.write_text(json.dumps(obj))
+        res = invoke(runner, ["verify", "-n", "1", "-f", "1 - x1^2",
+                              "--certificate", str(cert)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: two_r must be >= 0")
+
     def test_too_many_generators_exit_two(self, runner, tmp_path, monkeypatch):
         cert = self.make_preorder_certificate(runner, tmp_path)
         obj = json.loads(cert.read_text())
@@ -655,11 +665,51 @@ class TestUsageErrors:
         assert res.exit_code == 2
         assert "-n/--nvars is required" in res.output
 
+    def test_no_variables(self, runner):
+        res = runner.invoke(main, ["check-sos", "-n", "0", "-f", "x1"])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: n_vars must be >= 1, got 0")
+
+    def test_r_max_below_the_starting_degree(self, runner):
+        res = runner.invoke(main, ["minimal-r", "-n", "1", "-f", "1 - x1^4", "--eps", "0.1",
+                                   "--r-max", "1"])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: r_max=1 is below the starting degree 2")
+
     def test_unknown_perturbation(self, runner):
         res = runner.invoke(main, ["epsilon-star", "-n", "1", "-f", "1 - x1^2", "-r", "2",
                                    "--perturbation", "theta-medium"])
         assert res.exit_code == 2
         assert "--perturbation must be theta-big, theta-small or custom:<file>" in res.output
+
+
+class TestLogging:
+    """SOSPERTURB_LOG names a logging level for stderr; the report on
+    stdout never changes, and a name that is no level changes nothing."""
+
+    ARGS = ["check-sos", "-n", "1", "-f", "1 + x1^2", "--json"]
+
+    def run(self, level):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sosperturb.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {k: v for k, v in os.environ.items() if k != "SOSPERTURB_LOG"}
+        if level is not None:
+            env["SOSPERTURB_LOG"] = level
+        return subprocess.run([sys.executable, "-m", "sosperturb.cli", *self.ARGS],
+                              capture_output=True, env=dict(env, PYTHONPATH=path),
+                              timeout=60)
+
+    def test_debug_lines_on_stderr_only(self):
+        plain, debug = self.run(None), self.run("debug")
+        assert plain.returncode == debug.returncode == 0
+        assert plain.stderr == b""
+        assert debug.stdout == plain.stdout
+        assert debug.stderr.startswith(b"sosperturb.sdp DEBUG iter 1 ")
+
+    def test_unknown_level_changes_nothing(self):
+        plain, unknown = self.run(None), self.run("chatty")
+        assert (unknown.returncode, unknown.stdout, unknown.stderr) == (
+            plain.returncode, plain.stdout, plain.stderr)
 
 
 class TestColdStart:

@@ -297,6 +297,17 @@ class TestMembership:
         cert = membership(ONE_MINUS_SQ, 0.5, THETA_SMALL, CUSP, 12)
         assert cert.gap <= 1e-6
 
+    def test_target_and_generators_must_agree_on_nvars(self):
+        with pytest.raises(DimensionMismatchError,
+                           match="target has 2 variables, system has 1"):
+            membership(parse("x1*x2", 2), 0.5, THETA_SMALL, CUSP, 3)
+
+    def test_custom_perturbation_claims_nothing(self):
+        cert = membership(ONE_MINUS_SQ, 0.5, lambda n, r: theta_small(n, r), CUSP, 12)
+        assert cert.r == 2 and cert.residual_linf <= 1e-6
+        assert cert.to_obj()["kind"] == "custom"
+        assert cert.annotation == "custom perturbation: no nonnegativity claim attached"
+
 
 class TestVerifyPreorderObj:
     def test_roundtrip(self):

@@ -3,13 +3,14 @@
 
     python3 scripts/gates.py [REV]        # REV defaults to HEAD
 
-REV's `src` is exported with `git archive` to a temporary directory.  The
-working tree's `scripts/ladder.py` and `scripts/cli_fingerprint.py` then run
+REV's `src` is exported with `git archive` to a temporary directory, and
+a first line, `src: <REV lines> -> <working tree lines>`, counts the lines
+of the Python files under each `src`.  The working tree's `scripts/ladder.py` and `scripts/cli_fingerprint.py` then run
 twice each, once on REV's `src` and once on the working tree's `src`, so
 both sides are measured by the same gate.  For each gate one line says
 `identical` (with its line count), or a unified diff of REV's output
 against the working tree's follows.  The exit code is 0 only when both
-gates are identical.
+gates are identical; the line count does not change it.
 """
 
 import difflib
@@ -33,6 +34,17 @@ def export_src(rev: str, dest: str) -> str:
     return os.path.join(dest, "src")
 
 
+def count_lines(src: str) -> int:
+    """Lines of the Python files under src, as `wc -l` counts them."""
+    total = 0
+    for folder, _, names in os.walk(src):
+        for name in names:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name), "rb") as handle:
+                    total += handle.read().count(b"\n")
+    return total
+
+
 def run_gate(script: str, src: str) -> str:
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script)],
                           env={**os.environ, "PYTHONPATH": src},
@@ -48,9 +60,11 @@ def main() -> int:
     same = True
     with tempfile.TemporaryDirectory() as tmp:
         old_src = export_src(rev, tmp)
+        new_src = os.path.join(ROOT, "src")
+        print(f"src: {count_lines(old_src)} -> {count_lines(new_src)}", flush=True)
         for script in GATES:
             old = run_gate(script, old_src).splitlines(keepends=True)
-            new = run_gate(script, os.path.join(ROOT, "src")).splitlines(keepends=True)
+            new = run_gate(script, new_src).splitlines(keepends=True)
             if old == new:
                 print(f"{script}: identical ({len(new)} lines)", flush=True)
                 continue

@@ -314,7 +314,7 @@ class _ReducedGram:
     row the position of gamma in kept_gammas.  Gram blocks and dual values
     expand back with zeros at the dropped positions; a Gram matrix, divided
     by its product's scale, multiplies the unscaled product.  `solve` and
-    `weight` run the program; the last solution stays in `solution`.
+    `weight` run the program; `weight` keeps its solution in `solution`.
     """
 
     def __init__(self, f: Polynomial, p: Polynomial, r: int,
@@ -421,8 +421,7 @@ class _ReducedGram:
 
     def solve(self) -> Optional[SdpSolution]:
         """The solution of the program, or None when pruning left none."""
-        self.solution = None if self.problem is None else solve(self.problem)
-        return self.solution
+        return None if self.problem is None else solve(self.problem)
 
     def weight(self) -> ApproximationResult:
         """Solve the weight program (`program` raises when pruning left

@@ -404,8 +404,9 @@ class _Constraints:
         return M.reshape(self.m, self.m)
 
 
-def _chol_lower(M: np.ndarray):
-    """Lower Cholesky factor in the array's own dtype, or None.
+def _chol_lower(M: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor in the array's own dtype; a LinAlgError, as
+    from np.linalg.cholesky, when M is not numerically positive definite.
 
     Runs column by column with vector inner products so it works for
     longdouble, which LAPACK does not cover.
@@ -415,7 +416,7 @@ def _chol_lower(M: np.ndarray):
     for j in range(n):
         d = M[j, j] - L[j, :j] @ L[j, :j]
         if d <= 0:
-            return None
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
         L[j, j] = np.sqrt(d)
         if j + 1 < n:
             L[j + 1:, j] = (M[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
@@ -434,8 +435,8 @@ def _backsolve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _factorize(M: np.ndarray):
-    """rhs -> M^-1 rhs by Cholesky in M's dtype, or None when M is not
-    numerically positive definite.
+    """rhs -> M^-1 rhs by Cholesky in M's dtype; a LinAlgError when M is
+    not numerically positive definite.
 
     Double runs LAPACK through numpy and solves through the inverse
     factor, like the step lengths; longdouble, which LAPACK does not
@@ -443,11 +444,8 @@ def _factorize(M: np.ndarray):
     """
     if M.dtype == np.longdouble:
         L = _chol_lower(M)
-        return None if L is None else (lambda rhs: _backsolve(L, rhs))
-    try:
-        Li = np.linalg.inv(np.linalg.cholesky(M))
-    except np.linalg.LinAlgError:
-        return None
+        return lambda rhs: _backsolve(L, rhs)
+    Li = np.linalg.inv(np.linalg.cholesky(M))
     return lambda rhs: Li.T @ (Li @ rhs)
 
 
@@ -457,16 +455,18 @@ _RIDGES = (0.0, 1e-14, 1e-12, 1e-10, 1e-8)
 def _schur_solver(M: np.ndarray):
     """(ridge, rhs -> (M + ridge D^2)^-1 rhs), D^2 the diagonal of M with 1
     where it is not positive, by Cholesky of D^-1 M D^-1 + ridge I at the
-    first ridge of the ladder that factors; None when none does."""
+    first ridge of the ladder that factors; a LinAlgError when none does."""
     dg = np.diag(M).copy()
     dg[dg <= 0] = 1.0
     D = np.sqrt(dg)
     Msc = M / np.outer(D, D)
     for ridge in _RIDGES:
-        factor = _factorize(Msc + ridge * np.eye(len(M), dtype=M.dtype))
-        if factor is not None:
-            return ridge, lambda rhs: factor(rhs / D) / D
-    return None
+        try:
+            factor = _factorize(Msc + ridge * np.eye(len(M), dtype=M.dtype))
+        except np.linalg.LinAlgError:
+            continue
+        return ridge, lambda rhs: factor(rhs / D) / D
+    raise np.linalg.LinAlgError("the Schur matrix factors at no ridge")
 
 
 # an iterate that diverges overflows (X, S^-1) before the solve ends as
@@ -525,47 +525,24 @@ def solve(problem: SdpProblem) -> SdpSolution:
             return np.inf
         return -1.0 / lam
 
-    for iterations in range(1, MAX_ITERATIONS + 1):
-        rp = b - op.apply(X)
-        Rd = C - op.adjoint(y) - S
-
-        pobj, dobj = objectives()
-        trace.append((pobj, dobj))
-
-        prim_res = np.max(np.abs(rp)) / b_scale
-        dual_res = np.max(np.abs(Rd), initial=0.0) / c_scale
-        gap = rel_gap(pobj, dobj)
-
-        log.debug("iter %d pobj=%.9g dobj=%.9g prim=%.2e dual=%.2e",
-                  iterations, pobj, dobj, prim_res, dual_res)
-
-        if (gap <= GAP_TOLERANCE
-                and prim_res <= FEAS_TOLERANCE
-                and dual_res <= FEAS_TOLERANCE):
-            status = SolveStatus.OPTIMAL
-            break
-        if dobj > INFEASIBILITY_THRESHOLD:
-            status = SolveStatus.PRIMAL_LIKELY_INFEASIBLE
-            break
-
+    def advance(rp: np.ndarray, Rd: np.ndarray) -> Tuple:
+        """The next iterate (X, y, S) and the Cholesky factors of X and S,
+        from the residuals rp and Rd; a LinAlgError, naming its cause, on
+        every numerical failure."""
         # Nesterov-Todd scaling per block, via the SVD of Ls^T Lx: with
         # Ls^T Lx = U Sig V^T one has W = Lx V Sig^{-1} V^T Lx^T, computed
         # without squaring the conditioning of either factor.
-        try:
-            Lx, Ls = factors if factors is not None else (cholesky(X), cholesky(S))
-            # inverse factors, once per iteration, for step lengths and S^-1
-            Lxi = [np.linalg.inv(Lg) for Lg in Lx]
-            Lsi = [np.linalg.inv(Lg) for Lg in Ls]
-            W = []
-            for Lxg, Lsg in zip(Lx, Ls):
-                _, sig, Vt = np.linalg.svd(_t(Lsg) @ Lxg)
-                if np.any(sig[:, -1] <= 0):
-                    raise np.linalg.LinAlgError("singular scaling")
-                G = Lxg @ (_t(Vt) * (1.0 / np.sqrt(sig))[:, None, :])
-                W.append(_sym(G @ _t(G)))
-        except np.linalg.LinAlgError:
-            status = SolveStatus.NUMERICAL_TROUBLE
-            break
+        Lx, Ls = factors if factors is not None else (cholesky(X), cholesky(S))
+        # inverse factors, once per iteration, for step lengths and S^-1
+        Lxi = [np.linalg.inv(Lg) for Lg in Lx]
+        Lsi = [np.linalg.inv(Lg) for Lg in Ls]
+        W = []
+        for Lxg, Lsg in zip(Lx, Ls):
+            _, sig, Vt = np.linalg.svd(_t(Lsg) @ Lxg)
+            if np.any(sig[:, -1] <= 0):
+                raise np.linalg.LinAlgError("singular scaling")
+            G = Lxg @ (_t(Vt) * (1.0 / np.sqrt(sig))[:, None, :])
+            W.append(_sym(G @ _t(G)))
 
         # Schur complement M_ij = sum_b <A_i, W A_j W>.  Small systems run
         # the whole direction algebra in extended precision: the Schur
@@ -573,12 +550,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         # double stops short of tight tolerances on ill-conditioned bases.
         W_w = layout.join(W).astype(work_dtype)
         Mmat = op.schur(W_w)
-
-        factored = _schur_solver(Mmat)
-        if factored is None:
-            status = SolveStatus.NUMERICAL_TROUBLE
-            break
-        _, m_solve = factored
+        _, m_solve = _schur_solver(Mmat)
 
         def solve_kkt(h: np.ndarray) -> np.ndarray:
             """M dy = h, with up to three steps of iterative refinement."""
@@ -609,33 +581,28 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
         mu = layout.dot(X, S) / nu
 
-        try:
-            # predictor (affine scaling)
-            dXa, dSa, _ = direction(-X)
-            ap_aff = min(1.0, max_step(Lxi, dXa))
-            ad_aff = min(1.0, max_step(Lsi, dSa))
-            mu_aff = layout.dot(X + ap_aff * dXa, S + ad_aff * dSa) / nu
-            sigma = min(1.0, max(0.0, mu_aff / mu) ** 3)
+        # predictor (affine scaling)
+        dXa, dSa, _ = direction(-X)
+        ap_aff = min(1.0, max_step(Lxi, dXa))
+        ad_aff = min(1.0, max_step(Lsi, dSa))
+        mu_aff = layout.dot(X + ap_aff * dXa, S + ad_aff * dSa) / nu
+        sigma = min(1.0, max(0.0, mu_aff / mu) ** 3)
 
-            Sinv = layout.join([_t(Lg) @ Lg for Lg in Lsi])
+        Sinv = layout.join([_t(Lg) @ Lg for Lg in Lsi])
 
-            # corrector with Mehrotra second-order term
-            Rc = sigma * mu * Sinv - X - layout.sym(layout.product(dXa, dSa, Sinv))
-            dX, dS, dy = direction(Rc)
+        # corrector with Mehrotra second-order term
+        Rc = sigma * mu * Sinv - X - layout.sym(layout.product(dXa, dSa, Sinv))
+        dX, dS, dy = direction(Rc)
+        ap_raw = max_step(Lxi, dX)
+        ad_raw = max_step(Lsi, dS)
+
+        # corrector rejection: when the second-order term shortens the
+        # step badly, fall back to a centered first-order direction
+        if min(ap_raw, ad_raw) < 0.2 * min(ap_aff, ad_aff):
+            sigma = max(sigma, 0.5)
+            dX, dS, dy = direction(sigma * mu * Sinv - X)
             ap_raw = max_step(Lxi, dX)
             ad_raw = max_step(Lsi, dS)
-
-            # corrector rejection: when the second-order term shortens the
-            # step badly, fall back to a centered first-order direction
-            if min(ap_raw, ad_raw) < 0.2 * min(ap_aff, ad_aff):
-                sigma = max(sigma, 0.5)
-                dX, dS, dy = direction(sigma * mu * Sinv - X)
-                ap_raw = max_step(Lxi, dX)
-                ad_raw = max_step(Lsi, dS)
-        except np.linalg.LinAlgError:
-            # also a step-length eigvalsh that fails once S^-1 overflows
-            status = SolveStatus.NUMERICAL_TROUBLE
-            break
 
         # adaptive fraction to boundary: conservative when the affine step
         # is short, aggressive when a full step is available
@@ -644,8 +611,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         ad = min(1.0, frac * ad_raw)
         log.debug("    sigma=%.3e mu=%.3e ap=%.3e ad=%.3e", sigma, mu, ap, ad)
         if max(ap, ad) < 1e-10:
-            status = SolveStatus.NUMERICAL_TROUBLE
-            break
+            raise np.linalg.LinAlgError(f"step length {max(ap, ad):.3e} below 1e-10")
 
         # backtrack if rounding pushed an iterate off the PD cone; the
         # factors of the accepted iterate serve the next iteration
@@ -653,18 +619,41 @@ def solve(problem: SdpProblem) -> SdpSolution:
             Xn = layout.sym(X + ap * dX)
             Sn = layout.sym(S + ad * dS)
             try:
-                factors = (cholesky(Xn), cholesky(Sn))
-                break
+                return Xn, y + ad * dy, Sn, (cholesky(Xn), cholesky(Sn))
             except np.linalg.LinAlgError:
                 ap *= 0.5
                 ad *= 0.5
-        else:
+        raise np.linalg.LinAlgError("60 backtracking halvings left the cone")
+
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        rp = b - op.apply(X)
+        Rd = C - op.adjoint(y) - S
+
+        pobj, dobj = objectives()
+        trace.append((pobj, dobj))
+
+        prim_res = np.max(np.abs(rp)) / b_scale
+        dual_res = np.max(np.abs(Rd), initial=0.0) / c_scale
+        gap = rel_gap(pobj, dobj)
+
+        log.debug("iter %d pobj=%.9g dobj=%.9g prim=%.2e dual=%.2e",
+                  iterations, pobj, dobj, prim_res, dual_res)
+
+        if (gap <= GAP_TOLERANCE
+                and prim_res <= FEAS_TOLERANCE
+                and dual_res <= FEAS_TOLERANCE):
+            status = SolveStatus.OPTIMAL
+            break
+        if dobj > INFEASIBILITY_THRESHOLD:
+            status = SolveStatus.PRIMAL_LIKELY_INFEASIBLE
+            break
+        try:
+            X, y, S, factors = advance(rp, Rd)
+        except np.linalg.LinAlgError as exc:
+            # a step-length eigvalsh also fails once S^-1 overflows
+            log.debug("numerical trouble at iteration %d: %s", iterations, exc)
             status = SolveStatus.NUMERICAL_TROUBLE
             break
-
-        X = Xn
-        y = y + ad * dy
-        S = Sn
 
     pobj, dobj = objectives()
     return SdpSolution(

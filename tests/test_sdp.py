@@ -367,7 +367,8 @@ class TestSchurFactor:
         keep = [0, 1, 2, 4, 5]
         M[np.ix_(keep, keep)] = B @ B.T + np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
         M = M.astype(dtype)
-        assert _factorize(M) is None
+        with pytest.raises(np.linalg.LinAlgError):
+            _factorize(M)
         ridge, solve_m = _schur_solver(M)
         assert ridge > 0.0
         D = np.sqrt(np.where(np.diag(M) > 0, np.diag(M), 1.0)).astype(float)
@@ -379,8 +380,10 @@ class TestSchurFactor:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     def test_indefinite_matrix_not_factored(self, dtype):
-        assert _factorize(np.array([[1.0, 2.0], [2.0, 1.0]], dtype=dtype)) is None
-        assert _schur_solver(np.diag([1.0, -1.0]).astype(dtype)) is None
+        with pytest.raises(np.linalg.LinAlgError):
+            _factorize(np.array([[1.0, 2.0], [2.0, 1.0]], dtype=dtype))
+        with pytest.raises(np.linalg.LinAlgError, match="factors at no ridge"):
+            _schur_solver(np.diag([1.0, -1.0]).astype(dtype))
 
 
 class TestFlatLayoutSolve:

@@ -30,7 +30,7 @@ def status_of(f: Polynomial, r: int) -> str:
         epsilon_star(f, r, theta_big(1, r))
         return "Optimal"
     except SolverFailureError as exc:
-        return exc.solution.status.value if exc.solution is not None else str(exc)
+        return exc.solution.status.value
 
 
 def main() -> None:

@@ -45,9 +45,10 @@ class ConvergenceFailureError(RuntimeError):
 
 
 class SolverFailureError(RuntimeError):
-    """The SDP solver did not reach an optimal solution."""
+    """The SDP solver did not reach an optimal solution; solution is the
+    SdpSolution that says how it ended."""
 
-    def __init__(self, message: str, solution=None):
+    def __init__(self, message: str, solution):
         super().__init__(message)
         self.solution = solution
 

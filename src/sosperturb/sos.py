@@ -397,19 +397,14 @@ class _ReducedGram:
             if self.kept_gammas and self.infeasible_gamma is None else None)
 
     def program(self) -> SdpProblem:
-        """The SDP, or, when pruning leaves none, a SolverFailureError with a
-        synthetic PrimalLikelyInfeasible solution and no solve."""
+        """The SDP, or, when pruning leaves none, a SolverFailureError with
+        the solution of `solve`."""
         if self.problem is None:
-            sol = SdpSolution(
-                status=SolveStatus.PRIMAL_LIKELY_INFEASIBLE,
-                primal_blocks=[], dual_vector=np.zeros(0),
-                primal_objective=float("nan"), dual_objective=float("nan"),
-                gap=float("nan"), iterations=0)
             what = (f"coefficient {self.infeasible_gamma} cannot be matched"
                     if self.infeasible_gamma is not None
                     else "no matchable coefficients remain")
             raise SolverFailureError(
-                f"{what} at r={self.r}: the program is infeasible", sol)
+                f"{what} at r={self.r}: the program is infeasible", self.solve())
         return self.problem
 
     def expand_gram(self, blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
@@ -419,9 +414,16 @@ class _ReducedGram:
         return [scatter(len(basis), ((idx, blocks[bi]) for bi, idx in parts)) / scale
                 for basis, parts, scale in zip(self.bases, self.parts, self.scales)]
 
-    def solve(self) -> Optional[SdpSolution]:
-        """The solution of the program, or None when pruning left none."""
-        return None if self.problem is None else solve(self.problem)
+    def solve(self) -> SdpSolution:
+        """The solution of the program; when pruning left none, a
+        PrimalLikelyInfeasible solution of zero iterations, with no solve."""
+        if self.problem is None:
+            return SdpSolution(
+                status=SolveStatus.PRIMAL_LIKELY_INFEASIBLE,
+                primal_blocks=[], dual_vector=np.zeros(0),
+                primal_objective=float("nan"), dual_objective=float("nan"),
+                gap=float("nan"), iterations=0)
+        return solve(self.problem)
 
     def weight(self) -> ApproximationResult:
         """Solve the weight program (`program` raises when pruning left
@@ -596,7 +598,7 @@ def is_sos(f: Polynomial) -> Tuple[bool, Optional[GramCertificate]]:
         return False, None
     reduced = _ReducedGram(f, Polynomial.zero(f.n_vars), f.degree() // 2, eps=0.0)
     sol = reduced.solve()
-    if sol is None or sol.status is SolveStatus.PRIMAL_LIKELY_INFEASIBLE:
+    if sol.status is SolveStatus.PRIMAL_LIKELY_INFEASIBLE:
         return False, None
     if sol.status is not SolveStatus.OPTIMAL:
         raise SolverFailureError(
@@ -656,11 +658,10 @@ def _sweep(
         try:
             base = weight(r, p)
         except SolverFailureError as exc:
-            sol = exc.solution
             # an undecided degree does not block the sweep; the next
             # degree is usually better conditioned
             status = ("infeasible"
-                      if sol is not None and sol.status is SolveStatus.PRIMAL_LIKELY_INFEASIBLE
+                      if exc.solution.status is SolveStatus.PRIMAL_LIKELY_INFEASIBLE
                       else "solver-failed")
             trajectory.append({"r": r, "min_eps": None, "status": status})
             continue
@@ -669,7 +670,7 @@ def _sweep(
             continue
         reduced = _ReducedGram(f, p, r, eps, generators)
         sol = reduced.solve()
-        if sol is None or sol.status is not SolveStatus.OPTIMAL:
+        if sol.status is not SolveStatus.OPTIMAL:
             trajectory[-1]["status"] = "weight-ok-decomposition-failed"
             continue
         return base, p, reduced, reduced.expand_gram(sol.primal_blocks), trajectory

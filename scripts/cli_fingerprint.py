@@ -32,10 +32,11 @@ at r = 10, `preorder-membership` on the cusp at r = 9), `approximate`
 with box scale 1e200, which overflows a double, and `approximate` of
 1 + x1 with box scale 1e200, whose every degree ends solver-failed, and
 `verify` of a forged preorder certificate whose one stored product is the
-target x1 - 1 itself and names no generators, and two inputs nested past
+target x1 - 1 itself and names no generators, two inputs nested past
 the recursion limit: `check-sos --poly-file` of x1 inside 300 pairs of
 parentheses and `verify` of a certificate file of JSON arrays 100000
-deep.
+deep, and `check-sos --poly-file` of x1 inside 100 and inside 101 pairs
+of parentheses.
 """
 
 import hashlib
@@ -120,6 +121,8 @@ COMMANDS = [
                                 "forged.json"], None),
     ("deep polynomial", ["check-sos", "-n", "1", "--poly-file", "deep.txt"], None),
     ("deep certificate", ["verify", *ONE, "--certificate", "deep.json"], None),
+    ("nested 100", ["check-sos", "-n", "1", "--poly-file", "nested100.txt"], None),
+    ("nested 101", ["check-sos", "-n", "1", "--poly-file", "nested101.txt"], None),
 ]
 
 
@@ -134,6 +137,8 @@ def write_inputs(workdir: str) -> None:
         "list.json": "[1, 2]\n",
         "deep.txt": "(" * DEPTH + "x1" + ")" * DEPTH + "\n",
         "deep.json": "[" * 100000 + "]" * 100000 + "\n",
+        "nested100.txt": "(" * 100 + "x1" + ")" * 100 + "\n",
+        "nested101.txt": "(" * 101 + "x1" + ")" * 101 + "\n",
         # one square written as its term objects instead of a list of them
         "objects.json": json.dumps({"r": 1, "basis": [[0], [1]], "gram": [1.0, 0.0, 1.0],
                                     "squares": [{"exponents": [0], "coeff": 1.0}]}),

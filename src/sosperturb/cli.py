@@ -6,8 +6,9 @@ follow one contract everywhere: 0 for success or membership, 1 for a
 definite negative answer (not a sum of squares, nothing found within the
 degree cap, a failed re-verification), 2 for usage errors, malformed input
 (a certificate file included), an input too deep or too large to process
-(a polynomial or certificate nested past the recursion limit, a
-`degree-probe` grid that does not fit in memory), a report that cannot be
+(a polynomial more than 100 parentheses deep, a certificate nested
+past the recursion limit, a `degree-probe` grid that does not fit in
+memory), a report that cannot be
 written, or numerical failure (a sweep that covers eps at a degree it
 cannot decompose, or finds nothing while the weight solve failed at some
 degree, included).  All commands are deterministic: identical invocations
@@ -39,8 +40,9 @@ from .sos import (DEFAULT_RESIDUAL_TOL, THETA_BIG, THETA_SMALL,
 
 # ValueError covers the input errors of `errors` (ParseError,
 # DimensionMismatchError, DegreeTooLowError, ...) and malformed JSON; KeyError
-# and TypeError a certificate file of the wrong shape; RecursionError an
-# input nested too deep to parse, MemoryError one too large to process
+# and TypeError a certificate file of the wrong shape; RecursionError a
+# certificate nested too deep to decode, MemoryError an input too large to
+# process
 _USAGE_ERRORS = (
     ValueError, OSError, KeyError, TypeError, RecursionError, MemoryError,
     SolverFailureError, ConvergenceFailureError, NoSamplesAcceptedError,

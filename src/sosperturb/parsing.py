@@ -14,7 +14,10 @@ and 10^310/10^310 is 1.  Whitespace is insignificant.  Terms combine with the
 ordinary `Polynomial` arithmetic, which keeps every coefficient the user
 wrote, however small; only exact zeros (say from x1 - x1) disappear.  An
 expression with a coefficient that overflows a double (a 400-digit
-literal, say) is a ParseError, not an infinite coefficient.
+literal, say) is a ParseError, not an infinite coefficient.  So is an
+atom nested more than MAX_NESTING parentheses deep, at its opening
+parenthesis: each level takes a few Python frames, and the limit keeps
+the parser well inside the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ _TOKEN_RE = re.compile(
     r"|(?P<var>x\d+)"
     r"|(?P<op>[-+*^()]))"
 )
+
+# deepest nesting of parentheses `parse` accepts
+MAX_NESTING = 100
 
 
 class _Token(NamedTuple):
@@ -67,6 +73,7 @@ class _Parser:
         self.n_vars = n_vars
         self.i = 0
         self.length = length
+        self.depth = 0
 
     def _peek(self) -> _Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -143,8 +150,13 @@ class _Parser:
                     f"variable {tok.text} out of range x1..x{self.n_vars}", tok.pos)
             return Polynomial.variable(self.n_vars, index)
         if tok.kind == "op" and tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested more than {MAX_NESTING} deep", tok.pos)
+            self.depth += 1
             inner = self.parse_expr()
             self._expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
 

@@ -122,6 +122,32 @@ class TestTooDeepOrTooLarge:
         assert res.exit_code == 2
         assert res.stderr.startswith("error: ")
 
+    NESTED = "(" * 101 + "x1" + ")" * 101
+    NESTING_ERROR = "error: parentheses nested more than 100 deep (at position 100)\n"
+
+    def test_nested_polynomial_names_the_limit(self, runner, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text(self.NESTED)
+        res = invoke(runner, ["check-sos", "-n", "1", "--poly-file", str(path)])
+        assert res.exit_code == 2
+        assert res.stderr == self.NESTING_ERROR
+
+    def test_nested_generator_names_the_limit(self, runner, tmp_path):
+        system = tmp_path / "system.txt"
+        system.write_text(f"nvars 1\nmoment_problem asserted\n{self.NESTED}\n")
+        res = invoke(runner, ["preorder-membership", "-f", "1 - x1^2", "--eps", "0.5",
+                              "--system", str(system)])
+        assert res.exit_code == 2
+        assert res.stderr == self.NESTING_ERROR
+
+    def test_nested_perturbation_template_names_the_limit(self, runner, tmp_path):
+        template = tmp_path / "p.txt"
+        template.write_text("(" * 101 + "1 + x1^{2r}" + ")" * 101)
+        res = invoke(runner, ["minimal-r", "-n", "1", "-f", "1 - x1^2", "--eps", "0.5",
+                              "--perturbation", f"custom:{template}"])
+        assert res.exit_code == 2
+        assert res.stderr == self.NESTING_ERROR
+
     def test_probe_grid_too_large_exit_two(self, runner, monkeypatch):
         # the grid of -n 6 has 33^6 points; allocating it is not attempted here
         def too_large(f, n):

@@ -1,5 +1,6 @@
 import pytest
 
+from sosperturb import parsing
 from sosperturb.errors import ParseError, VariableOutOfRangeError
 from sosperturb.parsing import parse
 
@@ -32,6 +33,21 @@ def test_rational_literal():
 
 def test_decimal_literal():
     assert parse("1.5*x1^2", 1).coeff((2,)) == 1.5
+
+
+def test_nesting_up_to_the_limit():
+    assert parsing.MAX_NESTING == 100
+    assert parse("(" * 100 + "x1" + ")" * 100, 1).terms == {(1,): 1.0}
+    # parentheses side by side do not nest
+    assert parse("+".join(["(x1)"] * 101), 1).terms == {(1,): 101.0}
+
+
+def test_nesting_past_the_limit():
+    text = "x1 + " + "(" * 101 + "x1" + ")" * 101
+    with pytest.raises(ParseError, match="nested more than 100 deep") as err:
+        parse(text, 1)
+    # the 101st opening parenthesis
+    assert err.value.position == 5 + 100
 
 
 def test_power_of_parenthesized_expression():

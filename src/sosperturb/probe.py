@@ -2,8 +2,9 @@
 
 Samples polynomials with coefficients uniform in [-N, N] on all monomials
 of degree <= d, keeps those nonnegative on a 33^n grid over the unit box (a
-cheap necessary filter, not a certificate, evaluated by `Polynomial.eval`),
-and runs the degree sweep on each.  The running maximum of the minimal degrees estimates how the
+cheap necessary filter, not a certificate, evaluated by `Polynomial.eval`
+one slice of 33^(n-1) points along the first axis at a time), and runs the
+degree sweep on each.  The running maximum of the minimal degrees estimates how the
 required perturbation degree scales with (n, d, N, eps); no reference
 values exist for it, so the output is exploratory.
 
@@ -92,9 +93,20 @@ def _random_polynomial(rng: SplitMix64, n: int, d: int, bound: float) -> Polynom
 # any minimum; numpy's overflow warning adds nothing
 @np.errstate(over="ignore")
 def _grid_minimum(f: Polynomial, n: int) -> float:
-    axes = [np.linspace(-1.0, 1.0, GRID_POINTS_PER_AXIS)] * n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return float(f.eval(np.stack([m.ravel() for m in mesh], axis=1)).min())
+    """Least value of f on the grid, NaN when any value is NaN.  For n > 1
+    the grid is evaluated one slice along the first axis at a time, so
+    memory holds GRID_POINTS_PER_AXIS^(n-1) points, not the whole grid."""
+    axis = np.linspace(-1.0, 1.0, GRID_POINTS_PER_AXIS)
+    if n == 1:
+        return float(f.eval(axis[:, None]).min())
+    points = np.empty((GRID_POINTS_PER_AXIS ** (n - 1), n))
+    for i, m in enumerate(np.meshgrid(*[axis] * (n - 1), indexing="ij"), start=1):
+        points[:, i] = m.ravel()
+    minima = []
+    for x1 in axis:
+        points[:, 0] = x1
+        minima.append(f.eval(points).min())
+    return float(np.min(minima))
 
 
 def run_probe(

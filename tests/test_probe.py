@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from sosperturb import probe
 from sosperturb.errors import NoSamplesAcceptedError
+from sosperturb.polynomials import Polynomial, multidegrees_upto
 from sosperturb.probe import run_probe
 
 
@@ -94,3 +96,40 @@ def test_shift_retry(r_max, found_r):
     assert row.grid_min == pytest.approx(0.27958, abs=1e-5)
     assert row.shifted and row.found_r == found_r
     assert report.counts()["unresolved"] == (found_r is None)
+
+
+def whole_grid_minimum(f, n):
+    """The grid minimum over every point at once, as the probe took it
+    before it evaluated the grid in slices."""
+    axes = [np.linspace(-1.0, 1.0, probe.GRID_POINTS_PER_AXIS)] * n
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return float(f.eval(np.stack([m.ravel() for m in mesh], axis=1)).min())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_grid_minimum_in_slices_equals_the_whole_grid_minimum(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    cases = [Polynomial(n, {alpha: rng.uniform(-bound, bound)
+                            for alpha in multidegrees_upto(n, degree)})
+             for degree, bound in ((2, 1.0), (4, 1.0), (5, 3.0), (3, 8e307))]
+    # an infinite coefficient times the grid's zero coordinate gives NaN
+    cases.append(Polynomial(n, {(0,) * n: 1.0, (2,) + (0,) * (n - 1): math.inf}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        wants = [whole_grid_minimum(f, n) for f in cases]
+    shapes = []
+    evaluate = Polynomial.eval
+
+    def recording(self, points):
+        shapes.append(np.shape(points))
+        return evaluate(self, points)
+
+    monkeypatch.setattr(Polynomial, "eval", recording)
+    with np.errstate(invalid="ignore"):
+        gots = [probe._grid_minimum(f, n) for f in cases]
+    # bit for bit, and NaN where the whole grid gives NaN
+    assert np.array(gots).tobytes() == np.array(wants).tobytes()
+    assert math.isnan(gots[-1]) and not any(map(math.isnan, gots[:-1]))
+    # n = 1 is one call over the axis; otherwise one call per first coordinate
+    per_call = 33 if n == 1 else 33 ** (n - 1)
+    assert len(shapes) == len(cases) * (1 if n == 1 else 33)
+    assert all(math.prod(shape[:-1]) <= per_call for shape in shapes)

@@ -623,7 +623,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
             except np.linalg.LinAlgError:
                 ap *= 0.5
                 ad *= 0.5
-        raise np.linalg.LinAlgError("60 backtracking halvings left the cone")
+        raise np.linalg.LinAlgError("60 backtracking halvings never got back inside the cone")
 
     for iterations in range(1, MAX_ITERATIONS + 1):
         rp = b - op.apply(X)

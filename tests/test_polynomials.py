@@ -44,6 +44,37 @@ class TestStructure:
             Polynomial.constant(1, 1.0) + Polynomial.constant(2, 1.0)
 
 
+class TestInputChecks:
+    def test_no_variables(self):
+        with pytest.raises(ValueError, match="n_vars must be >= 1, got 0"):
+            Polynomial(0, {})
+
+    def test_negative_exponent_in_a_term(self):
+        with pytest.raises(ValueError, match=re.escape("negative exponent in (-1,)")):
+            Polynomial(1, {(-1,): 1.0})
+
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_variable_index_out_of_range(self, index):
+        with pytest.raises(ValueError, match=f"variable index {index} out of range 1..2"):
+            Polynomial.variable(2, index)
+
+    def test_negative_power(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            parse("1 + x1", 1).pow(-1)
+
+    def test_theta_small_negative_degree(self):
+        with pytest.raises(ValueError, match="r must be >= 0, got -1"):
+            theta_small(1, -1)
+
+    def test_basis_without_variables(self):
+        with pytest.raises(ValueError, match="n_vars must be >= 1, got 0"):
+            MonomialBasis.build(0, 1)
+
+    def test_basis_negative_degree(self):
+        with pytest.raises(ValueError, match="max_degree must be >= 0, got -1"):
+            MonomialBasis.build(1, -1)
+
+
 class TestArithmetic:
     def test_add_cancels(self):
         f = parse("1 - x1^2", 1)
@@ -53,6 +84,9 @@ class TestArithmetic:
     def test_add_keeps_tiny_coefficient(self):
         f = parse("1 + x1", 1) + parse("0.000000000000001*x1^2", 1)
         assert f.terms == {(0,): 1.0, (1,): 1.0, (2,): 1e-15}
+
+    def test_neg(self):
+        assert (-parse("1 - x1^2", 1)).terms == {(0,): -1.0, (2,): 1.0}
 
     def test_mul(self):
         f = parse("x1", 1) * parse("1 - x1", 1)

@@ -37,6 +37,10 @@ class TestSystem:
         with pytest.raises(TooManyGeneratorsError):
             SemialgebraicSystem(gens)
 
+    def test_no_generators_rejected(self):
+        with pytest.raises(ValueError, match="at least one generator is required"):
+            SemialgebraicSystem([])
+
     def test_zero_generator_rejected(self):
         with pytest.raises(ValueError):
             SemialgebraicSystem([Polynomial.zero(1)])

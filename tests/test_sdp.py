@@ -1,3 +1,4 @@
+import logging
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 from scipy.sparse import csr_matrix
 
+from sosperturb import sdp
 from sosperturb.parsing import parse
 from sosperturb.polynomials import Polynomial, theta_big
 from sosperturb.sdp import (GAP_TOLERANCE, MAX_BLOCK_SIZE, SdpProblem,
@@ -155,6 +157,88 @@ class TestSolve:
                 assert pobj >= dobj - 1e-7
 
 
+class TestNumericalTrouble:
+    """Every numerical failure inside an iteration ends the solve
+    NumericalTrouble through one handler, whose debug line names the
+    cause.  Each test forces one failure by a patch on a problem that
+    otherwise ends Optimal."""
+
+    SIZES = (3, 2)
+
+    def solve_with_causes(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="sosperturb.sdp"):
+            sol = solve(random_feasible_problem(5, self.SIZES))
+        assert sol.status is SolveStatus.NUMERICAL_TROUBLE
+        return [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("numerical trouble")]
+
+    def test_singular_scaling(self, monkeypatch, caplog):
+        svd = np.linalg.svd
+
+        def zero_singular_value(a, *args, **kwargs):
+            U, sig, Vt = svd(a, *args, **kwargs)
+            sig[..., -1] = 0.0
+            return U, sig, Vt
+
+        monkeypatch.setattr(np.linalg, "svd", zero_singular_value)
+        assert self.solve_with_causes(caplog) == [
+            "numerical trouble at iteration 1: singular scaling"]
+
+    def test_schur_matrix_factors_at_no_ridge(self, monkeypatch, caplog):
+        def not_positive_definite(M):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(sdp, "_factorize", not_positive_definite)
+        assert self.solve_with_causes(caplog) == [
+            "numerical trouble at iteration 1: the Schur matrix factors at no ridge"]
+
+    def test_step_below_the_floor(self, monkeypatch, caplog):
+        eigvalsh = np.linalg.eigvalsh
+
+        def far_outside(a, *args, **kwargs):
+            w = eigvalsh(a, *args, **kwargs)
+            w[..., 0] = -1e12
+            return w
+
+        # every step length is at most 1e12**-1, times the fraction to the
+        # boundary 0.9 + 0.09 * 1e-12
+        monkeypatch.setattr(np.linalg, "eigvalsh", far_outside)
+        assert self.solve_with_causes(caplog) == [
+            "numerical trouble at iteration 1: step length 9.000e-13 below 1e-10"]
+
+    def test_backtracking_exhausted(self, monkeypatch, caplog):
+        cholesky = np.linalg.cholesky
+        # the factors of X and S for the first iteration, one per size group
+        allowed = [2 * len(_Layout(self.SIZES).groups)]
+
+        def first_factors_only(a):
+            allowed[0] -= 1
+            if allowed[0] < 0:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(a)
+
+        # the Schur matrix of this small problem factors in longdouble,
+        # without np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", first_factors_only)
+        assert self.solve_with_causes(caplog) == [
+            "numerical trouble at iteration 1: "
+            "60 backtracking halvings never got back inside the cone"]
+
+    def test_failing_numpy_routine(self, monkeypatch, caplog):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        assert self.solve_with_causes(caplog) == [
+            "numerical trouble at iteration 1: Eigenvalues did not converge"]
+
+    def test_no_cause_logged_when_optimal(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="sosperturb.sdp"):
+            assert solve(random_feasible_problem(5, self.SIZES)).status is SolveStatus.OPTIMAL
+        assert not any(r.getMessage().startswith("numerical trouble")
+                       for r in caplog.records)
+
+
 def twice_x(rhs):
     """X = rhs[0] and X = rhs[1] over one 1x1 block, minimizing X."""
     return SdpProblem.from_rows(
@@ -181,6 +265,18 @@ class TestProblemConstruction:
             SdpProblem.from_rows(
                 [2], [([0], [0], [1], [1.0])], [1.0],
                 {0: np.array([[0.0, 1.0], [0.0, 0.0]])})
+
+    def test_objective_block_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"coefficient matrix shape \(1, 1\) != \(2,2\)"):
+            SdpProblem.from_rows([2], [([0], [0], [0], [1.0])], [1.0], {0: np.eye(1)})
+
+    def test_block_size_must_be_positive(self):
+        with pytest.raises(ValueError, match="block sizes must be positive"):
+            SdpProblem.from_rows([0], [([], [], [], [])], [1.0], {})
+
+    def test_one_entry_set_per_block(self):
+        with pytest.raises(ValueError, match="1 entry sets for 2 blocks"):
+            SdpProblem.from_rows([1, 1], [([0], [0], [0], [1.0])], [1.0], {})
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):

@@ -173,6 +173,14 @@ class TestEpsilonStar:
         assert res.eps_star == -res.min_eps
         assert res.gap <= 1e-6
 
+    def test_no_matchable_coefficients(self):
+        # zero target and zero perturbation: pruning leaves no equality
+        with pytest.raises(SolverFailureError,
+                           match="no matchable coefficients remain at r=1") as err:
+            epsilon_star(Polynomial.zero(1), 1, Polynomial.zero(1))
+        assert err.value.solution.status is SolveStatus.PRIMAL_LIKELY_INFEASIBLE
+        assert err.value.solution.iterations == 0
+
     def test_quartic_theta_weight_matches_bisection_oracle(self):
         oracle = quartic_theta_weight_by_bisection()
         assert oracle == pytest.approx((math.sqrt(2) - 1) / 2, abs=1e-9)
@@ -333,6 +341,11 @@ class TestExtraction:
         assert sorted((h.terms for h in squares), key=str) == sorted(
             [{(0,): 1.0}, {(1,): 1.0}], key=str)
 
+    def test_no_positive_eigenvalue_gives_no_squares(self):
+        # -1e-12 is within the clip tolerance, so not an error, and no
+        # direction is kept
+        assert extract_certificate(np.array([[-1e-12]]), MonomialBasis.build(1, 0)) == []
+
     def test_rank_one_gram(self):
         basis = MonomialBasis.build(1, 1)
         squares = extract_certificate(np.ones((2, 2)), basis)
@@ -441,6 +454,10 @@ class TestVerify:
 
 
 class TestMinimalR:
+    def test_unknown_perturbation_kind(self):
+        with pytest.raises(ValueError, match="unknown perturbation kind 'theta-medium'"):
+            minimal_r(ONE_MINUS_SQ, 0.5, "theta-medium", 4)
+
     def test_univariate_sweep(self):
         fam = lambda n, r: Polynomial.monomial(n, (2 * r,))
         res = minimal_r(ONE_MINUS_SQ, 0.15, fam, 8)

@@ -38,9 +38,7 @@ def trace_lines(frame, event, arg):
 
 def trace_calls(frame, event, arg):
     """Trace the lines of the package's frames only."""
-    if frame.f_code.co_filename.startswith(PACKAGE + os.sep):
-        return trace_lines(frame, event, arg)
-    return None
+    return trace_lines if frame.f_code.co_filename.startswith(PACKAGE + os.sep) else None
 
 
 class Retrace:

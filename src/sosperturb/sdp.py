@@ -54,6 +54,14 @@ scipy.sparse's kernels do (the tests check this bit for bit): near the
 edge of what the iteration resolves (scripts/knife_edge.py) the order of
 these sums decides whether a program reaches Optimal.
 
+A solve ends through one exit per status.  Every numerical failure of an
+iteration (a numpy routine that raises LinAlgError, a singular scaling, a
+Schur matrix that factors at no ridge, a step below 1e-10, or a
+backtracking that never gets back inside the cone) raises LinAlgError
+with its cause; `solve` catches it in one place, logs
+`numerical trouble at iteration k: <cause>` at debug level and ends
+NumericalTrouble.
+
 Everything is deterministic: fixed initialization (identity scaled by
 1 + max|b_i|), no randomization, and the same inputs take the same branch
 sequence.  Infeasibility is reported heuristically when the dual objective

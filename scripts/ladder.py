@@ -4,7 +4,8 @@
 Each program of the ladder is run through the public API while `sdp.solve`
 is wrapped, in every module that bound it, to record the solutions it
 returns.  For each solve one line is printed: the program, the status, the
-iteration count, the repr of both objectives and a sha256 over the primal
+iteration count, the number of equalities (`m`, the length of the dual
+vector), the repr of both objectives and a sha256 over the primal
 blocks and the dual vector.  Two checkouts whose outputs are identical
 solved the same programs bit for bit, so a refactor can be checked by a
 diff:
@@ -15,7 +16,11 @@ The ladder: 1 - x1^2 with theta_big at r = 2..20 and with x1^(2r) at
 r = 2..15; the Motzkin polynomial with theta_big at r = 3..8; the Choi-Lam
 quartic at r = 4 and 5 and sextic at r = 6 and 7 with theta_big, of which
 quartic r = 5 and sextic r = 7 run in the double-precision class of
-`sdp.solve` and every other solve in the extended class; the preorder weight
+`sdp.solve` and every other solve in the extended class; with theta_big,
+the signed Choi-Lam quartic (the sign of x1*x2*x3*x4 flipped) at r = 4,
+the quartic 1 + (x1^2 + x2^2)^2 + x1*x2*(x1^2 - x2^2), which is invariant
+under (x1, x2) -> (x2, -x1), at r = 2..4, and 1 + x1^4 + ... + x8^4 at
+r = 2; the preorder weight
 programs of 1 - x1^2 on the cusp (1 - x1^2)^3 >= 0 at r = 2..29 step 3, of
 1 - x1^2 - x2^2 on the disk cusp at r = 2..7, of the Motzkin polynomial
 on the box at r = 4..7 and of 1 - x1^2 on the cusp and parabola
@@ -50,6 +55,10 @@ ONE_MINUS_SQ = parse("1 - x1^2", 1)
 MOTZKIN = parse("1 + x1^2*x2^2*(x1^2 + x2^2 - 3)", 2)
 CHOI_LAM_QUARTIC = parse(
     "x1^2*x2^2 + x1^2*x3^2 + x2^2*x3^2 + x4^4 - 4*x1*x2*x3*x4", 4)
+SIGNED_CHOI_LAM_QUARTIC = parse(
+    "x1^2*x2^2 + x1^2*x3^2 + x2^2*x3^2 + x4^4 + 4*x1*x2*x3*x4", 4)
+ROTATION_QUARTIC = parse("1 + (x1^2 + x2^2)^2 + x1*x2*(x1^2 - x2^2)", 2)
+EIGHT_QUARTICS = parse("1 + " + " + ".join(f"x{i}^4" for i in range(1, 9)), 8)
 CHOI_LAM_SEXTIC = parse("x1^4*x2^2 + x2^4*x3^2 + x3^4*x1^2 - 3*x1^2*x2^2*x3^2", 3)
 DISK = parse("1 - x1^2 - x2^2", 2)
 SOS_QUARTIC = parse("(x1^2 - x2^2)^2 + (x1*x2 - 1)^2", 2)
@@ -74,6 +83,12 @@ def ladder():
     yield "choi-lam quartic r=5", lambda: epsilon_star(CHOI_LAM_QUARTIC, 5, theta_big(4, 5))
     yield "choi-lam sextic r=6", lambda: epsilon_star(CHOI_LAM_SEXTIC, 6, theta_big(3, 6))
     yield "choi-lam sextic r=7", lambda: epsilon_star(CHOI_LAM_SEXTIC, 7, theta_big(3, 7))
+    yield "signed choi-lam quartic r=4", lambda: epsilon_star(
+        SIGNED_CHOI_LAM_QUARTIC, 4, theta_big(4, 4))
+    for r in range(2, 5):
+        yield f"rotation quartic r={r}", lambda r=r: epsilon_star(
+            ROTATION_QUARTIC, r, theta_big(2, r))
+    yield "eight quartics r=2", lambda: epsilon_star(EIGHT_QUARTICS, 2, theta_big(8, 2))
     for r in range(2, 30, 3):
         yield f"cusp r={r}", lambda r=r: epsilon_star_preorder(
             ONE_MINUS_SQ, r, theta_small(1, r), CUSP)
@@ -142,7 +157,7 @@ def main() -> None:
             outcome = type(exc).__name__
         for sol in solutions:
             print(f"{label}: {outcome} {sol.status.value} it={sol.iterations} "
-                  f"pobj={sol.primal_objective!r} dobj={sol.dual_objective!r} "
+                  f"m={len(sol.dual_vector)} pobj={sol.primal_objective!r} dobj={sol.dual_objective!r} "
                   f"sha256={fingerprint(sol)}", flush=True)
         if not solutions:
             print(f"{label}: {outcome} no solve", flush=True)

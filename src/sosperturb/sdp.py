@@ -217,7 +217,7 @@ class SdpSolution:
 
 def _t(mat: np.ndarray) -> np.ndarray:
     """Transpose of every matrix in a stack (ndarray.mT needs numpy 2.0)."""
-    return np.swapaxes(mat, -1, -2)
+    return mat.swapaxes(-1, -2)
 
 
 def _sym(mat: np.ndarray) -> np.ndarray:
@@ -422,12 +422,12 @@ def _chol_lower(M: np.ndarray) -> np.ndarray:
     n = M.shape[0]
     L = np.zeros_like(M)
     for j in range(n):
-        d = M[j, j] - L[j, :j] @ L[j, :j]
+        d = M[j, j] - np.dot(L[j, :j], L[j, :j])
         if d <= 0:
             raise np.linalg.LinAlgError("Matrix is not positive definite")
         L[j, j] = np.sqrt(d)
         if j + 1 < n:
-            L[j + 1:, j] = (M[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+            L[j + 1:, j] = (M[j + 1:, j] - np.dot(L[j + 1:, :j], L[j, :j])) / L[j, j]
     return L
 
 
@@ -436,9 +436,9 @@ def _backsolve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     y = np.array(rhs, dtype=L.dtype, copy=True)
     n = L.shape[0]
     for i in range(n):
-        y[i] = (y[i] - L[i, :i] @ y[:i]) / L[i, i]
+        y[i] = (y[i] - np.dot(L[i, :i], y[:i])) / L[i, i]
     for i in range(n - 1, -1, -1):
-        y[i] = (y[i] - L[i + 1:, i] @ y[i + 1:]) / L[i, i]
+        y[i] = (y[i] - np.dot(L[i + 1:, i], y[i + 1:])) / L[i, i]
     return y
 
 
@@ -564,7 +564,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
             """M dy = h, with up to three steps of iterative refinement."""
             dy = m_solve(h)
             for _ in range(3):
-                r = h - Mmat @ dy
+                r = h - np.dot(Mmat, dy)
                 if np.max(np.abs(r), initial=0.0) <= 1e-15 * (1.0 + np.max(np.abs(h), initial=0.0)):
                     break
                 dy = dy + m_solve(r)

@@ -22,6 +22,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from typing import List, Optional
 
@@ -29,7 +30,7 @@ import click
 
 from .errors import (ConvergenceFailureError, DimensionMismatchError,
                      NoSamplesAcceptedError, NotFoundWithinRMaxError,
-                     SolverFailureError)
+                     ParseError, SolverFailureError)
 from .parsing import parse, unparse
 from .polynomials import Polynomial
 from .preorder import load_system, membership, verify_preorder_obj
@@ -123,18 +124,41 @@ def _load_poly(nvars: Optional[int], poly_text: Optional[str],
     return parse(poly_text, nvars)
 
 
+_PLACEHOLDER = re.compile(r"\{2?r\}")
+
+
 def _perturbation(value: str):
-    """Resolve a --perturbation value to (kind, descriptor dict)."""
+    """Resolve a --perturbation value to (kind, descriptor dict).
+
+    A custom template is read from its file and stripped; `{2r}` and `{r}`
+    become the numbers 2r and r.  A ParseError in the substituted text
+    reports its position in the file."""
     if value in (THETA_BIG, THETA_SMALL):
         return value, {"kind": value}
     if value.startswith("custom:"):
         path = value[len("custom:"):]
         with open(path, "r", encoding="utf-8") as handle:
-            template = handle.read().strip()
+            raw = handle.read()
+        template = raw.strip()
+        lead = len(raw) - len(raw.lstrip())
 
         def family(n: int, r: int) -> Polynomial:
-            text = template.replace("{2r}", str(2 * r)).replace("{r}", str(r))
-            return parse(text, n)
+            # origin[k]: the position in the file of character k of the
+            # substituted text (a placeholder's start for each of its
+            # digits), and one past the template for the end of the input
+            values = {"{2r}": str(2 * r), "{r}": str(r)}
+            pieces, origin, start = [], [], 0
+            for m in _PLACEHOLDER.finditer(template):
+                value = values[m.group()]
+                pieces += [template[start:m.start()], value]
+                origin += [*range(start, m.start()), *[m.start()] * len(value)]
+                start = m.end()
+            pieces.append(template[start:])
+            origin += range(start, len(template) + 1)
+            try:
+                return parse("".join(pieces), n)
+            except ParseError as exc:
+                raise type(exc)(exc.message, lead + origin[exc.position]) from None
 
         return family, {"kind": "custom", "template": template}
     raise click.UsageError(

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 
 class ParseError(ValueError):
-    """Malformed polynomial text. Carries the character position of the fault."""
+    """Malformed polynomial text. Carries the message and the character
+    position of the fault."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 

@@ -148,6 +148,31 @@ class TestTooDeepOrTooLarge:
         assert res.exit_code == 2
         assert res.stderr == self.NESTING_ERROR
 
+    @pytest.mark.parametrize("lead", ["", "\n\n"])
+    def test_template_fault_position_is_in_the_file(self, runner, tmp_path, lead):
+        # {2r} is parsed as 2, three characters shorter, and the stripped
+        # blank lines are gone too; the 101st parenthesis is at position 110
+        # of the template text
+        template = tmp_path / "p.txt"
+        template.write_text(lead + "x1^{2r} + " + "(" * 101 + "1" + ")" * 101)
+        res = invoke(runner, ["minimal-r", "-n", "1", "-f", "1 - x1^2", "--eps", "0.5",
+                              "--perturbation", f"custom:{template}"])
+        assert res.exit_code == 2
+        assert res.stderr == ("error: parentheses nested more than 100 deep "
+                              f"(at position {110 + len(lead)})\n")
+
+    def test_fault_in_a_substituted_number_points_to_its_placeholder(self, runner,
+                                                                   tmp_path):
+        # at r = 1 the text is x1^2 + x1^1.5, whose 1.5 starts at position
+        # 10; its placeholder {r} starts at 13
+        template = tmp_path / "p.txt"
+        template.write_text("x1^{2r} + x1^{r}.5")
+        res = invoke(runner, ["minimal-r", "-n", "1", "-f", "1 - x1^2", "--eps", "0.5",
+                              "--perturbation", f"custom:{template}"])
+        assert res.exit_code == 2
+        assert res.stderr == ("error: exponent must be a nonnegative integer, "
+                              "found '1.5' (at position 13)\n")
+
     def test_probe_grid_too_large_exit_two(self, runner, monkeypatch):
         # the grid of -n 6 has 33^6 points; allocating it is not attempted here
         def too_large(f, n):

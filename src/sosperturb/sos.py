@@ -22,10 +22,12 @@ once, and is the only caller of `sdp.solve`.  It picks its matching rule
 from the generators: with none it matches monomial coefficients
 (`MONOMIAL`), with some tensor Chebyshev coefficients (`CHEBYSHEV`).  Both
 get the same forced-zero pruning and sign-symmetry split (see
-`symmetry`), the same check of a weight solve (`_ReducedGram.weight`),
-the degree sweep (`_sweep`) with its decomposition step, which re-solves
-the feasibility program for f + eps*p at the covered degree, and the
-certificate residual (`_residual`).
+`symmetry`); plain programs also sum each orbit of their signed-permutation
+symmetries into one equality.  Both get the same check of a weight solve
+(`_ReducedGram.weight`), the degree sweep (`_sweep`) with its
+decomposition step, which re-solves the feasibility program for
+f + eps*p at the covered degree, and the certificate residual
+(`_residual`).
 
 eps is modeled as a 1x1 PSD block rather than a sign-free scalar: the
 moment side keeps L(p) <= 1 as an inequality (the zero form stays feasible,
@@ -50,7 +52,7 @@ from .moments import MomentVector
 from .polynomials import (MonomialBasis, Multidegree, Polynomial,
                           multidegrees_upto, scale_box, theta_big, theta_small)
 from .sdp import SdpProblem, SdpSolution, SolveStatus, eigendecompose, solve
-from .symmetry import ParitySpan, scatter
+from .symmetry import ParitySpan, scatter, stabilizer
 
 
 # min_eps at or below this counts as "already a sum of squares"
@@ -307,14 +309,25 @@ class _ReducedGram:
     Forced-zero pruning (`_forced_zeros`) removes Gram rows first.  Each
     product's kept basis then splits into the cosets of the parity span of
     f, p and the generators (see `symmetry`), one block each, ordered by
-    first kept index, then the eps block.  Equalities outside the span or
-    left empty drop; an empty one with a nonzero right-hand side makes the
-    program infeasible (infeasible_gamma set, problem None).  The kept
-    equalities go to the solver as each block's COO triples (row, i, j, v),
-    row the position of gamma in kept_gammas.  Gram blocks and dual values
-    expand back with zeros at the dropped positions; a Gram matrix, divided
-    by its product's scale, multiplies the unscaled product.  `solve` and
-    `weight` run the program; `weight` keeps its solution in `solution`.
+    first kept index, then the eps block.  Equalities outside the span
+    drop.  Without generators, the signed permutations that leave f and p
+    unchanged (`symmetry.stabilizer`, held in group) sum each orbit of
+    equalities into one row: sum_gamma sigma_gamma (row gamma), sigma_gamma
+    the sign that carries the orbit's first member in graded-lex order to
+    gamma.  A one-member orbit is its equality unchanged, entries, their
+    order and right-hand side alike; an orbit that some element maps to
+    minus itself drops, as an odd gamma does.  A preordering keeps one
+    equality per gamma.  A row left empty drops; an empty or dropped one
+    with a nonzero right-hand side makes the program infeasible
+    (infeasible_gamma set, problem None).  The kept rows go to the solver
+    as each block's COO triples (row, i, j, v), row the position of the
+    orbit in rows, each orbit a list of (gamma, sigma_gamma).  Gram blocks
+    expand back with zeros at the dropped positions, and a summed program's
+    Gram matrix is then averaged over the group (the Reynolds operator),
+    which makes it match every coefficient; the dual value of gamma is
+    sigma_gamma times its row's.  A Gram matrix, divided by its product's
+    scale, multiplies the unscaled product.  `solve` and `weight` run the
+    program; `weight` keeps its solution in `solution`.
     """
 
     def __init__(self, f: Polynomial, p: Polynomial, r: int,
@@ -332,6 +345,10 @@ class _ReducedGram:
                        for e, _ in self.products]
         span = ParitySpan([f, p, *generators])
         gammas = [g for g in multidegrees_upto(f.n_vars, 2 * r) if span.contains(g)]
+        # a preordering keeps one equality per gamma
+        self.group = None if generators else stabilizer([f, p])
+        orbits = (self.group.orbits(gammas) if self.group is not None
+                  else [([(g, 1)], True) for g in gammas])
         f_s, p_s = matching.expand(f), matching.expand(p)
         rhs = {g: f_s.get(g, 0.0) if eps is None
                else f_s.get(g, 0.0) + eps * p_s.get(g, 0.0) for g in gammas}
@@ -375,26 +392,34 @@ class _ReducedGram:
             sizes.append(1)
 
         # entries[bi]: the lists (row, i, j, v) of block bi, where row is the
-        # position of the equality's gamma in kept_gammas
+        # position of the equality's orbit in rows
         entries = [([], [], [], []) for _ in sizes]
-        self.kept_gammas: List[Multidegree] = []
+        self.rows: List[List[Tuple[Multidegree, int]]] = []
+        values: List[float] = []
         self.infeasible_gamma: Optional[Multidegree] = None
-        for gamma in gammas:
-            row = len(self.kept_gammas)
-            kept = [(*place[k][i], place[k][j][1], c) for k, i, j, c in terms.get(gamma, ())
-                    if i in place[k] and j in place[k]]
-            if eps_s.get(gamma, 0.0) != 0.0:
-                kept.append((len(sizes) - 1, 0, 0, -eps_s[gamma]))
-            for bi, *entry in kept:
-                for column, x in zip(entries[bi], (row, *entry)):
-                    column.append(x)
-            if kept:
-                self.kept_gammas.append(gamma)
-            elif rhs[gamma] != 0.0:
-                self.infeasible_gamma = gamma
+        for members, consistent in orbits:
+            row = len(self.rows)
+            kept = []
+            for gamma, sign in members:
+                kept += [(*place[k][i], place[k][j][1], sign * c)
+                         for k, i, j, c in terms.get(gamma, ())
+                         if i in place[k] and j in place[k]]
+                if eps_s.get(gamma, 0.0) != 0.0:
+                    kept.append((len(sizes) - 1, 0, 0, -sign * eps_s[gamma]))
+            if kept and consistent:
+                for bi, *entry in kept:
+                    for column, x in zip(entries[bi], (row, *entry)):
+                        column.append(x)
+                self.rows.append(members)
+                value = rhs[members[0][0]]
+                for gamma, sign in members[1:]:
+                    value += sign * rhs[gamma]
+                values.append(value)
+            elif any(rhs[gamma] != 0.0 for gamma, _ in members):
+                self.infeasible_gamma = members[0][0]
         self.problem = (
-            SdpProblem.from_rows(sizes, entries, [rhs[g] for g in self.kept_gammas], objective)
-            if self.kept_gammas and self.infeasible_gamma is None else None)
+            SdpProblem.from_rows(sizes, entries, values, objective)
+            if self.rows and self.infeasible_gamma is None else None)
 
     def program(self) -> SdpProblem:
         """The SDP, or, when pruning leaves none, a SolverFailureError with
@@ -409,10 +434,14 @@ class _ReducedGram:
 
     def expand_gram(self, blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
         """One Gram matrix per product over its full basis, from the
-        solved coset blocks, divided by the product's scale; a
-        trailing eps block is ignored."""
-        return [scatter(len(basis), ((idx, blocks[bi]) for bi, idx in parts)) / scale
-                for basis, parts, scale in zip(self.bases, self.parts, self.scales)]
+        solved coset blocks, divided by the product's scale, and averaged
+        over the group when orbits were summed; a trailing eps block is
+        ignored."""
+        grams = [scatter(len(basis), ((idx, blocks[bi]) for bi, idx in parts)) / scale
+                 for basis, parts, scale in zip(self.bases, self.parts, self.scales)]
+        if self.group is not None:
+            grams = [self.group.average(self.bases[0].entries, grams[0])]
+        return grams
 
     def solve(self) -> SdpSolution:
         """The solution of the program; when pruning left none, a
@@ -429,8 +458,9 @@ class _ReducedGram:
         """Solve the weight program (`program` raises when pruning left
         none): minimal weight, gap and moments, with no certificate.  The
         solve must end Optimal with the squares-side and moment-side optima
-        within DUALITY_GAP_TOL.  The moments are -dual on the kept gammas
-        and zero on the dropped ones, mapped to monomials."""
+        within DUALITY_GAP_TOL.  The moments are -sigma_gamma times the
+        dual of gamma's row on the kept gammas and zero on the dropped
+        ones, mapped to monomials."""
         sol = self.solution = solve(self.program())
         if sol.status is not SolveStatus.OPTIMAL:
             raise SolverFailureError(
@@ -442,7 +472,8 @@ class _ReducedGram:
                 f"squares-side and moment-side optima disagree by {gap:.3e}", sol)
         gammas = multidegrees_upto(self.n_vars, 2 * self.r)
         values = dict.fromkeys(gammas, 0.0)
-        values.update((g, -float(v)) for g, v in zip(self.kept_gammas, sol.dual_vector))
+        values.update((g, -sign * float(v)) for members, v in zip(self.rows, sol.dual_vector)
+                      for g, sign in members)
         moments = MomentVector(self.n_vars, 2 * self.r, self.matching.moments(values, gammas))
         return ApproximationResult(
             r=self.r,

@@ -1,4 +1,5 @@
-"""Sign symmetries of a program and the block split they induce.
+"""Symmetries of a program: the block split of its sign flips, and the
+orbits of its signed permutations.
 
 Flipping signs of variables, x_i -> s_i x_i with s_i = +-1, multiplies
 x^alpha by (-1)^(t . alpha), t_i = 1 where s_i = -1.  Only the parity of
@@ -17,11 +18,25 @@ right-hand side, so it drops.  Chebyshev T_k has the parity of k, so the
 same split holds in the tensor Chebyshev basis.  This is the sign-symmetry
 reduction of Gatermann and Parrilo (J. Pure Appl. Algebra 192, 2004) and
 of Loefberg (IEEE Trans. Autom. Control 54(5), 2009).
+
+A signed permutation g: x_i -> s_i x_perm(i) maps x^alpha to
+(-1)^(t . alpha) x^(perm . alpha), where (perm . alpha)_perm(i) = alpha_i.
+`stabilizer` finds the signed permutations that leave some polynomials
+unchanged, with exact float equality of coefficients, as generators of a
+stabilizer chain; it never lists the group, which for 1 + sum x_i^4 in
+8 variables has 2^8 * 8! elements.  The flips are the elements with the
+identity permutation and are left to `ParitySpan`: they fix every
+exponent in L and every Gram entry of a coset block with sign +1, so
+they merge no orbit.  `SignedPermutations.orbits` groups exponents into
+orbits with the sign sigma that carries the first member to each member,
+and `SignedPermutations.average` is the Reynolds operator on Gram
+matrices, the average over the group taken one level of the chain at a
+time.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,3 +94,211 @@ def scatter(n: int, pieces: Iterable[Tuple[Sequence[int], np.ndarray]]) -> np.nd
     for idx, block in pieces:
         out[np.ix_(idx, idx)] = block
     return out
+
+
+# x_i -> s_i x_perm[i], with bit i of the int set where s_i = -1
+SignedPermutation = Tuple[Tuple[int, ...], int]
+
+# backtracking nodes one search of `stabilizer` may visit; a search cut
+# short keeps the levels below it, a subgroup, which is still exact
+_SEARCH_NODES = 20000
+
+
+def act(g: SignedPermutation, alpha: Multidegree) -> Tuple[Multidegree, int]:
+    """(beta, sign) with x^alpha(g x) = sign * x^beta."""
+    perm, flips = g
+    beta = [0] * len(alpha)
+    for i, a in enumerate(alpha):
+        if a:
+            beta[perm[i]] = a
+    return tuple(beta), -1 if bin(flips & _parity(alpha)).count("1") & 1 else 1
+
+
+def _solve_gf2(equations: Iterable[Tuple[int, int]]) -> Optional[int]:
+    """A t with popcount(t & v) = b mod 2 for every (v, b), free bits 0;
+    None when there is none."""
+    rows: List[Tuple[int, int, int]] = []   # (pivot, vector, rhs), fully reduced
+    for v, b in equations:
+        for pivot, w, c in rows:
+            if v >> pivot & 1:
+                v, b = v ^ w, b ^ c
+        if not v:
+            if b:
+                return None
+            continue
+        pivot = v.bit_length() - 1
+        rows = [(q, w ^ v, c ^ b) if w >> pivot & 1 else (q, w, c) for q, w, c in rows]
+        rows.append((pivot, v, b))
+    return sum(1 << q for q, _, b in rows if b)
+
+
+class SignedPermutations:
+    """A group of signed permutations as a stabilizer chain: levels[k]
+    holds generators that fix the variables before k, and the orbit of
+    variable k under them is its orbit under the whole group fixing the
+    variables before k.  Every element is then one product u_0 ... u_n-1,
+    u_k from the transversal of level k."""
+
+    def __init__(self, n_vars: int, levels: Sequence[Sequence[SignedPermutation]]):
+        self.n_vars = n_vars
+        self.levels = [list(level) for level in levels]
+
+    @property
+    def generators(self) -> List[SignedPermutation]:
+        return [g for level in self.levels for g in level]
+
+    def orbits(self, gammas: Sequence[Multidegree]
+               ) -> List[Tuple[List[Tuple[Multidegree, int]], bool]]:
+        """The orbits of gammas, a set the group maps to itself, in the
+        order of their first member: each is its members (gamma, sigma) in
+        the order of gammas, sigma the sign that carries the first member
+        to gamma, and whether those signs are consistent.  An orbit is
+        inconsistent when an element maps a member to minus itself."""
+        order = {g: k for k, g in enumerate(gammas)}
+        sign: Dict[Multidegree, int] = {}
+        out = []
+        for gamma in gammas:
+            if gamma in sign:
+                continue
+            sign[gamma], frontier, members, consistent = 1, [gamma], [gamma], True
+            while frontier:
+                alpha = frontier.pop()
+                for g in self.generators:
+                    beta, s = act(g, alpha)
+                    s *= sign[alpha]
+                    if beta not in sign:
+                        sign[beta] = s
+                        frontier.append(beta)
+                        members.append(beta)
+                    elif sign[beta] != s:
+                        consistent = False
+            members.sort(key=order.__getitem__)
+            out.append(([(m, sign[m]) for m in members], consistent))
+        return out
+
+    def average(self, entries: Sequence[Multidegree], gram: np.ndarray) -> np.ndarray:
+        """The Reynolds operator: the average of g . gram over the group,
+        gram a matrix over the monomials entries, a set the group maps to
+        itself.  Level by level, in chain order, the matrix is replaced by
+        its average over that level's transversal."""
+        index = {a: k for k, a in enumerate(entries)}
+        n = len(entries)
+        for k, level in enumerate(self.levels):
+            if not level:
+                continue
+            # each generator as (variable map, basis map, basis signs)
+            moves = []
+            for g in level:
+                images = [act(g, a) for a in entries]
+                moves.append((g[0], np.array([index[b] for b, _ in images]),
+                              np.array([float(s) for _, s in images])))
+            transversal = {k: (np.arange(n), np.ones(n))}
+            frontier = [k]
+            while frontier:
+                j = frontier.pop()
+                idx, sgn = transversal[j]
+                for perm, g_idx, g_sgn in moves:
+                    if perm[j] not in transversal:
+                        transversal[perm[j]] = (g_idx[idx], sgn * g_sgn[idx])
+                        frontier.append(perm[j])
+            total = np.zeros_like(gram)
+            for idx, sgn in transversal.values():
+                total += np.outer(sgn, sgn) * gram[np.ix_(idx, idx)]
+            gram = total / len(transversal)
+        return gram
+
+
+def stabilizer(polys: Sequence[Polynomial]) -> Optional[SignedPermutations]:
+    """Signed permutations with a non-identity permutation that leave every
+    polynomial in polys unchanged, coefficients compared exactly; None when
+    there are none.
+
+    For each level k, and each variable j after k that variable k could map
+    to, a backtracking search over the images of the variables after k
+    looks for a group element that fixes the variables before k and maps k
+    to j, unless j is already in the orbit of k under the generators found
+    at this level.  A partial assignment is pruned when a variable's image
+    has another signature (the multiset of its terms' exponents and
+    absolute coefficients) or a term whose variables all have images maps
+    to no term of the same absolute coefficient.  A full permutation then
+    takes the signs solving, over GF(2), the sign each term must pick up.
+    The levels are searched from the last; a search past _SEARCH_NODES
+    nodes ends the search, keeping the levels after it.
+    """
+    n = polys[0].n_vars
+    terms = [(k, alpha, c) for k, poly in enumerate(polys) for alpha, c in poly.terms.items()]
+    signature = [sorted((k, alpha[i], abs(c), sorted(alpha)) for k, alpha, c in terms
+                        if alpha[i]) for i in range(n)]
+    # the terms checked once variable v has its image: those whose last
+    # variable is v
+    last: List[List[Tuple[int, Multidegree, float]]] = [[] for _ in range(n)]
+    for k, alpha, c in terms:
+        support = [i for i, a in enumerate(alpha) if a]
+        if support:
+            last[support[-1]].append((k, alpha, abs(c)))
+
+    def flips(perm: Sequence[int]) -> Optional[int]:
+        return _solve_gf2((_parity(alpha), int(polys[k].terms[act((perm, 0), alpha)[0]] != c))
+                          for k, alpha, c in terms)
+
+    def search(k: int, j: int) -> Optional[SignedPermutation]:
+        """An element fixing the variables before k with perm[k] = j."""
+        perm = list(range(k)) + [j] + [-1] * (n - k - 1)
+        used = set(perm[:k + 1])
+        nodes = 0
+
+        def fits(v: int) -> bool:
+            return all(abs(polys[q].terms.get(act((perm, 0), alpha)[0], 0.0)) == c
+                       for q, alpha, c in last[v])
+
+        def extend(v: int) -> Optional[SignedPermutation]:
+            nonlocal nodes
+            if v == n:
+                t = flips(perm)
+                return None if t is None else (tuple(perm), t)
+            for image in range(n):
+                if image in used or signature[image] != signature[v]:
+                    continue
+                nodes += 1
+                if nodes > _SEARCH_NODES:
+                    raise _SearchCut
+                perm[v] = image
+                used.add(image)
+                found = extend(v + 1) if fits(v) else None
+                used.discard(image)
+                if found is not None:
+                    return found
+            perm[v] = -1
+            return None
+
+        if signature[j] != signature[k] or not all(fits(v) for v in range(k + 1)):
+            return None
+        return extend(k + 1)
+
+    levels: List[List[SignedPermutation]] = [[] for _ in range(n)]
+    try:
+        for k in range(n - 2, -1, -1):
+            orbit = {k}
+            for j in range(k + 1, n):
+                if j in orbit:
+                    continue
+                g = search(k, j)
+                if g is None:
+                    continue
+                levels[k].append(g)
+                frontier = list(orbit)
+                while frontier:
+                    i = frontier.pop()
+                    for perm, _ in levels[k]:
+                        if perm[i] not in orbit:
+                            orbit.add(perm[i])
+                            frontier.append(perm[i])
+    except _SearchCut:
+        levels[k] = []
+    if not any(levels):
+        return None
+    return SignedPermutations(n, levels)
+
+
+class _SearchCut(Exception):
+    """A search of `stabilizer` passed _SEARCH_NODES nodes."""

@@ -97,11 +97,12 @@ class TestBuildGramSystem:
 
     def test_quartic_constraint_data_below_one_megabyte(self):
         # 4-variable quartic at r = 4: the 70 monomials of degree <= 4 fall
-        # into 8 sign-symmetry cosets, and 85 of the 495 monomial
-        # constraints keep entries; as one block with dense (m, n, n) rows
-        # the program held 19 MB
+        # into 8 sign-symmetry cosets, 85 of the 495 monomial constraints
+        # keep entries, and the permutations of x1, x2, x3 sum them into 32
+        # orbits; as one block with dense (m, n, n) rows the program held
+        # 19 MB
         problem = _ReducedGram(CHOI_LAM, theta_big(4, 4), 4).problem
-        assert problem.n_constraints == 85
+        assert problem.n_constraints == 32
         assert problem.block_sizes == (16, 6, 6, 6, 6, 10, 10, 10, 1)
         assert sum(a.nbytes for a in problem.A) < 2 ** 20
 

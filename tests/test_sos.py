@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from sosperturb.errors import (DegreeTooLowError, DimensionMismatchError,
                                SolverFailureError)
 from sosperturb.moments import moment_matrix, psd_check
 from sosperturb.parsing import parse
-from sosperturb.polynomials import MonomialBasis, Polynomial, theta_big
+from sosperturb.polynomials import MonomialBasis, Polynomial, theta_big, theta_small
 from sosperturb.sdp import SolveStatus, solve
+from sosperturb.symmetry import act
 from sosperturb.sos import (DEFAULT_CLIP_TOL, THETA_BIG, THETA_SMALL,
                             GramCertificate, _forced_zeros, _gram_form,
                             _ReducedGram, _residual,
@@ -25,6 +27,10 @@ from reference_programs import build_gram_system, build_moment_system, check_lem
 ONE_MINUS_SQ = parse("1 - x1^2", 1)
 MOTZKIN = parse("1 + x1^2*x2^2*(x1^2 + x2^2 - 3)", 2)
 CHOI_LAM = parse("x1^2*x2^2 + x1^2*x3^2 + x2^2*x3^2 + x4^4 - 4*x1*x2*x3*x4", 4)
+SIGNED_CHOI_LAM = parse("x1^2*x2^2 + x1^2*x3^2 + x2^2*x3^2 + x4^4 + 4*x1*x2*x3*x4", 4)
+CHOI_LAM_SEXTIC = parse("x1^4*x2^2 + x2^4*x3^2 + x3^4*x1^2 - 3*x1^2*x2^2*x3^2", 3)
+# invariant under (x1, x2) -> (x2, -x1), which maps x1*x2 to minus itself
+ROTATION_QUARTIC = parse("1 + (x1^2 + x2^2)^2 + x1*x2*(x1^2 - x2^2)", 2)
 
 
 def gram_off_by_half(real):
@@ -106,15 +112,55 @@ class TestBuildGramSystem:
         assert problem.block_sizes == (16, 6, 6, 6, 6, 10, 10, 10, 1)
         assert sum(a.nbytes for a in problem.A) < 2 ** 20
 
-    def test_split_program_matches_full_program(self):
-        p = theta_big(4, 4)
-        full = build_gram_system(CHOI_LAM, p, 4)
-        assert full.n_constraints == 495 and full.block_sizes == (70, 1)
+    @pytest.mark.parametrize("f, r", [(CHOI_LAM, 4), (SIGNED_CHOI_LAM, 4),
+                                      (CHOI_LAM_SEXTIC, 6), (ROTATION_QUARTIC, 3)],
+                             ids=["choi-lam", "signed choi-lam", "sextic", "rotation"])
+    def test_split_program_matches_full_program(self, f, r):
+        # the split program sums the orbits of its signed permutations; the
+        # full one has one block and one equality per monomial
+        p = theta_big(f.n_vars, r)
+        full = build_gram_system(f, p, r)
         sol = solve(full)
         assert sol.status is SolveStatus.OPTIMAL
-        res = epsilon_star(CHOI_LAM, 4, p)
+        reduced = _ReducedGram(f, p, r)
+        assert reduced.problem.n_constraints < full.n_constraints
+        res = epsilon_star(f, r, p)
         assert res.min_eps == pytest.approx(sol.dual_objective, abs=1e-7)
         assert res.certificate.residual_linf <= 1e-6
+        moments = res.dual_moments.values
+        for g in reduced.group.generators:
+            for gamma, value in moments.items():
+                image, sign = act(g, gamma)
+                assert moments[image] == sign * value
+
+    def test_quartic_sum_of_quartics_in_eight_variables(self):
+        # 1 + x1^4 + ... + x8^4 has 2^8 * 8! signed permutations; its 45
+        # even monomials of degree <= 4 fall into four orbits
+        f = Polynomial(8, {(0,) * 8: 1.0, **{tuple(4 * (i == j) for i in range(8)): 1.0
+                                             for j in range(8)}})
+        start = time.perf_counter()
+        reduced = _ReducedGram(f, theta_big(8, 2), 2)
+        assert time.perf_counter() - start < 1.0
+        assert [{tuple(sorted(g)) for g, _ in row} for row in reduced.rows] == [
+            {(0,) * 8}, {(0,) * 7 + (2,)}, {(0,) * 7 + (4,)}, {(0,) * 6 + (2, 2)}]
+        assert reduced.problem.n_constraints == 4
+        assert sum(len(row) for row in reduced.rows) == 1 + 8 + 8 + 28
+
+    def test_preorder_program_keeps_one_equality_per_gamma(self, monkeypatch):
+        # the Motzkin polynomial, theta_small and the box are all invariant
+        # under the swap of x1 and x2; a preordering still gets the program
+        # of its sign flips alone
+        p = theta_small(2, 4)
+        assert sos.stabilizer([MOTZKIN, p]) is not None
+        box = [parse("1 - x1^2", 2), parse("1 - x2^2", 2)]
+        built = _ReducedGram(MOTZKIN, p, 4, None, box)
+        monkeypatch.setattr(sos, "stabilizer", lambda polys: None)
+        plain = _ReducedGram(MOTZKIN, p, 4, None, box)
+        assert all(len(row) == 1 for row in built.rows)
+        assert built.problem.block_sizes == plain.problem.block_sizes
+        for x, y in zip([*built.problem.A, built.problem.b, *built.problem.C],
+                        [*plain.problem.A, plain.problem.b, *plain.problem.C]):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 def kept(reduced):

@@ -114,10 +114,16 @@ def act(g: SignedPermutation, alpha: Multidegree) -> Tuple[Multidegree, int]:
     return tuple(beta), -1 if bin(flips & _parity(alpha)).count("1") & 1 else 1
 
 
-def _solve_gf2(equations: Iterable[Tuple[int, int]]) -> Optional[int]:
-    """A t with popcount(t & v) = b mod 2 for every (v, b), free bits 0;
-    None when there is none."""
-    rows: List[Tuple[int, int, int]] = []   # (pivot, vector, rhs), fully reduced
+# a GF(2) system popcount(t & vector) = rhs mod 2, fully reduced: each row
+# (pivot, vector, rhs) has its pivot bit, which no other row has
+Gf2Rows = List[Tuple[int, int, int]]
+
+
+def _reduce_gf2(rows: Gf2Rows, equations: Iterable[Tuple[int, int]]) -> Optional[Gf2Rows]:
+    """rows with the equations (vector, rhs) added, or None when they
+    conflict.  Setting t's pivot bits to the rows' rhs and its other bits
+    to 0 solves the system."""
+    rows = list(rows)
     for v, b in equations:
         for pivot, w, c in rows:
             if v >> pivot & 1:
@@ -129,7 +135,7 @@ def _solve_gf2(equations: Iterable[Tuple[int, int]]) -> Optional[int]:
         pivot = v.bit_length() - 1
         rows = [(q, w ^ v, c ^ b) if w >> pivot & 1 else (q, w, c) for q, w, c in rows]
         rows.append((pivot, v, b))
-    return sum(1 << q for q, _, b in rows if b)
+    return rows
 
 
 class SignedPermutations:
@@ -219,11 +225,11 @@ def stabilizer(polys: Sequence[Polynomial]) -> Optional[SignedPermutations]:
     to j, unless j is already in the orbit of k under the generators found
     at this level.  A partial assignment is pruned when a variable's image
     has another signature (the multiset of its terms' exponents and
-    absolute coefficients) or a term whose variables all have images maps
-    to no term of the same absolute coefficient.  A full permutation then
-    takes the signs solving, over GF(2), the sign each term must pick up.
-    The levels are searched from the last; a search past _SEARCH_NODES
-    nodes ends the search, keeping the levels after it.
+    absolute coefficients), or when a term whose variables all have images
+    maps to no term of the same absolute coefficient or needs a sign that
+    conflicts, over GF(2), with those of the terms before it.  The levels
+    are searched from the last; a search past _SEARCH_NODES nodes ends the
+    search, keeping the levels after it.
     """
     n = polys[0].n_vars
     terms = [(k, alpha, c) for k, poly in enumerate(polys) for alpha, c in poly.terms.items()]
@@ -235,11 +241,7 @@ def stabilizer(polys: Sequence[Polynomial]) -> Optional[SignedPermutations]:
     for k, alpha, c in terms:
         support = [i for i, a in enumerate(alpha) if a]
         if support:
-            last[support[-1]].append((k, alpha, abs(c)))
-
-    def flips(perm: Sequence[int]) -> Optional[int]:
-        return _solve_gf2((_parity(alpha), int(polys[k].terms[act((perm, 0), alpha)[0]] != c))
-                          for k, alpha, c in terms)
+            last[support[-1]].append((k, alpha, c))
 
     def search(k: int, j: int) -> Optional[SignedPermutation]:
         """An element fixing the variables before k with perm[k] = j."""
@@ -247,15 +249,21 @@ def stabilizer(polys: Sequence[Polynomial]) -> Optional[SignedPermutations]:
         used = set(perm[:k + 1])
         nodes = 0
 
-        def fits(v: int) -> bool:
-            return all(abs(polys[q].terms.get(act((perm, 0), alpha)[0], 0.0)) == c
-                       for q, alpha, c in last[v])
+        def signs(v: int, rows: Gf2Rows) -> Optional[Gf2Rows]:
+            """rows with the sign each term whose last variable is v must
+            pick up, or None when a term cannot map to a term."""
+            equations = []
+            for q, alpha, c in last[v]:
+                d = polys[q].terms.get(act((perm, 0), alpha)[0])
+                if d is None or abs(d) != abs(c):
+                    return None
+                equations.append((_parity(alpha), int(d != c)))
+            return _reduce_gf2(rows, equations)
 
-        def extend(v: int) -> Optional[SignedPermutation]:
+        def extend(v: int, rows: Gf2Rows) -> Optional[SignedPermutation]:
             nonlocal nodes
             if v == n:
-                t = flips(perm)
-                return None if t is None else (tuple(perm), t)
+                return tuple(perm), sum(1 << q for q, _, b in rows if b)
             for image in range(n):
                 if image in used or signature[image] != signature[v]:
                     continue
@@ -264,16 +272,22 @@ def stabilizer(polys: Sequence[Polynomial]) -> Optional[SignedPermutations]:
                     raise _SearchCut
                 perm[v] = image
                 used.add(image)
-                found = extend(v + 1) if fits(v) else None
+                fitted = signs(v, rows)
+                found = None if fitted is None else extend(v + 1, fitted)
                 used.discard(image)
                 if found is not None:
                     return found
             perm[v] = -1
             return None
 
-        if signature[j] != signature[k] or not all(fits(v) for v in range(k + 1)):
+        if signature[j] != signature[k]:
             return None
-        return extend(k + 1)
+        rows: Optional[Gf2Rows] = []
+        for v in range(k + 1):
+            rows = signs(v, rows)
+            if rows is None:
+                return None
+        return extend(k + 1, rows)
 
     levels: List[List[SignedPermutation]] = [[] for _ in range(n)]
     try:

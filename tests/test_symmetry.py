@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from sosperturb import symmetry
 from sosperturb.parsing import parse
 from sosperturb.polynomials import MonomialBasis, multidegrees_upto, theta_big, theta_small
-from sosperturb.symmetry import ParitySpan, _solve_gf2, act, scatter, stabilizer
+from sosperturb.symmetry import ParitySpan, _reduce_gf2, act, scatter, stabilizer
 
 CHOI_LAM = parse("x1^2*x2^2 + x1^2*x3^2 + x2^2*x3^2 + x4^4 - 4*x1*x2*x3*x4", 4)
 SEXTIC = parse("x1^4*x2^2 + x2^4*x3^2 + x3^4*x1^2 - 3*x1^2*x2^2*x3^2", 3)
@@ -119,9 +120,25 @@ class TestStabilizer:
         assert stabilizer([CHOI_LAM, theta_big(4, 4)]) is None
 
     def test_signs_solve_over_gf2(self):
-        assert _solve_gf2([(0b11, 1), (0b10, 0)]) == 0b01
-        assert _solve_gf2([(0b11, 1), (0b01, 1), (0b10, 1)]) is None
-        assert _solve_gf2([(0, 0)]) == 0
+        rows = _reduce_gf2([], [(0b110, 1), (0b011, 0)])
+        rows = _reduce_gf2(rows, [(0b101, 1), (0, 0)])
+        t = sum(1 << q for q, _, b in rows if b)
+        for v, b in ((0b110, 1), (0b011, 0), (0b101, 1)):
+            assert bin(t & v).count("1") % 2 == b
+        assert _reduce_gf2(rows, [(0b101, 0)]) is None
+        assert _reduce_gf2([], [(0, 1)]) is None
+
+    def test_sign_conflicts_prune_the_search(self):
+        # every variable has the same signature, but the signs of the terms
+        # x_i^2 x_j^2 form a graph with no automorphism other than the
+        # identity, and no sign flip changes them
+        plus = {(1, 2), (1, 3), (1, 4), (1, 6), (2, 6), (4, 5), (5, 6)}
+        f = parse(" + ".join(f"x{i}^4" for i in range(1, 7)) + "".join(
+            f" {'+' if (i, j) in plus else '-'} x{i}^2*x{j}^2"
+            for i, j in itertools.combinations(range(1, 7), 2)), 6)
+        start = time.perf_counter()
+        assert stabilizer([f]) is None
+        assert time.perf_counter() - start < 1.0
 
 
 class TestOrbits:

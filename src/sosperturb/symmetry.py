@@ -100,7 +100,8 @@ def scatter(n: int, pieces: Iterable[Tuple[Sequence[int], np.ndarray]]) -> np.nd
 SignedPermutation = Tuple[Tuple[int, ...], int]
 
 # backtracking nodes one search of `stabilizer` may visit; a search cut
-# short keeps the levels below it, a subgroup, which is still exact
+# short keeps only the levels searched before it, which generate a
+# subgroup, and summing over a subgroup's orbits is still exact
 _SEARCH_NODES = 20000
 
 
@@ -145,8 +146,7 @@ class SignedPermutations:
     variables before k.  Every element is then one product u_0 ... u_n-1,
     u_k from the transversal of level k."""
 
-    def __init__(self, n_vars: int, levels: Sequence[Sequence[SignedPermutation]]):
-        self.n_vars = n_vars
+    def __init__(self, levels: Sequence[Sequence[SignedPermutation]]):
         self.levels = [list(level) for level in levels]
 
     @property
@@ -186,7 +186,12 @@ class SignedPermutations:
         """The Reynolds operator: the average of g . gram over the group,
         gram a matrix over the monomials entries, a set the group maps to
         itself.  Level by level, in chain order, the matrix is replaced by
-        its average over that level's transversal."""
+        its average over that level's transversal.
+
+        gram must be zero outside the coset blocks of the polynomials'
+        parity span, as an expanded Gram matrix is.  The sign flips of the
+        group then fix it, so the one signed permutation the chain takes
+        for each permutation stands for all of them."""
         index = {a: k for k, a in enumerate(entries)}
         n = len(entries)
         for k, level in enumerate(self.levels):
@@ -311,7 +316,7 @@ def stabilizer(polys: Sequence[Polynomial]) -> Optional[SignedPermutations]:
         levels[k] = []
     if not any(levels):
         return None
-    return SignedPermutations(n, levels)
+    return SignedPermutations(levels)
 
 
 class _SearchCut(Exception):

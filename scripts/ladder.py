@@ -14,14 +14,11 @@ diff:
 
 The ladder: 1 - x1^2 with theta_big at r = 2..20 and with x1^(2r) at
 r = 2..15; the Motzkin polynomial with theta_big at r = 3..8; the Choi-Lam
-quartic at r = 4 and 5 and sextic at r = 6 and 7 with theta_big (quartic
-r = 5 and sextic r = 7 ran in the double-precision class of `sdp.solve`
-until their orbits of equalities were summed; every solve now runs in the
-extended class); with theta_big,
-the signed Choi-Lam quartic (the sign of x1*x2*x3*x4 flipped) at r = 4,
-the quartic 1 + (x1^2 + x2^2)^2 + x1*x2*(x1^2 - x2^2), which is invariant
-under (x1, x2) -> (x2, -x1), at r = 2..4, and 1 + x1^4 + ... + x8^4 at
-r = 2; the preorder weight
+quartic at r = 4 and 5 and sextic at r = 6 and 7 with theta_big; with
+theta_big, the signed Choi-Lam quartic (the sign of x1*x2*x3*x4 flipped)
+at r = 4, the quartic 1 + (x1^2 + x2^2)^2 + x1*x2*(x1^2 - x2^2), which is
+invariant under (x1, x2) -> (x2, -x1), at r = 2..4, and
+1 + x1^4 + ... + x8^4 at r = 2; the preorder weight
 programs of 1 - x1^2 on the cusp (1 - x1^2)^3 >= 0 at r = 2..29 step 3, of
 1 - x1^2 - x2^2 on the disk cusp at r = 2..7, of the Motzkin polynomial
 on the box at r = 4..7 and of 1 - x1^2 on the cusp and parabola

@@ -48,32 +48,49 @@ def _parity(alpha: Multidegree) -> int:
     return sum(1 << k for k, a in enumerate(alpha) if a & 1)
 
 
+# a GF(2) system popcount(t & vector) = rhs mod 2, fully reduced: each row
+# (pivot, vector, rhs) has its pivot bit, which no other row has
+Gf2Rows = List[Tuple[int, int, int]]
+
+
+def _reduce_gf2(rows: Gf2Rows, equations: Iterable[Tuple[int, int]]) -> Optional[Gf2Rows]:
+    """rows with the equations (vector, rhs) added, or None when they
+    conflict.  Setting t's pivot bits to the rows' rhs and its other bits
+    to 0 solves the system."""
+    rows = list(rows)
+    for v, b in equations:
+        for pivot, w, c in rows:
+            if v >> pivot & 1:
+                v, b = v ^ w, b ^ c
+        if not v:
+            if b:
+                return None
+            continue
+        pivot = v.bit_length() - 1
+        rows = [(q, w ^ v, c ^ b) if w >> pivot & 1 else (q, w, c) for q, w, c in rows]
+        rows.append((pivot, v, b))
+    return rows
+
+
 class ParitySpan:
     """GF(2) span L of the exponent parities of some polynomials.
 
-    Kept as a row-reduced basis, one vector per pivot (its highest bit).
-    Reducing a parity by the pivots in decreasing order clears every pivot
-    bit, which gives one canonical representative per coset of L.
+    Kept as a fully reduced basis (`_reduce_gf2` with every rhs 0).
+    Clearing every pivot bit of a parity gives one canonical
+    representative per coset of L.
     """
 
     def __init__(self, polys: Iterable[Polynomial]):
-        self._rows: List[Tuple[int, int]] = []   # (pivot bit, vector), descending
-        for poly in polys:
-            for alpha in poly.terms:
-                v = self._reduce(_parity(alpha))
-                if v:
-                    self._rows.append((v.bit_length() - 1, v))
-                    self._rows.sort(reverse=True)
-
-    def _reduce(self, v: int) -> int:
-        for bit, row in self._rows:
-            if v >> bit & 1:
-                v ^= row
-        return v
+        self._rows = _reduce_gf2([], ((_parity(alpha), 0) for poly in polys
+                                      for alpha in poly.terms))
 
     def coset(self, alpha: Multidegree) -> int:
         """Canonical representative of the parity of alpha modulo L."""
-        return self._reduce(_parity(alpha))
+        v = _parity(alpha)
+        for pivot, w, _ in self._rows:
+            if v >> pivot & 1:
+                v ^= w
+        return v
 
     def contains(self, gamma: Multidegree) -> bool:
         return self.coset(gamma) == 0
@@ -113,30 +130,6 @@ def act(g: SignedPermutation, alpha: Multidegree) -> Tuple[Multidegree, int]:
         if a:
             beta[perm[i]] = a
     return tuple(beta), -1 if bin(flips & _parity(alpha)).count("1") & 1 else 1
-
-
-# a GF(2) system popcount(t & vector) = rhs mod 2, fully reduced: each row
-# (pivot, vector, rhs) has its pivot bit, which no other row has
-Gf2Rows = List[Tuple[int, int, int]]
-
-
-def _reduce_gf2(rows: Gf2Rows, equations: Iterable[Tuple[int, int]]) -> Optional[Gf2Rows]:
-    """rows with the equations (vector, rhs) added, or None when they
-    conflict.  Setting t's pivot bits to the rows' rhs and its other bits
-    to 0 solves the system."""
-    rows = list(rows)
-    for v, b in equations:
-        for pivot, w, c in rows:
-            if v >> pivot & 1:
-                v, b = v ^ w, b ^ c
-        if not v:
-            if b:
-                return None
-            continue
-        pivot = v.bit_length() - 1
-        rows = [(q, w ^ v, c ^ b) if w >> pivot & 1 else (q, w, c) for q, w, c in rows]
-        rows.append((pivot, v, b))
-    return rows
 
 
 class SignedPermutations:

@@ -4,9 +4,11 @@
 Each program of the ladder is run through the public API while `sdp.solve`
 is wrapped, in every module that bound it, to record the solutions it
 returns.  For each solve one line is printed: the program, the status, the
-iteration count, the number of equalities (`m`, the length of the dual
-vector), the repr of both objectives and a sha256 over the primal
-blocks and the dual vector.  Two checkouts whose outputs are identical
+iteration count, the precision classes the solve ran in (`class=ext`,
+`class=dbl`, or `class=dbl>ext` for a double attempt retried in
+extended), the number of equalities (`m`, the length of the dual vector),
+the repr of both objectives and a sha256 over the primal blocks and the
+dual vector.  Two checkouts whose outputs are identical
 solved the same programs bit for bit, so a refactor can be checked by a
 diff:
 
@@ -14,7 +16,7 @@ diff:
 
 The ladder: 1 - x1^2 with theta_big at r = 2..20 and with x1^(2r) at
 r = 2..15; the Motzkin polynomial with theta_big at r = 3..8; the Choi-Lam
-quartic at r = 4 and 5 and sextic at r = 6 and 7 with theta_big; with
+quartic at r = 4..7 and sextic at r = 6 and 7 with theta_big; with
 theta_big, the signed Choi-Lam quartic (the sign of x1*x2*x3*x4 flipped)
 at r = 4, the quartic 1 + (x1^2 + x2^2)^2 + x1*x2*(x1^2 - x2^2), which is
 invariant under (x1, x2) -> (x2, -x1), at r = 2..4, and
@@ -68,6 +70,9 @@ CUSP_PARABOLA = SemialgebraicSystem(
     [parse("(1 - x1^2)^3", 1), parse("1 + 3*x1 + 1/7*x1^2", 1)], True)
 
 
+CLASS_LABELS = {"double": "dbl", "extended": "ext"}
+
+
 def ladder():
     """(label, call) for every program, in a fixed order."""
     for r in range(2, 21):
@@ -78,7 +83,9 @@ def ladder():
     for r in range(3, 9):
         yield f"motzkin r={r}", lambda r=r: epsilon_star(MOTZKIN, r, theta_big(2, r))
     yield "choi-lam quartic r=4", lambda: epsilon_star(CHOI_LAM_QUARTIC, 4, theta_big(4, 4))
-    yield "choi-lam quartic r=5", lambda: epsilon_star(CHOI_LAM_QUARTIC, 5, theta_big(4, 5))
+    for r in range(5, 8):
+        yield f"choi-lam quartic r={r}", lambda r=r: epsilon_star(
+            CHOI_LAM_QUARTIC, r, theta_big(4, r))
     yield "choi-lam sextic r=6", lambda: epsilon_star(CHOI_LAM_SEXTIC, 6, theta_big(3, 6))
     yield "choi-lam sextic r=7", lambda: epsilon_star(CHOI_LAM_SEXTIC, 7, theta_big(3, 7))
     yield "signed choi-lam quartic r=4", lambda: epsilon_star(
@@ -155,6 +162,7 @@ def main() -> None:
             outcome = type(exc).__name__
         for sol in solutions:
             print(f"{label}: {outcome} {sol.status.value} it={sol.iterations} "
+                  f"class={'>'.join(CLASS_LABELS[a] for a in sol.attempts)} "
                   f"m={len(sol.dual_vector)} pobj={sol.primal_objective!r} dobj={sol.dual_objective!r} "
                   f"sha256={fingerprint(sol)}", flush=True)
         if not solutions:

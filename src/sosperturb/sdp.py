@@ -213,6 +213,9 @@ class SdpSolution:
     iterations: int
     # (primal objective, dual objective) at the start of each iteration
     trace: List[Tuple[float, float]] = field(default_factory=list)
+    # the precision classes the solve ran in, in order ("double" or
+    # "extended"); empty when nothing was solved
+    attempts: Tuple[str, ...] = ()
 
 
 def _t(mat: np.ndarray) -> np.ndarray:
@@ -673,6 +676,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         gap=rel_gap(pobj, dobj),
         iterations=iterations,
         trace=trace,
+        attempts=("extended" if use_extended else "double",),
     )
 
 

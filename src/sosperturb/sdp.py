@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -141,13 +141,16 @@ class SdpProblem:
     """Immutable standard-form problem; build via from_rows.
 
     A holds one COO_DTYPE array per block, sorted by (row, i, j).
+    extended says whether the program may run in extended precision;
+    `solve` still caps that class by size (see there).
     """
 
-    def __init__(self, block_sizes, A, b, C):
+    def __init__(self, block_sizes, A, b, C, extended: bool = True):
         self.block_sizes: Tuple[int, ...] = tuple(block_sizes)
         self.A = A          # list over blocks of COO_DTYPE arrays, sorted by row
         self.b = b          # (m,)
         self.C = C          # list of (nb, nb)
+        self.extended = extended
         # zero-width (m, 0) placeholder: its only reader is the benchmark
         # tracer (bench/tracing.py:58 adds problem.F.nbytes), and it goes
         # with the benchmark's refresh (ROADMAP direction 4)
@@ -163,6 +166,7 @@ class SdpProblem:
         entries: Sequence[Entries],
         rhs: Sequence[float],
         objective_blocks: Dict[int, np.ndarray],
+        extended: bool = True,
     ) -> "SdpProblem":
         """Validate the constraints sum_b <A_(i,b), X_b> = rhs[i] and store
         them as COO triples.
@@ -170,7 +174,8 @@ class SdpProblem:
         entries[b] holds block b's parallel arrays (row, i, j, v), rows
         numbered 0..m-1 with m = len(rhs) >= 1.  Each block's triples are
         kept with i <= j, sorted by (row, i, j), repeats summed and zeros
-        dropped, the form `_Constraints` relies on.
+        dropped, the form `_Constraints` relies on.  extended is stored
+        as the problem's precision preference.
         """
         block_sizes = tuple(int(s) for s in block_sizes)
         if any(s < 1 for s in block_sizes):
@@ -199,7 +204,7 @@ class SdpProblem:
             mat = objective_blocks.get(bi)
             C.append(np.zeros((nb, nb)) if mat is None
                      else _checked_symmetric(mat, _SYMMETRY_TOL, nb))
-        return SdpProblem(block_sizes, A, b, C)
+        return SdpProblem(block_sizes, A, b, C, extended)
 
 
 @dataclass
@@ -480,15 +485,40 @@ def _schur_solver(M: np.ndarray):
     raise np.linalg.LinAlgError("the Schur matrix factors at no ridge")
 
 
-# an iterate that diverges overflows (X, S^-1) before the solve ends as
-# NumericalTrouble; the status says so, numpy's RuntimeWarnings add nothing
-@np.errstate(over="ignore", invalid="ignore")
+# the statuses of a double attempt that `solve` retries in extended
+_RETRIED = (SolveStatus.ITERATION_LIMIT, SolveStatus.NUMERICAL_TROUBLE)
+
+
 def solve(problem: SdpProblem) -> SdpSolution:
-    """Run the interior-point iteration on a standard-form problem."""
+    """Run the interior-point iteration on a standard-form problem, in the
+    precision class its preference and size allow.
+
+    Extended precision costs 2-4 times double per iteration, so it is
+    capped: a program with more than 96 equalities or a block above 28
+    rows runs in double whatever it prefers.  A program under the cap
+    runs in extended when it prefers to, else in double; when that double
+    attempt ends IterationLimit or NumericalTrouble, it is solved again
+    in extended and the extended solution is returned, its `attempts`
+    ("double", "extended").
+    """
     if max(problem.block_sizes) > MAX_BLOCK_SIZE:
         raise ValueError(
             f"largest block {max(problem.block_sizes)} exceeds cap {MAX_BLOCK_SIZE}")
+    within_cap = problem.n_constraints <= 96 and max(problem.block_sizes) <= 28
+    sol = _iterate(problem, within_cap and problem.extended)
+    if within_cap and not problem.extended and sol.status in _RETRIED:
+        log.debug("double attempt ended %s after %d iterations; retrying in extended",
+                  sol.status.value, sol.iterations)
+        sol = replace(_iterate(problem, True), attempts=("double", "extended"))
+    return sol
 
+
+# an iterate that diverges overflows (X, S^-1) before the solve ends as
+# NumericalTrouble; the status says so, numpy's RuntimeWarnings add nothing
+@np.errstate(over="ignore", invalid="ignore")
+def _iterate(problem: SdpProblem, use_extended: bool) -> SdpSolution:
+    """The interior-point iteration, with the direction algebra in
+    longdouble when use_extended, else in double."""
     b = problem.b
     m = problem.n_constraints
     sizes = problem.block_sizes
@@ -505,9 +535,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
     S = eta * layout.eye
     y = np.zeros(m)
 
-    # extended-precision direction algebra for small systems; larger ones
-    # stay in double where LAPACK-backed routines dominate the cost
-    use_extended = m <= 96 and max(sizes) <= 28
     work_dtype = np.longdouble if use_extended else np.float64
 
     trace: List[Tuple[float, float]] = []
@@ -555,10 +582,11 @@ def solve(problem: SdpProblem) -> SdpSolution:
             G = Lxg @ (_t(Vt) * (1.0 / np.sqrt(sig))[:, None, :])
             W.append(_sym(G @ _t(G)))
 
-        # Schur complement M_ij = sum_b <A_i, W A_j W>.  Small systems run
-        # the whole direction algebra in extended precision: the Schur
-        # conditioning grows with the inverse barrier parameter and plain
-        # double stops short of tight tolerances on ill-conditioned bases.
+        # Schur complement M_ij = sum_b <A_i, W A_j W>.  The extended class
+        # runs the whole direction algebra in longdouble: the Schur
+        # conditioning grows with the inverse barrier parameter, and plain
+        # double stops short of tight tolerances on ill-conditioned bases,
+        # such as the high-degree univariate ones.
         W_w = layout.join(W).astype(work_dtype)
         Mmat = op.schur(W_w)
         _, m_solve = _schur_solver(Mmat)

@@ -326,8 +326,13 @@ class _ReducedGram:
     Gram matrix is then averaged over the group (the Reynolds operator),
     which makes it match every coefficient; the dual value of gamma is
     sigma_gamma times its row's.  A Gram matrix, divided by its product's
-    scale, multiplies the unscaled product.  `solve` and `weight` run the
-    program; `weight` keeps its solution in `solution`.
+    scale, multiplies the unscaled product.  The program prefers the
+    extended precision class when it has generators or at most 2
+    variables; a plain program in 3 or more variables prefers double
+    (`sdp.solve` caps the extended class by size and retries a failed
+    double solve in extended).  `solve` runs the program, the one call of
+    `sdp.solve`; `weight` runs it through `solve` and keeps its solution
+    in `solution`.
     """
 
     def __init__(self, f: Polynomial, p: Polynomial, r: int,
@@ -417,8 +422,12 @@ class _ReducedGram:
                 values.append(value)
             elif any(rhs[gamma] != 0.0 for gamma, _ in members):
                 self.infeasible_gamma = members[0][0]
+        # the shape rule of the precision class: plain programs in three or
+        # more variables reach Optimal in double; `sdp.solve` caps extended
+        # by size and retries a failed double solve in extended
         self.problem = (
-            SdpProblem.from_rows(sizes, entries, values, objective)
+            SdpProblem.from_rows(sizes, entries, values, objective,
+                                 extended=bool(generators) or f.n_vars <= 2)
             if self.rows and self.infeasible_gamma is None else None)
 
     def program(self) -> SdpProblem:
@@ -461,7 +470,8 @@ class _ReducedGram:
         within DUALITY_GAP_TOL.  The moments are -sigma_gamma times the
         dual of gamma's row on the kept gammas and zero on the dropped
         ones, mapped to monomials."""
-        sol = self.solution = solve(self.program())
+        self.program()      # raises when pruning left no program
+        sol = self.solution = self.solve()
         if sol.status is not SolveStatus.OPTIMAL:
             raise SolverFailureError(
                 f"solver returned {sol.status.value} for the weight program at r={self.r}",

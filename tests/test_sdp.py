@@ -293,6 +293,79 @@ class TestProblemConstruction:
             SdpProblem.from_rows([2], [([0, row], [0, 0], [0, 1], [1.0, 1.0])], [1.0], {})
 
 
+
+def marked_double(problem):
+    """The same program, preferring the double class."""
+    return SdpProblem(problem.block_sizes, problem.A, problem.b, problem.C, extended=False)
+
+
+def identity_rows(size, m):
+    """min trace(X) over one size x size block with its first m upper
+    entries, in row-major order, equal to those of the identity."""
+    pairs = [(i, j) for i in range(size) for j in range(i, size)][:m]
+    rows = list(range(m))
+    i, j = zip(*pairs)
+    return SdpProblem.from_rows([size], [(rows, i, j, [1.0] * m)],
+                                [float(a == b) for a, b in pairs], {0: np.eye(size)})
+
+
+class TestPrecisionClass:
+    """`solve` runs a program under the size cap in the class it prefers,
+    retries a failed double attempt in extended and runs everything above
+    the cap in double."""
+
+    def test_extended_by_default(self):
+        problem = scalar_problem()
+        assert problem.extended
+        sol = solve(problem)
+        assert sol.status is SolveStatus.OPTIMAL and sol.attempts == ("extended",)
+
+    def test_double_when_preferred_and_optimal(self):
+        sol = solve(marked_double(random_feasible_problem(5)))
+        assert sol.status is SolveStatus.OPTIMAL and sol.attempts == ("double",)
+
+    def test_iteration_limit_retried_in_extended(self):
+        # theta_big r = 12 for 1 - x1^2 stalls in double and is Optimal in
+        # extended; the retry returns the extended solve's own solution
+        problem = _ReducedGram(parse("1 - x1^2", 1), theta_big(1, 12), 12).problem
+        assert problem.extended
+        direct = solve(problem)
+        retried = solve(marked_double(problem))
+        assert direct.status is SolveStatus.OPTIMAL and direct.attempts == ("extended",)
+        assert retried.status is SolveStatus.OPTIMAL
+        assert retried.attempts == ("double", "extended")
+        assert retried.iterations == direct.iterations == 16
+        assert retried.trace == direct.trace
+        assert retried.dual_vector.tobytes() == direct.dual_vector.tobytes()
+        for a, b in zip(retried.primal_blocks, direct.primal_blocks):
+            assert a.tobytes() == b.tobytes()
+
+    def test_numerical_trouble_retried_in_extended(self, monkeypatch):
+        factorize = sdp._factorize
+
+        def double_fails(M):
+            if M.dtype == np.float64:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return factorize(M)
+
+        monkeypatch.setattr(sdp, "_factorize", double_fails)
+        sol = solve(marked_double(random_feasible_problem(5)))
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.attempts == ("double", "extended")
+
+    @pytest.mark.parametrize("size, m", [(29, 1), (14, 97)], ids=["block 29", "m 97"])
+    @pytest.mark.parametrize("extended", [True, False])
+    def test_above_the_cap_double_and_never_retried(self, size, m, extended, monkeypatch):
+        problem = identity_rows(size, m)
+        if not extended:
+            problem = marked_double(problem)
+        sol = solve(problem)
+        assert sol.status is SolveStatus.OPTIMAL and sol.attempts == ("double",)
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 1)
+        sol = solve(problem)
+        assert sol.status is SolveStatus.ITERATION_LIMIT and sol.attempts == ("double",)
+
+
 def same_bits(a, b):
     """Bitwise equality of the values.  A longdouble holds its 80 bits in
     16 bytes, and the 6 padding bytes carry whatever a buffer held, so

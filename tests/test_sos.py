@@ -163,6 +163,32 @@ class TestBuildGramSystem:
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
+
+class TestPrecisionClass:
+    """Plain programs in 3 or more variables prefer double; univariate,
+    2-variable and preorder programs prefer extended."""
+
+    @pytest.mark.parametrize("reduced", [
+        lambda: _ReducedGram(ONE_MINUS_SQ, theta_big(1, 6), 6),
+        lambda: _ReducedGram(MOTZKIN, theta_big(2, 4), 4),
+        lambda: _ReducedGram(ONE_MINUS_SQ, theta_small(1, 3), 3, None, CUSP.generators),
+    ], ids=["univariate", "motzkin r=4", "cusp r=3"])
+    def test_extended(self, reduced):
+        reduced = reduced()
+        assert reduced.problem.extended
+        sol = reduced.solve()
+        assert sol.status is SolveStatus.OPTIMAL and sol.attempts == ("extended",)
+
+    def test_three_variables_under_the_cap_in_double(self):
+        reduced = _ReducedGram(CHOI_LAM_SEXTIC, theta_big(3, 6), 6)
+        assert not reduced.problem.extended
+        assert reduced.problem.n_constraints == 30
+        assert max(reduced.problem.block_sizes) <= 28
+        reduced.weight()
+        assert reduced.solution.status is SolveStatus.OPTIMAL
+        assert reduced.solution.attempts == ("double",)
+
+
 def kept(reduced):
     """Basis indices of each product that stay in the program."""
     return [sorted(i for _, idx in parts for i in idx) for parts in reduced.parts]

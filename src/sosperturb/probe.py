@@ -3,8 +3,8 @@
 Samples polynomials with coefficients uniform in [-N, N] on all monomials
 of degree <= d, keeps those nonnegative on a 33^n grid over the unit box (a
 cheap necessary filter, not a certificate, evaluated by `Polynomial.eval`
-one slice of 33^(n-1) points along the first axis at a time), and runs the
-degree sweep on each.  The running maximum of the minimal degrees estimates how the
+in chunks of at most GRID_CHUNK points), and runs the degree sweep on
+each.  The running maximum of the minimal degrees estimates how the
 required perturbation degree scales with (n, d, N, eps); no reference
 values exist for it, so the output is exploratory.
 
@@ -27,6 +27,9 @@ from .rng import SplitMix64
 from .sos import THETA_BIG, minimal_r
 
 GRID_POINTS_PER_AXIS = 33
+# most grid points `_grid_minimum` evaluates at once (6 MB of coordinates
+# at n = 6)
+GRID_CHUNK = 1 << 17
 
 
 @dataclass
@@ -93,19 +96,24 @@ def _random_polynomial(rng: SplitMix64, n: int, d: int, bound: float) -> Polynom
 # any minimum; numpy's overflow warning adds nothing
 @np.errstate(over="ignore")
 def _grid_minimum(f: Polynomial, n: int) -> float:
-    """Least value of f on the grid, NaN when any value is NaN.  For n > 1
-    the grid is evaluated one slice along the first axis at a time, so
-    memory holds GRID_POINTS_PER_AXIS^(n-1) points, not the whole grid."""
+    """Least value of f on the grid, NaN when any value is NaN.
+
+    The grid's flat index (row-major, the first axis slowest) is evaluated
+    in chunks of one slice along the first axis (the whole axis at n = 1),
+    capped at GRID_CHUNK points, so memory holds at most GRID_CHUNK points
+    whatever n.  The minimum is np.min over the chunk minima."""
     axis = np.linspace(-1.0, 1.0, GRID_POINTS_PER_AXIS)
-    if n == 1:
-        return float(f.eval(axis[:, None]).min())
-    points = np.empty((GRID_POINTS_PER_AXIS ** (n - 1), n))
-    for i, m in enumerate(np.meshgrid(*[axis] * (n - 1), indexing="ij"), start=1):
-        points[:, i] = m.ravel()
+    total = GRID_POINTS_PER_AXIS ** n
+    chunk = min(GRID_CHUNK, GRID_POINTS_PER_AXIS ** max(n - 1, 1))
     minima = []
-    for x1 in axis:
-        points[:, 0] = x1
-        minima.append(f.eval(points).min())
+    for start in range(0, total, chunk):
+        index = np.arange(start, min(total, start + chunk))
+        # one contiguous row per coordinate: eval reads points[..., i]
+        coords = np.empty((n, index.size))
+        for i in range(n - 1, -1, -1):
+            index, digit = np.divmod(index, GRID_POINTS_PER_AXIS)
+            axis.take(digit, out=coords[i])
+        minima.append(f.eval(coords.T).min())
     return float(np.min(minima))
 
 

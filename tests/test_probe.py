@@ -133,3 +133,32 @@ def test_grid_minimum_in_slices_equals_the_whole_grid_minimum(n, monkeypatch):
     per_call = 33 if n == 1 else 33 ** (n - 1)
     assert len(shapes) == len(cases) * (1 if n == 1 else 33)
     assert all(math.prod(shape[:-1]) <= per_call for shape in shapes)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_grid_minimum_in_tiny_chunks_equals_the_whole_grid_minimum(n, monkeypatch):
+    rng = np.random.default_rng(10 + n)
+    cases = [Polynomial(n, {alpha: rng.uniform(-1.0, 1.0)
+                            for alpha in multidegrees_upto(n, degree)})
+             for degree in (2, 4)]
+    cases.append(Polynomial(n, {(0,) * n: 1.0, (2,) + (0,) * (n - 1): math.inf}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        wants = [whole_grid_minimum(f, n) for f in cases]
+    shapes = []
+    evaluate = Polynomial.eval
+
+    def recording(self, points):
+        shapes.append(np.shape(points))
+        return evaluate(self, points)
+
+    # 7 divides no slice, so chunks straddle slices
+    monkeypatch.setattr(probe, "GRID_CHUNK", 7)
+    monkeypatch.setattr(Polynomial, "eval", recording)
+    with np.errstate(invalid="ignore"):
+        gots = [probe._grid_minimum(f, n) for f in cases]
+    assert np.array(gots).tobytes() == np.array(wants).tobytes()
+    assert math.isnan(gots[-1]) and not any(map(math.isnan, gots[:-1]))
+    # every point once, at most 7 per call
+    assert len(shapes) == len(cases) * math.ceil(33 ** n / 7)
+    assert sum(shape[0] for shape in shapes) == len(cases) * 33 ** n
+    assert all(shape[0] <= 7 for shape in shapes)

@@ -493,10 +493,6 @@ def _schur_solver(M: np.ndarray):
     raise np.linalg.LinAlgError("the Schur matrix factors at no ridge")
 
 
-# the statuses of a double attempt that `solve` retries in extended
-_RETRIED = (SolveStatus.ITERATION_LIMIT, SolveStatus.NUMERICAL_TROUBLE)
-
-
 def solve(problem: SdpProblem) -> SdpSolution:
     """Run the interior-point iteration on a standard-form problem, in the
     precision class its preference and size allow.
@@ -514,7 +510,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
             f"largest block {max(problem.block_sizes)} exceeds cap {MAX_BLOCK_SIZE}")
     within_cap = problem.n_constraints <= 96 and max(problem.block_sizes) <= 28
     sol = _iterate(problem, within_cap and problem.extended)
-    if within_cap and not problem.extended and sol.status in _RETRIED:
+    if within_cap and not problem.extended and sol.status in (
+            SolveStatus.ITERATION_LIMIT, SolveStatus.NUMERICAL_TROUBLE):
         log.debug("double attempt ended %s after %d iterations; retrying in extended",
                   sol.status.value, sol.iterations)
         sol = replace(_iterate(problem, True), attempts=("double", "extended"))

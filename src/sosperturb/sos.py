@@ -422,9 +422,8 @@ class _ReducedGram:
                 values.append(value)
             elif any(rhs[gamma] != 0.0 for gamma, _ in members):
                 self.infeasible_gamma = members[0][0]
-        # the shape rule of the precision class: plain programs in three or
-        # more variables reach Optimal in double; `sdp.solve` caps extended
-        # by size and retries a failed double solve in extended
+        # the precision class by shape: plain programs in 3 or more
+        # variables reach Optimal in double
         self.problem = (
             SdpProblem.from_rows(sizes, entries, values, objective,
                                  extended=bool(generators) or f.n_vars <= 2)

@@ -30,13 +30,10 @@ refinement.  In double the factor is numpy's LAPACK Cholesky and solves go
 through its inverse; in longdouble, which LAPACK does not cover, a column
 loop factors and substitutes.  The solver needs numpy alone.
 
-The precision class of a solve is chosen once, in `solve`.  The program
-states its preference (`SdpProblem.extended`, set by the assembly from
-the program's shape); extended is capped by size (m <= 96 and every block
-<= 28), since its column loops cost 2-4 times LAPACK per iteration.  A
-program under the cap that preferred double and ended IterationLimit or
-NumericalTrouble is solved again in extended, and that solution, with
-`attempts` ("double", "extended"), is returned.
+The precision class of a solve is chosen once, in `solve`: the program's
+preference (`SdpProblem.extended`, which the assembly sets from the
+program's shape) under a size cap on extended, with a retry in extended
+after a failed double attempt.
 
 The iterates live in one flat vector in which blocks of equal size sit
 next to each other, so each size group is a (k, n, n) view.  Cholesky

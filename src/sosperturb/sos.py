@@ -327,12 +327,11 @@ class _ReducedGram:
     which makes it match every coefficient; the dual value of gamma is
     sigma_gamma times its row's.  A Gram matrix, divided by its product's
     scale, multiplies the unscaled product.  The program prefers the
-    extended precision class when it has generators or at most 2
-    variables; a plain program in 3 or more variables prefers double
-    (`sdp.solve` caps the extended class by size and retries a failed
-    double solve in extended).  `solve` runs the program, the one call of
-    `sdp.solve`; `weight` runs it through `solve` and keeps its solution
-    in `solution`.
+    extended precision class when it has generators, at most 2 variables
+    or a given eps; a plain weight program in 3 or more variables prefers
+    double (`sdp.solve` caps the extended class by size and retries a
+    failed double solve in extended).  `solve` and `weight` run the
+    program; `weight` keeps its solution in `solution`.
     """
 
     def __init__(self, f: Polynomial, p: Polynomial, r: int,
@@ -422,11 +421,13 @@ class _ReducedGram:
                 values.append(value)
             elif any(rhs[gamma] != 0.0 for gamma, _ in members):
                 self.infeasible_gamma = members[0][0]
-        # the precision class by shape: plain programs in 3 or more
-        # variables reach Optimal in double
+        # the precision class by shape: plain weight programs in 3 or more
+        # variables reach Optimal in double; a feasibility program keeps
+        # extended, since its certificate must verify to a fixed residual
         self.problem = (
             SdpProblem.from_rows(sizes, entries, values, objective,
-                                 extended=bool(generators) or f.n_vars <= 2)
+                                 extended=bool(generators) or f.n_vars <= 2
+                                 or eps is not None)
             if self.rows and self.infeasible_gamma is None else None)
 
     def program(self) -> SdpProblem:
@@ -469,8 +470,7 @@ class _ReducedGram:
         within DUALITY_GAP_TOL.  The moments are -sigma_gamma times the
         dual of gamma's row on the kept gammas and zero on the dropped
         ones, mapped to monomials."""
-        self.program()      # raises when pruning left no program
-        sol = self.solution = self.solve()
+        sol = self.solution = solve(self.program())
         if sol.status is not SolveStatus.OPTIMAL:
             raise SolverFailureError(
                 f"solver returned {sol.status.value} for the weight program at r={self.r}",

@@ -165,14 +165,18 @@ class TestBuildGramSystem:
 
 
 class TestPrecisionClass:
-    """Plain programs in 3 or more variables prefer double; univariate,
-    2-variable and preorder programs prefer extended."""
+    """Plain weight programs in 3 or more variables prefer double;
+    univariate, 2-variable, preorder and feasibility programs prefer
+    extended."""
 
     @pytest.mark.parametrize("reduced", [
         lambda: _ReducedGram(ONE_MINUS_SQ, theta_big(1, 6), 6),
         lambda: _ReducedGram(MOTZKIN, theta_big(2, 4), 4),
         lambda: _ReducedGram(ONE_MINUS_SQ, theta_small(1, 3), 3, None, CUSP.generators),
-    ], ids=["univariate", "motzkin r=4", "cusp r=3"])
+        # is_sos of the sextic plus 1.013 times its minimal weight at r = 6
+        lambda: _ReducedGram(CHOI_LAM_SEXTIC + theta_big(3, 6).scale(0.00111),
+                             Polynomial.zero(3), 6, eps=0.0),
+    ], ids=["univariate", "motzkin r=4", "cusp r=3", "sextic feasibility r=6"])
     def test_extended(self, reduced):
         reduced = reduced()
         assert reduced.problem.extended
